@@ -31,10 +31,10 @@ from .tensor_oracle import (CoordinateChart, CurvatureTensors, christoffel,
                             hessian_oracle, laplacian_oracle, lowered_riemann,
                             metric_partials, null_sectional_oracle,
                             riemann_apply, riemann_oracle,
-                            sectional_curvature_oracle)
+                            riemann_oracle_batch, sectional_curvature_oracle)
 from .warped_formulas import (LiftedField, base_lift, covariant_derivative,
                               fiber_lift, geometry, gradient_lift,
-                              laplacian_lift, ricci_general, ricci_mwp,
-                              riemann_general, riemann_mwp)
+                              laplacian_lift, ricci_general, ricci_matrix,
+                              ricci_mwp, riemann_general, riemann_mwp)
 
 __version__ = "0.1.0"

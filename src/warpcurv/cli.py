@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .core_types import (ManifoldSpec, Point, assemble_chart, flatten,
-                         point_from_flat, spec_from_json, spec_hash, split)
+                         point_from_flat, spec_from_json, spec_hash)
 from .errors import (DegenerateMetricError, DomainError, GeometryError,
                      ValidationError)
 from .models import CatalogEntry, by_name
@@ -33,11 +33,14 @@ from .null_sectional import (formula_paths, isotropy_scan,
                              null_curvature_generic, sample_plane,
                              specialized_null_curvature)
 from .tensor_oracle import (lowered_riemann, null_sectional_from_tensors,
-                            riemann_oracle)
-from .warped_formulas import ricci_general
+                            riemann_oracle, riemann_oracle_batch)
+from .warped_formulas import ricci_matrix
 
 COMPARE_ABS_TOL = 1e-10
 COMPARE_REL_TOL = 1e-8
+
+# points per batched oracle call in ``scan``; bounds the batch's memory
+SCAN_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +100,6 @@ def _seed_from(args) -> int:
 # report
 # ---------------------------------------------------------------------------
 
-def _ricci_matrices(spec: ManifoldSpec, p: Point, tensors):
-    n = spec.dim
-    basis = [split(row, spec) for row in np.eye(n)]
-    specialized = np.array([[ricci_general(spec, p, basis[i], basis[j])
-                             for j in range(n)] for i in range(n)])
-    return specialized, tensors.ricci
-
-
 def cmd_report(args) -> int:
     name, spec, entry = _resolve_model(args.model)
     if entry is None:
@@ -117,18 +112,18 @@ def cmd_report(args) -> int:
     chart = assemble_chart(spec)
     x = list(p.flat(spec))
     tensors = riemann_oracle(chart, x)
-    ric_s, ric_o = _ricci_matrices(spec, p, tensors)
+    ric_s, ric_o = ricci_matrix(spec, p), tensors.ricci
     paths = formula_paths(spec) if args.path == "all" else (args.path,)
 
     rng = np.random.default_rng(np.uint64(seed))
     planes = []
     flags = []
+    scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
     for i in range(args.planes):
         plane = sample_plane(spec, p, rng)
         k_oracle = null_sectional_from_tensors(tensors, flatten(plane.L),
                                                flatten(plane.S))
         row = {"index": i, "K_oracle": k_oracle}
-        scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
         for path in paths:
             res = specialized_null_curvature(spec, plane, path)
             key = "K_derived" if path == "derived" else f"K_{path}"
@@ -295,18 +290,19 @@ def cmd_scan(args) -> int:
     chart = assemble_chart(spec)
     base_point = entry.default_point()
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
-        out.write("coordinate,quantity,value,oracle_value,abs_diff\r\n")
-        for t in np.linspace(args.start, args.stop, args.steps):
-            p = Point(float(t), base_point.fiber_coords)
-            p.validate(spec)
-            x = list(p.flat(spec))
-            tensors = riemann_oracle(chart, x)
+    points = [Point(float(t), base_point.fiber_coords)
+              for t in np.linspace(args.start, args.stop, args.steps)]
+    for p in points:
+        p.validate(spec)
+
+    rows = []
+    for start in range(0, len(points), SCAN_CHUNK):
+        chunk = points[start:start + SCAN_CHUNK]
+        batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
+        for p, tensors in zip(chunk, batch):
             if args.quantity == "ricci":
-                ric_s, ric_o = _ricci_matrices(spec, p, tensors)
-                val = float(np.max(np.abs(ric_s)))
-                oval = float(np.max(np.abs(ric_o)))
+                val = float(np.max(np.abs(ricci_matrix(spec, p))))
+                oval = float(np.max(np.abs(tensors.ricci)))
             else:
                 rng = np.random.default_rng(np.uint64(seed))
                 plane = sample_plane(spec, p, rng)
@@ -318,8 +314,15 @@ def cmd_scan(args) -> int:
                     oval = k_oracle * plane.g_SS
                 else:
                     val, oval = res.value, k_oracle
-            out.write(f"{_csv(float(t))},{args.quantity},{_csv(val)},"
-                      f"{_csv(oval)},{_csv(abs(val - oval))}\r\n")
+            rows.append(f"{_csv(p.t)},{args.quantity},{_csv(val)},"
+                        f"{_csv(oval)},{_csv(abs(val - oval))}\r\n")
+        del batch  # before the next chunk's batch is built
+
+    out = open(args.out, "w") if args.out else sys.stdout
+    try:
+        out.write("coordinate,quantity,value,oracle_value,abs_diff\r\n")
+        for row in rows:
+            out.write(row)
     finally:
         if args.out:
             out.close()

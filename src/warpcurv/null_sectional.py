@@ -734,9 +734,11 @@ def _spatial_curvature_quadratic(spec: ManifoldSpec, p: Point, v, w, G) -> float
         gvw = float(v @ G @ w)
         gww = float(w @ G @ w)
         return k * (gvv * gww - gvw * gvw)
-    from .tensor_oracle import riemann_apply, riemann_oracle
-    tensors = riemann_oracle(fib.chart(), list(p.fiber_coords[0]))
-    rww = riemann_apply(tensors, v, w, w)
+    # the spatial factor is the structural base, whose chart tensors are
+    # cached per point
+    geom = geometry(spec)
+    bp, _ = geom.struct_point(p)
+    rww = geom.base.riemann(bp, v, w, w)
     return float(rww @ G @ v)
 
 def ssst_remark_value(spec: ManifoldSpec, p: Point, plane: NullPlane,

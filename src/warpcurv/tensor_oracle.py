@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, PlaneError, ShapeError
-from .hyperdual import HyperDual
+from .hyperdual import HyperDual, Jet, jet, mirror_upper, seed
 
 __all__ = [
     "CoordinateChart",
@@ -32,6 +32,7 @@ __all__ = [
     "metric_partials",
     "christoffel",
     "riemann_oracle",
+    "riemann_oracle_batch",
     "riemann_apply",
     "null_sectional_from_tensors",
     "null_sectional_oracle",
@@ -50,9 +51,10 @@ _DET_TOL = 1e-12
 class CoordinateChart:
     """A coordinate metric ``x -> g_ij(x)`` evaluable on hyper-dual coordinates.
 
-    ``metric_at`` must accept a sequence of ``dim`` scalars (floats or
-    :class:`~warpcurv.hyperdual.HyperDual`) and return a ``dim x dim``
-    nested sequence of scalars.  ``domain`` optionally rejects points
+    ``metric_at`` must accept a sequence of ``dim`` scalars (floats,
+    :class:`~warpcurv.hyperdual.HyperDual` or
+    :class:`~warpcurv.hyperdual.Jet`) and return a ``dim x dim`` nested
+    sequence of scalars.  ``domain`` optionally rejects points
     outside the chart.
     """
 
@@ -165,6 +167,77 @@ def riemann_oracle(chart: CoordinateChart, x: Sequence[float]) -> CurvatureTenso
     )
 
 
+def _metric_partials_batch(chart: CoordinateChart, X: np.ndarray):
+    """Batched (g, dg, d2g), axes as in metric_partials after a leading
+    point axis, from one jet evaluation of the metric."""
+    count, n = X.shape
+    rows = chart.metric_at(seed(X))
+    g = np.zeros((count, n, n))
+    dg = np.zeros((count, n, n, n))
+    d2g = np.zeros((count, n, n, n, n))
+    for i in range(n):
+        for j in range(n):
+            entry = rows[i][j]
+            if isinstance(entry, Jet):
+                g[:, i, j] = entry.val
+                dg[:, :, i, j] = entry.grad
+                d2g[:, :, :, i, j] = entry.hess
+            else:
+                g[:, i, j] = float(entry)
+    # metric_partials evaluates d_k d_l g_ij for k <= l and mirrors it
+    mirror_upper(np.moveaxis(d2g, (1, 2), (3, 4)))
+    return g, dg, d2g
+
+
+def riemann_oracle_batch(chart: CoordinateChart,
+                         X: Sequence[Sequence[float]]) -> list[CurvatureTensors]:
+    """:func:`riemann_oracle` at each point of X, from one metric evaluation.
+
+    Every point passes ``check_point`` before the metric is evaluated; a
+    singular metric raises for the first such point, with the scalar
+    oracle's error and message.  Results agree with the scalar oracle to
+    roundoff (the batched contractions sum in another order).
+    """
+    points = [[float(c) for c in x] for x in X]
+    for x in points:
+        chart.check_point(x)
+    if not points:
+        return []
+    g, dg, d2g = _metric_partials_batch(chart, np.array(points))
+    dets = np.abs(np.linalg.det(g))
+    singular = np.flatnonzero(dets <= _DET_TOL)
+    if singular.size:
+        raise DegenerateMetricError(
+            f"{chart.name}: metric singular, |det| = {dets[singular[0]]:.3e}")
+    ginv = np.linalg.inv(g)
+
+    # the scalar oracle's formulas with a leading point axis; in-place
+    # updates keep the batch's peak memory down
+    s = dg + dg.transpose(0, 2, 1, 3)
+    s -= dg.transpose(0, 2, 3, 1)
+    gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, s)
+    dginv = -(ginv[:, None] @ dg @ ginv[:, None])
+    ds = d2g + d2g.transpose(0, 1, 3, 2, 4)
+    ds -= d2g.transpose(0, 1, 3, 4, 2)
+    del d2g
+    dgamma = np.einsum("nmkl,nijl->nmkij", dginv, s)
+    dgamma += np.einsum("nkl,nmijl->nmkij", ginv, ds)
+    dgamma *= 0.5
+    del ds
+    # R^l_ijk = A^l_ijk - A^l_jik with A^l_ijk = d_i Gamma^l_jk
+    #                                           + Gamma^l_im Gamma^m_jk
+    half = np.einsum("nlim,nmjk->nlijk", gamma, gamma)
+    half += dgamma.transpose(0, 2, 1, 3, 4)
+    del dgamma
+    riemann = half - half.transpose(0, 1, 3, 2, 4)
+    del half
+    ricci = np.einsum("niijk->njk", riemann)
+    return [CurvatureTensors(point=tuple(x), metric=g[k], metric_inv=ginv[k],
+                             gamma=gamma[k], riemann=riemann[k],
+                             ricci=ricci[k], dmetric=dg[k])
+            for k, x in enumerate(points)]
+
+
 def riemann_apply(tensors: CurvatureTensors, a, b, c) -> np.ndarray:
     """Components of R(A, B) C for component vectors a, b, c."""
     return np.einsum("lijk,i,j,k->l", tensors.riemann,
@@ -217,35 +290,19 @@ def sectional_curvature_oracle(chart: CoordinateChart, x: Sequence[float],
 
 # -- scalar-field calculus ---------------------------------------------------
 
-def _scalar_partials(phi, x, n):
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            coords = [
-                HyperDual(x[m], 1.0 if m == i else 0.0, 1.0 if m == j else 0.0)
-                for m in range(n)
-            ]
-            y = phi(coords)
-            if isinstance(y, HyperDual):
-                grad[i], grad[j] = y.e1, y.e2
-                hess[i, j] = hess[j, i] = y.e12
-    return grad, hess
-
-
 def gradient_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> np.ndarray:
     """Contravariant components of grad phi at x."""
     chart.check_point(x)
     g, _, _ = metric_partials(chart, x)
     ginv = _inverse(g, chart.name)
-    dphi, _ = _scalar_partials(phi, x, chart.dim)
+    _, dphi, _ = jet(phi, x)
     return ginv @ dphi
 
 
 def hessian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> np.ndarray:
     """Covariant Hessian H(phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
     gamma = christoffel(chart, x)
-    dphi, ddphi = _scalar_partials(phi, x, chart.dim)
+    _, dphi, ddphi = jet(phi, x)
     return ddphi - np.einsum("kij,k->ij", gamma, dphi)
 
 
@@ -254,7 +311,7 @@ def laplacian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> float:
     g, dg, d2g = metric_partials(chart, x)
     ginv = _inverse(g, chart.name)
     gamma = _christoffel_from_partials(ginv, dg)
-    dphi, ddphi = _scalar_partials(phi, x, chart.dim)
+    _, dphi, ddphi = jet(phi, x)
     hess = ddphi - np.einsum("kij,k->ij", gamma, dphi)
     return float(np.einsum("ij,ij->", ginv, hess))
 

@@ -40,7 +40,7 @@ import numpy as np
 
 from .core_types import ManifoldSpec, Point, TangentVector
 from .errors import CapabilityError, ShapeError, ValidationError
-from .hyperdual import HyperDual, scalar_derivatives
+from .hyperdual import jet, scalar_derivatives
 from .tensor_oracle import (CoordinateChart, riemann_apply, riemann_oracle)
 
 __all__ = [
@@ -58,6 +58,7 @@ __all__ = [
     "ricci_mwp",
     "riemann_general",
     "ricci_general",
+    "ricci_matrix",
     "classify_triple",
 ]
 
@@ -137,6 +138,9 @@ class LineBase:
     def ricci(self, base_point, x, y) -> float:
         return 0.0
 
+    def ricci_matrix(self, base_point) -> np.ndarray:
+        return np.zeros((1, 1))
+
     def connection(self, base_point, x, y_comps, y_fns) -> np.ndarray:
         if y_fns is None:
             return np.zeros(1)
@@ -175,22 +179,7 @@ class ChartBase:
 
     def warp_data(self, fn, base_point) -> WarpData:
         t = self._tensors(base_point)
-        n = self.dim
-        dphi = np.zeros(n)
-        ddphi = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i, n):
-                coords = [HyperDual(base_point[m],
-                                    1.0 if m == i else 0.0,
-                                    1.0 if m == j else 0.0)
-                          for m in range(n)]
-                y = fn(coords)
-                if isinstance(y, HyperDual):
-                    dphi[i], dphi[j] = y.e1, y.e2
-                    ddphi[i, j] = ddphi[j, i] = y.e12
-                    val = y.re
-                else:
-                    val = float(y)
+        val, dphi, ddphi = jet(fn, base_point)
         hess = ddphi - np.einsum("kij,k->ij", t.gamma, dphi)
         grad = t.metric_inv @ dphi
         return WarpData(value=val, dcomps=dphi, grad=grad, hess=hess,
@@ -206,18 +195,14 @@ class ChartBase:
         r = self._tensors(base_point).ricci
         return float(np.asarray(x) @ r @ np.asarray(y))
 
+    def ricci_matrix(self, base_point) -> np.ndarray:
+        return self._tensors(base_point).ricci
+
     def connection(self, base_point, x, y_comps, y_fns) -> np.ndarray:
         t = self._tensors(base_point)
         out = np.einsum("kmn,m,n->k", t.gamma, np.asarray(x), np.asarray(y_comps))
         if y_fns is not None:
-            n = self.dim
-            jac = np.zeros((n, n))
-            for k, f in enumerate(y_fns):
-                for m in range(n):
-                    coords = [HyperDual(base_point[a], 1.0 if a == m else 0.0)
-                              for a in range(n)]
-                    yy = f(coords)
-                    jac[k, m] = yy.e1 if isinstance(yy, HyperDual) else 0.0
+            jac = np.array([jet(f, base_point)[1] for f in y_fns])
             out = out + jac @ np.asarray(x)
         return out
 
@@ -284,6 +269,14 @@ class _StructFiber:
         r = self._tensors(x).ricci
         return float(np.asarray(v) @ r @ np.asarray(w))
 
+    def ricci_matrix(self, x) -> np.ndarray:
+        """Ric_F in fiber coordinates, entry for entry as :meth:`ricci`."""
+        if self.dim == 1:
+            return np.zeros((1, 1))
+        if self.k is not None:
+            return self.k * (self.dim - 1) * self.metric(x)
+        return self._tensors(x).ricci
+
     def connection(self, x, v, w_comps, w_fns) -> np.ndarray:
         if self.lorentz_time:
             return np.zeros(1)
@@ -292,14 +285,7 @@ class _StructFiber:
         t = self._tensors(x)
         out = np.einsum("kab,a,b->k", t.gamma, np.asarray(v), np.asarray(w_comps))
         if w_fns is not None:
-            n = self.dim
-            jac = np.zeros((n, n))
-            for k, f in enumerate(w_fns):
-                for m in range(n):
-                    coords = [HyperDual(x[a], 1.0 if a == m else 0.0)
-                              for a in range(n)]
-                    yy = f(coords)
-                    jac[k, m] = yy.e1 if isinstance(yy, HyperDual) else 0.0
+            jac = np.array([jet(f, x)[1] for f in w_fns])
             out = out + jac @ np.asarray(v)
         return out
 
@@ -502,7 +488,7 @@ def gradient_lift(spec: ManifoldSpec, p: Point, fn,
         i = int(origin)
         fib = geom.fibers[i]
         b = geom.warp_bundle(bp)[i].value
-        dpsi = _fiber_partials(fn, fps[i], fib.dim)[0]
+        _, dpsi, _ = jet(fn, fps[i])
         fiber_out[i] = fib.gradient(fps[i], dpsi) / (b * b)
     return from_structural(spec, base_out, fiber_out)
 
@@ -533,20 +519,6 @@ def laplacian_lift(spec: ManifoldSpec, p: Point, fn,
         lap_f = laplacian_oracle(fib.chart, list(fps[i]), fn)
     b = wds[i].value
     return float(lap_f / (b * b))
-
-
-def _fiber_partials(fn, x, n):
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            coords = [HyperDual(x[m], 1.0 if m == i else 0.0,
-                                1.0 if m == j else 0.0) for m in range(n)]
-            y = fn(coords)
-            if isinstance(y, HyperDual):
-                grad[i], grad[j] = y.e1, y.e2
-                hess[i, j] = hess[j, i] = y.e12
-    return grad, hess
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +689,19 @@ def _ricci_struct(geom: WarpedGeometry, bp, fps, A, B) -> float:
     fib = geom.fibers[i]
     bi = wds[i].value
     gvw = bi * bi * fib.inner(fps[i], a, b)
-    bracket = wds[i].lap / bi + (fib.dim - 1) * wds[i].grad_sq / (bi * bi)
+    return float(fib.ricci(fps[i], a, b) - _fiber_bracket(geom, bp, i) * gvw)
+
+
+def _fiber_bracket(geom: WarpedGeometry, bp, i: int) -> float:
+    """The factor of g(V, W) in Ric(V, W) for V, W in fiber i."""
+    wds = geom.warp_bundle(bp)
+    bi = wds[i].value
+    bracket = wds[i].lap / bi + (geom.fibers[i].dim - 1) * wds[i].grad_sq / (bi * bi)
     for k in range(geom.m):
         if k != i:
             bracket += geom.fibers[k].dim * geom.inner_grads(bp, i, k) / (
                 bi * wds[k].value)
-    return float(fib.ricci(fps[i], a, b) - bracket * gvw)
+    return bracket
 
 
 def ricci_general(spec: ManifoldSpec, p: Point, X: TangentVector,
@@ -736,3 +715,38 @@ def ricci_general(spec: ManifoldSpec, p: Point, X: TangentVector,
         for By in _split_struct(geom, to_structural(spec, Y)):
             acc += _ricci_struct(geom, bp, fps, Ax, By)
     return acc
+
+
+def ricci_matrix(spec: ManifoldSpec, p: Point) -> np.ndarray:
+    """Ric(d_a, d_b) in chart coordinates, assembled block by block.
+
+    The base block is ``Ric_B - sum_i dim_i H^{b_i} / b_i``, fiber block i
+    is ``Ric_{F_i} - bracket_i b_i^2 g_{F_i}`` and mixed blocks vanish; for
+    a static model the structural blocks are permuted back to chart order
+    (time first).  Every entry equals :func:`ricci_general` on the
+    coordinate basis exactly.
+    """
+    p.validate(spec)
+    geom = geometry(spec)
+    bp, fps = geom.struct_point(p)
+    wds = geom.warp_bundle(bp)
+    base = geom.base.ricci_matrix(bp)
+    for i, fib in enumerate(geom.fibers):
+        base = base - fib.dim * wds[i].hess / wds[i].value
+    blocks = [base]
+    for i, fib in enumerate(geom.fibers):
+        bi = wds[i].value
+        gvw = bi * bi * fib.metric(fps[i])
+        blocks.append(fib.ricci_matrix(fps[i]) - _fiber_bracket(geom, bp, i) * gvw)
+    sizes = [blk.shape[0] for blk in blocks]
+    n = sum(sizes)
+    ric = np.zeros((n, n))
+    ofs = 0
+    for blk, size in zip(blocks, sizes):
+        ric[ofs:ofs + size, ofs:ofs + size] = blk
+        ofs += size
+    if spec.kind == "SSST":
+        order = np.roll(np.arange(n), 1)  # chart (t, x...) <- structural (x..., t)
+        ric = ric[np.ix_(order, order)]
+    # + 0.0 turns -0.0 into 0.0, as ricci_general's accumulator does
+    return ric + 0.0
