@@ -7,10 +7,11 @@ coordinate-chart tensor oracle driven by hyper-dual differentiation.
 """
 
 from .core_types import (FiberSpec, Interval, ManifoldSpec, NullPlane, Point,
-                         StaticPotential, TangentVector, WarpingFunction,
-                         assemble_chart, euclidean_fiber, flatten,
-                         generic_warped_spec, grw_spec, hyperbolic_fiber,
-                         kasner_spec, metric_eval, mgrw_spec, point_from_flat,
+                         PointMetric, StaticPotential, TangentVector,
+                         WarpingFunction, assemble_chart, euclidean_fiber,
+                         flatten, generic_warped_spec, grw_spec,
+                         hyperbolic_fiber, kasner_spec, metric_eval,
+                         mgrw_spec, point_from_flat,
                          schwarzschild_spatial_fiber, spec_from_dict,
                          spec_from_json, spec_hash, spec_to_dict,
                          spec_to_json, sphere_fiber, split, ssst_spec)

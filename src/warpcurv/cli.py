@@ -29,7 +29,7 @@ from .core_types import (ManifoldSpec, Point, assemble_chart, flatten,
 from .errors import (DegenerateMetricError, DomainError, GeometryError,
                      ValidationError)
 from .models import CatalogEntry, by_name
-from .null_sectional import (formula_paths, isotropy_scan,
+from .null_sectional import (formula_paths, isotropy_summary,
                              null_curvature_generic, sample_plane,
                              specialized_null_curvature)
 from .tensor_oracle import (lowered_riemann, null_sectional_from_tensors,
@@ -81,13 +81,36 @@ def _parse_point(spec: ManifoldSpec, text: str, default: Point) -> Point:
             if key not in values:
                 raise ValidationError(
                     f"unknown coordinate {key!r}; expected {names}")
-            values[key] = float(val)
+            values[key] = _coordinate(key, val)
         coords = [values[k] for k in names]
     else:
-        coords = [float(v) for v in text.split(",")]
+        coords = [_coordinate(names[i] if i < len(names) else f"#{i + 1}", v)
+                  for i, v in enumerate(text.split(","))]
     p = point_from_flat(spec, coords)
     p.validate(spec)
     return p
+
+
+def _coordinate(name: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValidationError(
+            f"--point: coordinate {name!r} is not a number: {text.strip()!r}"
+        ) from None
+
+
+def _count(minimum: int):
+    """argparse type: an integer count of at least ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    return parse
 
 
 def _seed_from(args) -> int:
@@ -118,11 +141,13 @@ def cmd_report(args) -> int:
     rng = np.random.default_rng(np.uint64(seed))
     planes = []
     flags = []
+    generic_values = []
     scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
     for i in range(args.planes):
         plane = sample_plane(spec, p, rng)
         k_oracle = null_sectional_from_tensors(tensors, flatten(plane.L),
                                                flatten(plane.S))
+        generic_values.append(null_curvature_generic(spec, plane).value)
         row = {"index": i, "K_oracle": k_oracle}
         for path in paths:
             res = specialized_null_curvature(spec, plane, path)
@@ -138,7 +163,6 @@ def cmd_report(args) -> int:
                 flags.append(f"plane {i}: {path} K deviates from oracle")
         planes.append(row)
 
-    scan = isotropy_scan(spec, p, None, args.planes, seed)
     doc = {
         "tool": "warpcurv",
         "version": __version__,
@@ -151,7 +175,7 @@ def cmd_report(args) -> int:
             "oracle": ric_o.tolist(),
             "max_abs_diff": float(np.max(np.abs(ric_s - ric_o))),
         },
-        "isotropy": scan,
+        "isotropy": isotropy_summary(generic_values),
         "planes": planes,
         "discrepancy_flags": flags,
     }
@@ -346,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("model", help="catalog model name or spec JSON file")
     rep.add_argument("--point", help="t=...,x=... or comma-separated coords")
     rep.add_argument("--seed", type=int, default=None)
-    rep.add_argument("--planes", type=int, default=10)
+    rep.add_argument("--planes", type=_count(1), default=10)
     rep.add_argument("--path", default="derived",
                      help="derived, a printed path, or 'all'")
     rep.add_argument("--format", choices=("json", "csv", "text"),
@@ -357,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_ = sub.add_parser("compare",
                           help="formula-vs-oracle comparison, ledger output")
     cmp_.add_argument("model")
-    cmp_.add_argument("--samples", type=int, default=100)
+    cmp_.add_argument("--samples", type=_count(0), default=100)
     cmp_.add_argument("--seed", type=int, default=None)
     cmp_.add_argument("--path", choices=("as-derived", "as-printed"),
                       default="as-derived")
@@ -369,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     scn.add_argument("--var", default="t")
     scn.add_argument("--from", dest="start", type=float, required=True)
     scn.add_argument("--to", dest="stop", type=float, required=True)
-    scn.add_argument("--steps", type=int, default=20)
+    scn.add_argument("--steps", type=_count(0), default=20)
     scn.add_argument("--quantity", choices=("KU", "ricci", "numerator"),
                      default="KU")
     scn.add_argument("--seed", type=int, default=None)

@@ -46,6 +46,7 @@ __all__ = [
     "kasner_spec",
     "ssst_spec",
     "generic_warped_spec",
+    "PointMetric",
     "metric_eval",
     "assemble_chart",
     "flatten",
@@ -602,44 +603,93 @@ def point_from_flat(spec: ManifoldSpec, coords: Sequence[float]) -> Point:
 # the product metric
 # ---------------------------------------------------------------------------
 
-def _fiber_inner(f: FiberSpec, x, v, w) -> float:
-    rows = f.metric(list(x))
+def _fiber_inner(rows, v, w) -> float:
     acc = 0.0
-    for i in range(f.dim):
+    for i in range(len(rows)):
         if v[i] == 0.0:
             continue
-        for j in range(f.dim):
+        for j in range(len(rows)):
             if w[j] == 0.0:
                 continue
-            acc += v[i] * value(rows[i][j]) * w[j]
+            acc += v[i] * rows[i][j] * w[j]
     return acc
+
+
+class PointMetric:
+    """The assembled warped-product metric at one point.
+
+    Built once per point: it validates the point and evaluates each
+    warping (the potential f for SSST) and each fiber metric a single
+    time, keeping them as floats.  :meth:`inner` then only contracts, so
+    a caller taking many products at one point pays for the warpings and
+    fiber metrics once.  Immutable after construction.
+    """
+
+    __slots__ = ("spec", "point", "warps", "fiber_rows", "base_rows")
+
+    def __init__(self, spec: ManifoldSpec, p: Point):
+        p.validate(spec)
+        self.spec = spec
+        self.point = p
+        self.base_rows = None
+        if spec.kind == "SSST":
+            self.warps = (spec.potential_value(p.fiber_coords[0]),)
+        else:
+            if spec.base_chart is not None:
+                self.base_rows = np.array(
+                    [[value(e) for e in row]
+                     for row in spec.base_chart.metric_at(list(p.t))], dtype=float)
+                warp_args = list(p.t)
+            else:
+                warp_args = float(p.t)
+            self.warps = tuple(value(w(warp_args)) for w in spec.warpings)
+        self.fiber_rows = tuple(
+            tuple(tuple(value(e) for e in row) for row in f.metric(list(x)))
+            for f, x in zip(spec.fibers, p.fiber_coords))
+
+    @classmethod
+    def of(cls, spec: ManifoldSpec, p: "Point | PointMetric") -> "PointMetric":
+        """The metric at ``p``; ``p`` itself if it already is one for spec."""
+        if isinstance(p, cls):
+            if p.spec is not spec:
+                raise ValidationError("point metric belongs to another spec")
+            return p
+        return cls(spec, p)
+
+    def inner(self, X: TangentVector, Y: TangentVector) -> float:
+        """g(X, Y) at the point."""
+        spec = self.spec
+        X.validate(spec)
+        Y.validate(spec)
+        if spec.kind == "SSST":
+            acc = -(self.warps[0] ** 2) * X.base_part * Y.base_part
+            acc += _fiber_inner(self.fiber_rows[0], X.fiber_parts[0],
+                                Y.fiber_parts[0])
+            return acc
+        if self.base_rows is not None:
+            acc = float(np.asarray(X.base_part) @ self.base_rows
+                        @ np.asarray(Y.base_part))
+        else:
+            acc = -X.base_part * Y.base_part
+        for b, rows, v, w in zip(self.warps, self.fiber_rows, X.fiber_parts,
+                                 Y.fiber_parts):
+            acc += b * b * _fiber_inner(rows, v, w)
+        return acc
+
+    def plane(self, L: TangentVector, S: TangentVector,
+              frame_U: TangentVector | None = None) -> "NullPlane":
+        """span(L, S) at the point with its normalization data."""
+        return NullPlane(point=self.point, L=L, S=S, frame_U=frame_U,
+                         g_LL=self.inner(L, L), g_LS=self.inner(L, S),
+                         g_SS=self.inner(S, S),
+                         g_LU=self.inner(L, frame_U) if frame_U is not None
+                         else -1.0)
 
 
 def metric_eval(spec: ManifoldSpec, p: Point, X: TangentVector,
                 Y: TangentVector) -> float:
     """g(X, Y) at p for the assembled warped-product metric."""
-    p.validate(spec)
-    X.validate(spec)
-    Y.validate(spec)
-    if spec.kind == "SSST":
-        fval = spec.potential_value(p.fiber_coords[0])
-        acc = -(fval ** 2) * X.base_part * Y.base_part
-        acc += _fiber_inner(spec.fibers[0], p.fiber_coords[0],
-                            X.fiber_parts[0], Y.fiber_parts[0])
-        return acc
-    if spec.base_chart is not None:
-        gb = np.array([[value(e) for e in row]
-                       for row in spec.base_chart.metric_at(list(p.t))], dtype=float)
-        acc = float(np.asarray(X.base_part) @ gb @ np.asarray(Y.base_part))
-        warp_args = list(p.t)
-    else:
-        acc = -X.base_part * Y.base_part
-        warp_args = float(p.t)
-    for i, f in enumerate(spec.fibers):
-        b = value(spec.warpings[i](warp_args))
-        acc += b * b * _fiber_inner(f, p.fiber_coords[i],
-                                    X.fiber_parts[i], Y.fiber_parts[i])
-    return acc
+    return PointMetric(spec, p).inner(X, Y)
 
 
 def assemble_chart(spec: ManifoldSpec) -> CoordinateChart:
@@ -722,12 +772,7 @@ class NullPlane:
     @classmethod
     def build(cls, spec: ManifoldSpec, point: Point, L: TangentVector,
               S: TangentVector, frame_U: TangentVector | None = None) -> "NullPlane":
-        g_LL = metric_eval(spec, point, L, L)
-        g_LS = metric_eval(spec, point, L, S)
-        g_SS = metric_eval(spec, point, S, S)
-        g_LU = metric_eval(spec, point, L, frame_U) if frame_U is not None else -1.0
-        return cls(point=point, L=L, S=S, frame_U=frame_U,
-                   g_LL=g_LL, g_LS=g_LS, g_SS=g_SS, g_LU=g_LU)
+        return PointMetric(spec, point).plane(L, S, frame_U)
 
     @property
     def discriminant(self) -> float:

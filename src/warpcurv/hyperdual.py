@@ -26,6 +26,8 @@ import math
 
 import numpy as np
 
+from .errors import DomainError
+
 __all__ = [
     "HyperDual",
     "Jet",
@@ -365,9 +367,17 @@ def _cosh_rule(a):
     return c, s, c
 
 
+def _real_power_domain(a, q) -> None:
+    """a**q is complex for a negative base and a non-integer exponent."""
+    if a < 0.0 and not float(q).is_integer():
+        raise DomainError(
+            f"power of negative base {a!r} to non-integer exponent {q!r}")
+
+
 def _power_rule(a, q):
     if a == 0.0 and q < 2.0:
         raise ZeroDivisionError("power at zero base")
+    _real_power_domain(a, q)
     return a ** q, q * a ** (q - 1.0), q * (q - 1.0) * a ** (q - 2.0)
 
 
@@ -411,4 +421,6 @@ def power(x, q):
     """x**q for float, HyperDual or Jet x and real exponent q."""
     if isinstance(x, (HyperDual, Jet)):
         return x ** q
-    return float(x) ** q
+    a = float(x)
+    _real_power_domain(a, q)
+    return a ** q

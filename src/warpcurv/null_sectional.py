@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_types import (ManifoldSpec, NullPlane, Point, TangentVector,
-                         metric_eval)
+from .core_types import (ManifoldSpec, NullPlane, Point, PointMetric,
+                         TangentVector, metric_eval)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import scalar_derivatives
@@ -54,6 +54,7 @@ __all__ = [
     "ssst_null_curvature",
     "specialized_null_curvature",
     "formula_paths",
+    "isotropy_summary",
     "isotropy_scan",
 ]
 
@@ -95,20 +96,21 @@ def default_frame(spec: ManifoldSpec, p: Point) -> TangentVector:
         return TangentVector.base_direction(spec, 1.0 / f)
     return TangentVector.base_direction(spec, 1.0)
 
-def normalize_null(spec: ManifoldSpec, p: Point, U: TangentVector,
-                   direction: TangentVector) -> TangentVector:
+def normalize_null(spec: ManifoldSpec, p: Point | PointMetric,
+                   U: TangentVector, direction: TangentVector) -> TangentVector:
     """The element of the null congruence of U pointing along ``direction``.
 
     Solves for L with g(L,L) = 0 and g(L,U) = -1: the U-orthogonal part of
     ``direction`` fixes the spatial direction, the normalization fixes both
-    scale factors uniquely.
+    scale factors uniquely.  ``p`` may be the point's :class:`PointMetric`.
     """
-    g_UU = metric_eval(spec, p, U, U)
+    g = PointMetric.of(spec, p)
+    g_UU = g.inner(U, U)
     if g_UU >= 0.0:
         raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
-    g_DU = metric_eval(spec, p, direction, U)
+    g_DU = g.inner(direction, U)
     d_perp = direction - (g_DU / g_UU) * U
-    n2 = metric_eval(spec, p, d_perp, d_perp)
+    n2 = g.inner(d_perp, d_perp)
     if n2 <= 1e-24:
         raise ConstructionError(
             "direction has no spacelike part; cannot complete to a null vector")
@@ -116,8 +118,8 @@ def normalize_null(spec: ManifoldSpec, p: Point, U: TangentVector,
     gamma = math.sqrt(-1.0 / (g_UU * n2))
     return beta * U + gamma * d_perp
 
-def make_degenerate_plane(spec: ManifoldSpec, p: Point, L: TangentVector,
-                          S_candidate: TangentVector,
+def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointMetric,
+                          L: TangentVector, S_candidate: TangentVector,
                           frame_U: TangentVector | None = None) -> NullPlane:
     """Project S_candidate onto the degenerate configuration g(L,S) = 0.
 
@@ -125,51 +127,44 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point, L: TangentVector,
     result must come out spacelike and independent of L.  L may carry
     either time orientation (the curvature of the plane is quadratic in
     L); the frame is attached to the plane only when L actually satisfies
-    the congruence normalization g(L,U) = -1.
+    the congruence normalization g(L,U) = -1.  ``p`` may be the point's
+    :class:`PointMetric`.
     """
-    U = frame_U if frame_U is not None else default_frame(spec, p)
-    g_LL = metric_eval(spec, p, L, L)
-    g_LU = metric_eval(spec, p, L, U)
-    scale = max(1.0, abs(metric_eval(spec, p, U, U)))
+    g = PointMetric.of(spec, p)
+    U = frame_U if frame_U is not None else default_frame(spec, g.point)
+    g_LL = g.inner(L, L)
+    g_LU = g.inner(L, U)
+    scale = max(1.0, abs(g.inner(U, U)))
     if abs(g_LL) > 1e-9 * scale:
         raise PlaneError(f"L is not null: g(L,L) = {g_LL:.3e}")
     if abs(g_LU) < 1e-12:
         raise PlaneError("frame is orthogonal to L; cannot project")
-    g_LS = metric_eval(spec, p, L, S_candidate)
+    g_LS = g.inner(L, S_candidate)
     S = S_candidate - (g_LS / g_LU) * U
-    g_SS = metric_eval(spec, p, S, S)
+    g_SS = g.inner(S, S)
     if g_SS <= 1e-12 * scale:
         raise PlaneError(
             f"projected S is not spacelike (g(S,S) = {g_SS:.3e}); "
             "candidate was parallel to L or timelike")
     normalized = abs(g_LU + 1.0) <= 1e-9
-    plane = NullPlane.build(spec, p, L, S, frame_U=U if normalized else None)
+    plane = g.plane(L, S, frame_U=U if normalized else None)
     plane.validate(tol=1e-9)
     return plane
 
-def _orthonormal_fiber_draw(spec: ManifoldSpec, p: Point, rng) -> TangentVector:
-    """Spatial direction drawn isotropically in the warped metric at p.
+def _orthonormal_fiber_draw(g: PointMetric, chol_t, rng) -> TangentVector:
+    """Spatial direction drawn isotropically in the warped metric at g's point.
 
     Per fiber, components are drawn on the unit sphere of the *warped*
     fiber block, so draw coefficients are invariant under rescaling the
     warpings; this keeps seeded scans comparable across base points.
+    ``chol_t`` holds C^T for the Cholesky factor C of each fiber metric.
     """
     parts = []
-    if spec.kind == "SSST":
-        fib = spec.fibers[0]
-        G = fib.metric_matrix(p.fiber_coords[0])
-        raw = rng.standard_normal(fib.dim)
-        C = np.linalg.cholesky(G)
-        parts.append(tuple(np.linalg.solve(C.T, raw)))
-        return TangentVector(0.0, tuple(parts))
-    t = float(p.t) if spec.base_chart is None else list(p.t)
-    for i, fib in enumerate(spec.fibers):
-        G = fib.metric_matrix(p.fiber_coords[i])
-        raw = rng.standard_normal(fib.dim)
-        C = np.linalg.cholesky(G)
-        from .hyperdual import value
-        b = value(spec.warpings[i](t))
-        parts.append(tuple(np.linalg.solve(C.T, raw) / b))
+    for i, c_t in enumerate(chol_t):
+        x = np.linalg.solve(c_t, rng.standard_normal(c_t.shape[0]))
+        if g.spec.kind != "SSST":  # SSST's one fiber is unwarped
+            x = x / g.warps[i]
+        parts.append(tuple(x))
     return TangentVector(0.0, tuple(parts))
 
 def sample_plane(spec: ManifoldSpec, p: Point, rng,
@@ -181,34 +176,35 @@ def sample_plane(spec: ManifoldSpec, p: Point, rng,
     (the degeneracy condition is then solved inside the fiber block), the
     configuration the published base-free special cases assume.
     """
+    g = PointMetric(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, p)
+    chol_t = [np.linalg.cholesky(np.array(rows)).T for rows in g.fiber_rows]
     for _ in range(32):
-        direction = _orthonormal_fiber_draw(spec, p, rng)
+        direction = _orthonormal_fiber_draw(g, chol_t, rng)
         try:
-            L = normalize_null(spec, p, U, direction)
+            L = normalize_null(spec, g, U, direction)
         except ConstructionError:
             continue
-        W = _orthonormal_fiber_draw(spec, p, rng)
+        W = _orthonormal_fiber_draw(g, chol_t, rng)
         if base_free:
-            v_spatial = L - (metric_eval(spec, p, L, U)
-                             / metric_eval(spec, p, U, U)) * U
-            g_vv = metric_eval(spec, p, v_spatial, v_spatial)
-            g_vw = metric_eval(spec, p, v_spatial, W)
+            v_spatial = L - (g.inner(L, U) / g.inner(U, U)) * U
+            g_vv = g.inner(v_spatial, v_spatial)
+            g_vw = g.inner(v_spatial, W)
             S_cand = W - (g_vw / g_vv) * v_spatial
-            g_ss = metric_eval(spec, p, S_cand, S_cand)
+            g_ss = g.inner(S_cand, S_cand)
             if g_ss <= 1e-12:
                 continue
-            plane = NullPlane.build(spec, p, L, S_cand, frame_U=U)
+            plane = g.plane(L, S_cand, frame_U=U)
             try:
                 plane.validate(tol=1e-9)
             except PlaneError:
                 continue
             return plane
-        w_norm = math.sqrt(max(metric_eval(spec, p, W, W), 0.0))
+        w_norm = math.sqrt(max(g.inner(W, W), 0.0))
         h = 0.9 * rng.uniform(-1.0, 1.0) * w_norm
         S_cand = h * U + W
         try:
-            return make_degenerate_plane(spec, p, L, S_cand, frame_U=U)
+            return make_degenerate_plane(spec, g, L, S_cand, frame_U=U)
         except PlaneError:
             continue
     raise PlaneError("could not sample a valid degenerate plane in 32 tries")
@@ -798,6 +794,15 @@ def specialized_null_curvature(spec: ManifoldSpec, plane: NullPlane,
         raise ValidationError(f"{spec.kind} has no printed closed form")
     return null_curvature_generic(spec, plane)
 
+def isotropy_summary(values) -> dict:
+    """Mean K over a set of planes at one point and the largest deviation
+    from it: the frame-isotropy diagnostic of :func:`isotropy_scan`."""
+    arr = np.asarray(values)
+    mean = float(arr.mean())
+    return {"mean": mean,
+            "max_deviation": float(np.max(np.abs(arr - mean))),
+            "n_planes": len(values)}
+
 def isotropy_scan(spec: ManifoldSpec, p: Point, U: TangentVector | None,
                   n_planes: int, seed: int) -> dict:
     """Sample n_planes degenerate planes in the congruence of U and report
@@ -809,8 +814,4 @@ def isotropy_scan(spec: ManifoldSpec, p: Point, U: TangentVector | None,
     for _ in range(int(n_planes)):
         plane = sample_plane(spec, p, rng, frame_U=frame)
         values.append(null_curvature_generic(spec, plane).value)
-    arr = np.asarray(values)
-    mean = float(arr.mean())
-    return {"mean": mean,
-            "max_deviation": float(np.max(np.abs(arr - mean))),
-            "n_planes": int(n_planes)}
+    return isotropy_summary(values)

@@ -238,7 +238,8 @@ def test_criterion_7_ledger_completeness():
             path = os.path.join(tmp, f"{model}_printed.json")
             code = cli_main(["compare", model, "--samples", "25", "--seed", "7",
                              "--path", "as-printed", "--ledger", path])
-            rows = json.loads(open(path).read())
+            with open(path) as fh:
+                rows = json.load(fh)
             printed_ok &= (code == 0 and len(rows) > 0)
             printed_ok &= any(r["path_b"] == "oracle" for r in rows)
         derived_ok = True
@@ -246,7 +247,8 @@ def test_criterion_7_ledger_completeness():
             path = os.path.join(tmp, f"{entry.name}_derived.json")
             code = cli_main(["compare", entry.name, "--samples", "25",
                              "--seed", "7", "--ledger", path])
-            rows = json.loads(open(path).read())
+            with open(path) as fh:
+                rows = json.load(fh)
             derived_ok &= (code == 0 and rows == [])
     report("criterion 7 (ledger completeness)", printed_ok and derived_ok,
            "printed paths ledgered nonempty where the oracle disagrees; "

@@ -190,3 +190,46 @@ class TestExitCodes:
         out = run_cli("scan", "kasner_vacuum", "--from", "-1", "--to", "1",
                       "--steps", "3")
         assert out.returncode == 3
+
+
+class TestInputErrors:
+    """Bad input ends in exit 2 (validation) or 3 (domain) with a one-line
+    message, never in a traceback with exit 1."""
+
+    @pytest.mark.parametrize("args", [
+        ("report", "minkowski", "--planes", "0"),
+        ("report", "minkowski", "--planes", "-1"),
+        ("compare", "minkowski", "--samples", "-3"),
+        ("scan", "minkowski", "--from", "0", "--to", "1", "--steps", "-1"),
+        ("report", "minkowski", "--planes", "two"),
+    ], ids=["planes-0", "planes-neg", "samples-neg", "steps-neg", "planes-text"])
+    def test_bad_count_is_2(self, args):
+        out = run_cli(*args)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert "must be at least" in out.stderr or "not an integer" in out.stderr
+
+    def test_zero_samples_allowed(self, tmp_path):
+        ledger = tmp_path / "ledger.json"
+        out = run_cli("compare", "minkowski", "--samples", "0",
+                      "--ledger", str(ledger))
+        assert out.returncode == 0
+        assert json.loads(ledger.read_text()) == []
+
+    @pytest.mark.parametrize("point", ["t=abc", "abc,1,2,3"])
+    def test_unparsable_point_is_2(self, point):
+        out = run_cli("report", "minkowski", "--point", point)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "error: --point: coordinate 't' is not a number: 'abc'"]
+
+    def test_negative_power_base_is_3(self, tmp_path):
+        spec = {"kind": "GRW", "base": {"t1": -5.0, "t2": 5.0},
+                "fibers": [{"dim": 1, "model": "euclidean"}],
+                "warpings": [{"form": "power", "params": {"c": 1.0, "q": 0.5}}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = run_cli("report", str(path), "--point", "t=-1,x=0")
+        assert out.returncode == 3
+        assert len(out.stderr.splitlines()) == 1
+        assert "negative base" in out.stderr

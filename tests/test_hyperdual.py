@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from warpcurv import hyperdual as hd
+from warpcurv.errors import DomainError
 
 
 def fd2(f, t, h=1e-5):
@@ -122,3 +123,30 @@ class TestChainRuleDepth:
             f1, f2 = fd2(lambda s: hd.value(fn(s)), t0)
             assert d1 == pytest.approx(f1, rel=1e-7, abs=1e-7)
             assert d2 == pytest.approx(f2, rel=1e-3, abs=1e-3)
+
+
+class TestPowerDomain:
+    """A negative base with a non-integer exponent has no real power: every
+    path raises DomainError instead of returning a complex number."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda f, t: f(t),
+        lambda f, t: hd.scalar_derivatives(f, t),
+        lambda f, t: hd.jet(lambda c: f(c[0]), [[1.0], [t]]),
+    ], ids=["float", "hyperdual", "jet"])
+    @pytest.mark.parametrize("f", [
+        lambda x: hd.power(x, 0.5),
+        lambda x: hd.power(x, -1.5),
+    ])
+    def test_negative_base_fractional_exponent(self, evaluate, f):
+        with pytest.raises(DomainError, match="negative base"):
+            evaluate(f, -1.0)
+
+    def test_operator_pow_on_duals(self):
+        with pytest.raises(DomainError):
+            hd.HyperDual(-2.0, 1.0, 1.0) ** 0.5
+
+    def test_integer_exponent_keeps_negative_base(self):
+        assert hd.power(-2.0, 3.0) == -8.0
+        val, d1, d2 = hd.scalar_derivatives(lambda x: hd.power(x, 2.0), -3.0)
+        assert (val, d1, d2) == (9.0, -6.0, 2.0)
