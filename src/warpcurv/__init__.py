@@ -7,7 +7,7 @@ coordinate-chart tensor oracle driven by hyper-dual differentiation.
 """
 
 from .core_types import (FiberSpec, Interval, ManifoldSpec, NullPlane, Point,
-                         PointMetric, StaticPotential, TangentVector,
+                         PointContext, StaticPotential, TangentVector,
                          WarpingFunction, assemble_chart, euclidean_fiber,
                          flatten, generic_warped_spec, grw_spec,
                          hyperbolic_fiber, kasner_spec, metric_eval,
@@ -34,7 +34,7 @@ from .tensor_oracle import (CoordinateChart, CurvatureTensors, christoffel,
                             riemann_apply, riemann_oracle,
                             riemann_oracle_batch, sectional_curvature_oracle)
 from .warped_formulas import (LiftedField, base_lift, covariant_derivative,
-                              fiber_lift, geometry, gradient_lift,
+                              fiber_lift, gradient_lift,
                               laplacian_lift, ricci_general, ricci_matrix,
                               ricci_mwp, riemann_general, riemann_mwp)
 

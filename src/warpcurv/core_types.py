@@ -10,7 +10,9 @@ one of four kinds:
 * ``MultiplyWarped-generic`` : arbitrary base chart (library API only)
 
 Everything is immutable after construction and purely functional; values
-can be shared freely between threads.
+can be shared freely between threads.  :class:`PointContext` holds what
+the evaluators read at one point; its lazily filled slots never change
+once filled.
 """
 
 from __future__ import annotations
@@ -26,7 +28,8 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import DomainError, ShapeError, ValidationError
 from .hyperdual import value
-from .tensor_oracle import CoordinateChart, sectional_curvature_oracle
+from .tensor_oracle import (CoordinateChart, CurvatureTensors, riemann_oracle,
+                            sectional_curvature_oracle)
 
 __all__ = [
     "Interval",
@@ -46,7 +49,8 @@ __all__ = [
     "kasner_spec",
     "ssst_spec",
     "generic_warped_spec",
-    "PointMetric",
+    "WarpData",
+    "PointContext",
     "metric_eval",
     "assemble_chart",
     "flatten",
@@ -97,15 +101,32 @@ class Interval:
         return list(np.linspace(lo + pad, hi - pad, n))
 
 
+def _number(value, name: str) -> float:
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValidationError(f"{name} must be a number, got {value!r}")
+
+
 def _form_scalar(form: str, params: dict) -> Callable:
+    def param(key):
+        if key not in params:
+            raise ValidationError(f"{form} form needs parameter {key!r}")
+        return _number(params[key], f"parameter {key!r}")
+
     if form == "power":
-        c, q = float(params["c"]), float(params["q"])
+        c, q = param("c"), param("q")
         return lambda t: c * hd.power(t, q)
     if form == "exp":
-        c, k = float(params["c"]), float(params["k"])
+        c, k = param("c"), param("k")
         return lambda t: c * hd.exp(k * t)
     if form == "poly":
-        coeffs = [float(a) for a in params["coeffs"]]
+        coeffs = params.get("coeffs")
+        if not isinstance(coeffs, (list, tuple)) or not coeffs:
+            raise ValidationError("poly form needs a non-empty list 'coeffs'")
+        coeffs = [_number(a, "a poly coefficient") for a in coeffs]
         def poly(t, _c=tuple(coeffs)):
             acc = _c[-1]
             for a in reversed(_c[:-1]):
@@ -113,12 +134,23 @@ def _form_scalar(form: str, params: dict) -> Callable:
             return acc
         return poly
     if form == "cosh":
-        c, k = float(params["c"]), float(params["k"])
+        c, k = param("c"), param("k")
         return lambda t: c * hd.cosh(k * t)
     if form == "schwarzschild":
-        m = float(params["m"])
+        m = param("m")
         return lambda r: hd.sqrt(1.0 - 2.0 * m / r)
     raise ValidationError(f"unknown scalar form {form!r}")
+
+
+def _spot_value(fn, arg, what: str, where: str) -> float:
+    """fn(arg) for a structure spot check; a failure names the sample.  An
+    argument outside a form's real domain stays a DomainError, any other
+    failure to evaluate becomes a ValidationError."""
+    try:
+        return value(fn(arg))
+    except (ArithmeticError, ValueError, DomainError) as exc:
+        error = DomainError if isinstance(exc, DomainError) else ValidationError
+        raise error(f"{what} cannot be evaluated at {where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -149,8 +181,8 @@ class WarpingFunction:
         return hd.scalar_derivatives(self.fn, t)
 
     def check_positive(self, interval: Interval, n: int = 25) -> None:
-        for t in interval.sample_points(n):
-            b = value(self.fn(t))
+        for t in map(float, interval.sample_points(n)):
+            b = _spot_value(self.fn, t, "warping", f"t = {t}")
             if not b > 0.0:
                 raise ValidationError(f"warping must be positive; got {b} at t = {t}")
 
@@ -426,8 +458,10 @@ class ManifoldSpec:
         for f in self.fibers:
             if f.sample_coords:
                 f.check_spd(f.sample_coords)
-        if self.kind == "SSST" and self.fibers[0].sample_coords:
-            if not self.potential_value(self.fibers[0].sample_coords) > 0:
+        x = self.fibers[0].sample_coords
+        if self.kind == "SSST" and x:
+            if not _spot_value(self.potential, list(x), "static potential",
+                               str(x)) > 0:
                 raise ValidationError("static potential must be positive")
 
 
@@ -573,7 +607,7 @@ def split(components: Sequence[float], spec: ManifoldSpec) -> TangentVector:
     """Inverse of :func:`flatten` for the given spec."""
     comps = tuple(float(c) for c in components)
     if len(comps) != spec.dim:
-        raise ShapeError(f"expected {spec.dim} components, got {len(comps)}")
+        raise ShapeError(f"expected {spec.dim} values, got {len(comps)}")
     nb = spec.base_dim
     base = comps[:nb] if spec.base_chart is not None else comps[0]
     parts = []
@@ -586,17 +620,8 @@ def split(components: Sequence[float], spec: ManifoldSpec) -> TangentVector:
 
 def point_from_flat(spec: ManifoldSpec, coords: Sequence[float]) -> Point:
     """Build a Point from flat chart coordinates, base first."""
-    comps = tuple(float(c) for c in coords)
-    if len(comps) != spec.dim:
-        raise ShapeError(f"expected {spec.dim} coordinates, got {len(comps)}")
-    nb = spec.base_dim
-    base = comps[:nb] if spec.base_chart is not None else comps[0]
-    parts = []
-    ofs = nb
-    for f in spec.fibers:
-        parts.append(comps[ofs:ofs + f.dim])
-        ofs += f.dim
-    return Point(base, tuple(parts))
+    v = split(coords, spec)
+    return Point(v.base_part, v.fiber_parts)
 
 
 # ---------------------------------------------------------------------------
@@ -615,46 +640,102 @@ def _fiber_inner(rows, v, w) -> float:
     return acc
 
 
-class PointMetric:
-    """The assembled warped-product metric at one point.
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
 
-    Built once per point: it validates the point and evaluates each
-    warping (the potential f for SSST) and each fiber metric a single
-    time, keeping them as floats.  :meth:`inner` then only contracts, so
-    a caller taking many products at one point pays for the warpings and
-    fiber metrics once.  Immutable after construction.
+
+@dataclass(frozen=True)
+class WarpData:
+    """One base scalar's derivative bundle at a base point (read-only)."""
+
+    value: float
+    dcomps: np.ndarray    # partial derivatives d_m b
+    grad: np.ndarray      # contravariant gradient components
+    hess: np.ndarray      # covariant Hessian H_B^b
+    lap: float            # metric trace of the Hessian
+    grad_sq: float        # g_B(grad b, grad b)
+
+    def __post_init__(self):
+        _read_only(self.dcomps, self.grad, self.hess)
+
+
+class PointContext:
+    """Everything the evaluators read at one point of one spec.
+
+    The caller that owns a point builds its context once and passes it
+    down; every evaluator that takes a point also accepts its context
+    (:meth:`of`).  Building one validates the point, fixes its structural
+    coordinates ``base_point`` and ``fiber_points`` (for a static model
+    the spatial factor is the structural base and time the one fiber; see
+    :mod:`warpcurv.warped_formulas`) and evaluates each fiber metric.  The
+    warping values (the potential f for SSST), their derivative bundle and
+    the chart-oracle tensors of the base and of each fiber are computed on
+    first use, once per slot; all arrays are read-only.  A filled slot
+    keeps its value (two threads filling it at once compute the same
+    bits), so a context may be shared between threads.
     """
 
-    __slots__ = ("spec", "point", "warps", "fiber_rows", "base_rows")
+    __slots__ = ("spec", "point", "base_point", "fiber_points", "fiber_rows",
+                 "fiber_metrics", "base_rows", "_warps", "_warp_bundle",
+                 "_base_tensors", "_fiber_tensors")
 
     def __init__(self, spec: ManifoldSpec, p: Point):
         p.validate(spec)
         self.spec = spec
-        self.point = p
-        self.base_rows = None
-        if spec.kind == "SSST":
-            self.warps = (spec.potential_value(p.fiber_coords[0]),)
-        else:
-            if spec.base_chart is not None:
-                self.base_rows = np.array(
-                    [[value(e) for e in row]
-                     for row in spec.base_chart.metric_at(list(p.t))], dtype=float)
-                warp_args = list(p.t)
-            else:
-                warp_args = float(p.t)
-            self.warps = tuple(value(w(warp_args)) for w in spec.warpings)
+        coords = tuple(tuple(map(float, x)) for x in p.fiber_coords)
         self.fiber_rows = tuple(
             tuple(tuple(value(e) for e in row) for row in f.metric(list(x)))
-            for f, x in zip(spec.fibers, p.fiber_coords))
+            for f, x in zip(spec.fibers, coords))
+        self.fiber_metrics = tuple(np.array(rows, dtype=float)
+                                   for rows in self.fiber_rows)
+        _read_only(*self.fiber_metrics)
+        self._fiber_tensors = [None] * spec.m
+        self._base_tensors = self._warp_bundle = self._warps = self.base_rows = None
+        if spec.kind == "SSST":
+            self.base_point = coords[0]
+        else:
+            self.fiber_points = coords
+        self._set_base(p)
+
+    def _set_base(self, p: Point) -> None:
+        """Take p's base coordinate and evaluate what depends on it."""
+        spec = self.spec
+        self.point = p
+        if spec.kind == "SSST":  # t is the structural fiber; nothing moves
+            self.fiber_points = ((float(p.t),),)
+            return
+        self._base_tensors = self._warp_bundle = self._warps = None
+        if spec.base_chart is not None:
+            self.base_point = tuple(map(float, p.t))
+            self.base_rows = np.array(
+                [[value(e) for e in row]
+                 for row in spec.base_chart.metric_at(list(p.t))], dtype=float)
+        else:
+            self.base_point = (float(p.t),)
+
+    def at_base(self, t) -> "PointContext":
+        """The context at base coordinate ``t`` and the same fiber point,
+        sharing what does not depend on t: the fiber metrics and tensors,
+        and for a static model every slot this context has filled."""
+        if self.spec.base_chart is None:
+            self.spec.base.require(float(t))
+        ctx = object.__new__(PointContext)
+        for name in PointContext.__slots__:
+            setattr(ctx, name, getattr(self, name))
+        ctx._set_base(Point(t, self.point.fiber_coords))
+        return ctx
 
     @classmethod
-    def of(cls, spec: ManifoldSpec, p: "Point | PointMetric") -> "PointMetric":
-        """The metric at ``p``; ``p`` itself if it already is one for spec."""
+    def of(cls, spec: ManifoldSpec, p: "Point | PointContext") -> "PointContext":
+        """The context at ``p``; ``p`` itself if it already is one for spec."""
         if isinstance(p, cls):
             if p.spec is not spec:
-                raise ValidationError("point metric belongs to another spec")
+                raise ValidationError("point context belongs to another spec")
             return p
         return cls(spec, p)
+
+    # -- the metric ----------------------------------------------------------
 
     def inner(self, X: TangentVector, Y: TangentVector) -> float:
         """g(X, Y) at the point."""
@@ -683,13 +764,78 @@ class PointMetric:
                          g_LL=self.inner(L, L), g_LS=self.inner(L, S),
                          g_SS=self.inner(S, S),
                          g_LU=self.inner(L, frame_U) if frame_U is not None
-                         else -1.0)
+                         else -1.0, context=self)
+
+    # -- filled on first use -------------------------------------------------
+
+    @property
+    def warps(self) -> tuple[float, ...]:
+        """Each warping's value at the point (the potential f for SSST)."""
+        if self._warps is None:
+            spec = self.spec
+            arg = (self.base_point[0] if spec.is_time_base
+                   else list(self.base_point))
+            self._warps = tuple(value(w(arg)) for w in spec.warpings)
+        return self._warps
+
+    @property
+    def base_tensors(self) -> CurvatureTensors | None:
+        """Chart-oracle tensors of the structural base; None on a line."""
+        if self._base_tensors is None:
+            spec = self.spec
+            chart = (spec.fibers[0].chart() if spec.kind == "SSST"
+                     else spec.base_chart)
+            if chart is not None:
+                self._base_tensors = _oracle(chart, self.base_point)
+        return self._base_tensors
+
+    def fiber_tensors(self, i: int) -> CurvatureTensors:
+        """Chart-oracle tensors of the spec's fiber i at its coordinates."""
+        if self._fiber_tensors[i] is None:
+            self._fiber_tensors[i] = _oracle(self.spec.fibers[i].chart(),
+                                             self.point.fiber_coords[i])
+        return self._fiber_tensors[i]
+
+    @property
+    def warp_bundle(self) -> tuple[WarpData, ...]:
+        """:meth:`scalar_data` of each warping (the potential for SSST)."""
+        if self._warp_bundle is None:
+            self._warp_bundle = tuple(self.scalar_data(getattr(w, "fn", w))
+                                      for w in self.spec.warpings)
+        return self._warp_bundle
+
+    def scalar_data(self, fn) -> WarpData:
+        """Derivative bundle of a scalar ``fn`` of the base coordinates.
+
+        On the base line -dt^2 every object is closed form, and its four
+        signs are decided here once: ``grad b = -b' d_t``,
+        ``|grad b|^2 = -(b')^2``, ``H^b(d_t, d_t) = b''``, ``lap b = -b''``.
+        A chart base contracts with its oracle tensors.
+        """
+        t = self.base_tensors
+        if t is None:
+            b, db, ddb = hd.scalar_derivatives(fn, self.base_point[0])
+            return WarpData(value=b, dcomps=np.array([db]),
+                            grad=np.array([-db]), hess=np.array([[ddb]]),
+                            lap=-ddb, grad_sq=-db * db)
+        val, dphi, ddphi = hd.jet(fn, self.base_point)
+        hess = ddphi - np.einsum("kij,k->ij", t.gamma, dphi)
+        return WarpData(value=val, dcomps=dphi, grad=t.metric_inv @ dphi,
+                        hess=hess,
+                        lap=float(np.einsum("ij,ij->", t.metric_inv, hess)),
+                        grad_sq=float(dphi @ t.metric_inv @ dphi))
 
 
-def metric_eval(spec: ManifoldSpec, p: Point, X: TangentVector,
+def _oracle(chart: CoordinateChart, x) -> CurvatureTensors:
+    t = riemann_oracle(chart, list(x))
+    _read_only(t.metric, t.metric_inv, t.gamma, t.riemann, t.ricci, t.dmetric)
+    return t
+
+
+def metric_eval(spec: ManifoldSpec, p: "Point | PointContext", X: TangentVector,
                 Y: TangentVector) -> float:
     """g(X, Y) at p for the assembled warped-product metric."""
-    return PointMetric(spec, p).inner(X, Y)
+    return PointContext.of(spec, p).inner(X, Y)
 
 
 def assemble_chart(spec: ManifoldSpec) -> CoordinateChart:
@@ -768,11 +914,14 @@ class NullPlane:
     g_LS: float = 0.0
     g_SS: float = 1.0
     g_LU: float = -1.0
+    # the context the plane was built at, which evaluators reuse
+    context: PointContext | None = field(default=None, compare=False,
+                                         repr=False)
 
     @classmethod
     def build(cls, spec: ManifoldSpec, point: Point, L: TangentVector,
               S: TangentVector, frame_U: TangentVector | None = None) -> "NullPlane":
-        return PointMetric(spec, point).plane(L, S, frame_U)
+        return PointContext(spec, point).plane(L, S, frame_U)
 
     @property
     def discriminant(self) -> float:
@@ -812,17 +961,46 @@ def _fiber_dict(f: FiberSpec) -> dict:
     raise ValidationError(f"custom fiber {f.model!r} is not JSON-expressible")
 
 
-def _fiber_from_dict(d: dict) -> FiberSpec:
-    model = d["model"]
-    if model == "euclidean":
-        return euclidean_fiber(int(d["dim"]))
-    if model == "sphere":
-        return sphere_fiber(int(d["dim"]), float(d["radius"]))
-    if model == "hyperbolic":
-        return hyperbolic_fiber(int(d["dim"]), float(d["radius"]))
+def _field(d, key: str, kind: type, where: str):
+    """``d[key]``, checked to be a ``kind``; errors name the field."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where or 'spec'} must be an object, got {d!r}")
+    name = f"{where}.{key}" if where else key
+    if key not in d:
+        raise ValidationError(f"spec: missing field {name!r}")
+    val = d[key]
+    if kind is float:
+        return _number(val, f"spec: field {name!r}")
+    if not isinstance(val, kind) or val == []:
+        label = {dict: "an object", list: "a non-empty list", str: "a string"}
+        raise ValidationError(
+            f"spec: field {name!r} must be {label[kind]}, got {val!r}")
+    return val
+
+
+def _fiber_from_dict(d, where: str) -> FiberSpec:
+    model = _field(d, "model", str, where)
     if model == "schwarzschild_spatial":
-        return schwarzschild_spatial_fiber(float(d["mass"]))
+        return schwarzschild_spatial_fiber(_field(d, "mass", float, where))
+    dim = _field(d, "dim", float, where)
+    if not dim.is_integer():
+        raise ValidationError(f"spec: field '{where}.dim' must be an integer")
+    if model == "euclidean":
+        return euclidean_fiber(int(dim))
+    if model == "sphere":
+        return sphere_fiber(int(dim), _field(d, "radius", float, where))
+    if model == "hyperbolic":
+        return hyperbolic_fiber(int(dim), _field(d, "radius", float, where))
     raise ValidationError(f"unknown fiber model {model!r}")
+
+
+def _scalar_from_dict(cls, d, where: str):
+    form = _field(d, "form", str, where)
+    params = _field(d, "params", dict, where)
+    try:
+        return cls.from_form(form, params)
+    except ValidationError as exc:
+        raise ValidationError(f"spec: {where}: {exc}") from None
 
 
 def spec_to_dict(spec: ManifoldSpec) -> dict:
@@ -844,26 +1022,32 @@ def spec_to_dict(spec: ManifoldSpec) -> dict:
 
 
 def spec_from_dict(d: dict) -> ManifoldSpec:
-    kind = d["kind"]
-    b = d["base"]
-    base = Interval(float(b["t1"]), float(b["t2"]))
-    fibers = [_fiber_from_dict(fd) for fd in d["fibers"]]
-    name = d.get("name", "")
+    """The spec a dict describes, checked: a missing field, a value of the
+    wrong type or a warping that is not positive raises ValidationError."""
+    kind = _field(d, "kind", str, "")
+    b = _field(d, "base", dict, "")
+    base = Interval(_field(b, "t1", float, "base"), _field(b, "t2", float, "base"))
+    fibers = [_fiber_from_dict(fd, f"fibers[{i}]")
+              for i, fd in enumerate(_field(d, "fibers", list, ""))]
+    name = _field(d, "name", str, "") if "name" in d else ""
+    warpings = _field(d, "warpings", list, "")
     if kind == "Kasner":
-        w = d["warpings"][0]
-        phi = WarpingFunction.from_form(w["form"], w["params"])
-        return kasner_spec(base, phi, d["kasner_exponents"], fibers, name=name)
-    if kind == "SSST":
-        w = d["warpings"][0]
-        pot = StaticPotential.from_form(w["form"], w["params"])
-        return ssst_spec(base, pot, fibers[0], name=name)
-    warpings = [WarpingFunction.from_form(w["form"], w["params"])
-                for w in d["warpings"]]
-    if kind == "GRW":
-        return grw_spec(base, warpings[0], fibers[0], name=name)
-    if kind == "MGRW":
-        return mgrw_spec(base, warpings, fibers, name=name)
-    raise ValidationError(f"unknown kind {kind!r}")
+        phi = _scalar_from_dict(WarpingFunction, warpings[0], "warpings[0]")
+        exps = [_number(q, "spec: a Kasner exponent")
+                for q in _field(d, "kasner_exponents", list, "")]
+        spec = kasner_spec(base, phi, exps, fibers, name=name)
+    elif kind == "SSST":
+        pot = _scalar_from_dict(StaticPotential, warpings[0], "warpings[0]")
+        spec = ssst_spec(base, pot, fibers[0], name=name)
+    elif kind in ("GRW", "MGRW"):
+        ws = [_scalar_from_dict(WarpingFunction, w, f"warpings[{i}]")
+              for i, w in enumerate(warpings)]
+        spec = (grw_spec(base, ws[0], fibers[0], name=name) if kind == "GRW"
+                else mgrw_spec(base, ws, fibers, name=name))
+    else:
+        raise ValidationError(f"unknown kind {kind!r}")
+    spec.validate_structure()
+    return spec
 
 
 def spec_to_json(spec: ManifoldSpec) -> str:
@@ -871,7 +1055,11 @@ def spec_to_json(spec: ManifoldSpec) -> str:
 
 
 def spec_from_json(text: str) -> ManifoldSpec:
-    return spec_from_dict(json.loads(text))
+    try:
+        d = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"spec is not valid JSON: {exc}") from None
+    return spec_from_dict(d)
 
 
 def spec_hash(spec: ManifoldSpec) -> str:

@@ -348,11 +348,16 @@ def _exp_rule(a):
     return e, e, e
 
 
+# log and sqrt are taken on (0, inf), where both are smooth
 def _log_rule(a):
+    if not a > 0.0:
+        raise DomainError(f"log of non-positive argument {a!r}")
     return math.log(a), 1.0 / a, -1.0 / (a * a)
 
 
 def _sqrt_rule(a):
+    if not a > 0.0:
+        raise DomainError(f"sqrt of non-positive argument {a!r}")
     r = math.sqrt(a)
     return r, 0.5 / r, -0.25 / (r * a)
 
@@ -398,11 +403,11 @@ def exp(x):
 
 
 def log(x):
-    return _apply(x, _log_rule, math.log)
+    return _apply(x, _log_rule, lambda a: _log_rule(a)[0])
 
 
 def sqrt(x):
-    return _apply(x, _sqrt_rule, math.sqrt)
+    return _apply(x, _sqrt_rule, lambda a: _sqrt_rule(a)[0])
 
 
 def sinh(x):

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_types import (Interval, ManifoldSpec, Point, StaticPotential,
-                         WarpingFunction, assemble_chart, euclidean_fiber,
-                         flatten, grw_spec, hyperbolic_fiber, kasner_spec,
-                         mgrw_spec, schwarzschild_spatial_fiber, sphere_fiber,
-                         ssst_spec)
+from .core_types import (Interval, ManifoldSpec, Point, PointContext,
+                         StaticPotential, WarpingFunction, assemble_chart,
+                         euclidean_fiber, flatten, grw_spec, hyperbolic_fiber,
+                         kasner_spec, mgrw_spec, schwarzschild_spatial_fiber,
+                         sphere_fiber, split, ssst_spec)
 from .errors import ValidationError
 from .null_sectional import (formula_paths, isotropy_scan, sample_plane,
                              specialized_null_curvature, ssst_remark_value)
 from .tensor_oracle import null_sectional_oracle, riemann_oracle
+from .warped_formulas import ricci_general
 
 __all__ = ["KnownFact", "CatalogEntry", "catalog", "by_name", "validate_entry"]
 
@@ -249,13 +250,7 @@ def _check_null_zero(entry, fact, seed, n_planes, rows, paths):
         rows.append(_row(fact, path, w, w <= fact.tol))
 
 
-def _check_constant_k(entry, fact, seed, n_planes, rows, paths):
-    _check_null_zero(entry, fact, seed, n_planes, rows, paths)
-
-
 def _check_ricci_zero(entry, fact, seed, n_planes, rows, paths):
-    from .warped_formulas import ricci_general
-    from .core_types import split
     spec = entry.spec
     chart = assemble_chart(spec)
     rng = np.random.default_rng(np.uint64(seed))
@@ -267,10 +262,11 @@ def _check_ricci_zero(entry, fact, seed, n_planes, rows, paths):
             p = Point(times[k], p.fiber_coords)
         tensors = riemann_oracle(chart, list(p.flat(spec)))
         worst_o = max(worst_o, float(np.max(np.abs(tensors.ricci))))
+        ctx = PointContext(spec, p)
         for _ in range(5):
             x = split(rng.standard_normal(spec.dim), spec)
             y = split(rng.standard_normal(spec.dim), spec)
-            worst_s = max(worst_s, abs(ricci_general(spec, p, x, y)))
+            worst_s = max(worst_s, abs(ricci_general(spec, ctx, x, y)))
     rows.append(_row(fact, "specialized", worst_s, worst_s <= fact.tol))
     rows.append(_row(fact, "oracle", worst_o, worst_o <= fact.tol))
 
@@ -377,7 +373,7 @@ def _check_oracle_equivalence(entry, fact, seed, n_planes, rows, paths):
 
 _CHECKERS = {
     "null_sectional_zero": _check_null_zero,
-    "constant_null_curvature": _check_constant_k,
+    "constant_null_curvature": _check_null_zero,
     "ricci_zero": _check_ricci_zero,
     "isotropy": _check_isotropy,
     "anisotropy": _check_anisotropy,

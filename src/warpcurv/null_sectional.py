@@ -20,7 +20,10 @@ Every specialized evaluator here carries two formula paths:
   such disagreement in a machine-readable ledger.
 
 Breakdown keys are shared between paths so mismatches line up term by
-term.  All sampling is deterministic given a 64-bit seed.
+term.  All sampling is deterministic given a 64-bit seed.  Every function
+taking a point also takes its :class:`~warpcurv.core_types.PointContext`,
+and a plane from :func:`sample_plane` carries the context it was drawn
+at, which the evaluators reuse.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core_types import (ManifoldSpec, NullPlane, Point, PointMetric,
+from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
                          TangentVector, metric_eval)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import scalar_derivatives
-from .warped_formulas import geometry, riemann_general
+from .tensor_oracle import riemann_apply
+from .warped_formulas import WarpedGeometry, riemann_general
 
 __all__ = [
     "NullCurvatureResult",
@@ -73,38 +77,44 @@ class NullCurvatureResult:
     @classmethod
     def from_terms(cls, terms: dict, denominator: float,
                    extra: dict | None = None) -> "NullCurvatureResult":
-        numerator = float(sum(terms.values()))
         if denominator <= 0.0:
             raise PlaneError(f"denominator g(S,S) = {denominator} is not positive")
-        breakdown = dict(terms)
-        breakdown["numerator"] = numerator
-        breakdown["denominator"] = float(denominator)
-        breakdown["value"] = numerator / denominator
-        if extra:
-            breakdown.update(extra)
-        return cls(numerator=numerator, denominator=float(denominator),
-                   value=numerator / denominator, breakdown=breakdown)
+        res = cls.unchecked(terms, float(denominator), 0.0)
+        res.breakdown.update(extra or {})
+        return res
+
+    @classmethod
+    def unchecked(cls, terms: dict, denominator: float,
+                  tiny: float) -> "NullCurvatureResult":
+        """As :meth:`from_terms` for a printed display whose denominator may
+        vanish or turn negative: the value is NaN where |denominator| <= tiny."""
+        numerator = float(sum(terms.values()))
+        value = numerator / denominator if abs(denominator) > tiny else math.nan
+        breakdown = dict(terms, numerator=numerator, denominator=denominator,
+                         value=value)
+        return cls(numerator=numerator, denominator=denominator, value=value,
+                   breakdown=breakdown)
 
 # ---------------------------------------------------------------------------
 # congruence and plane construction
 # ---------------------------------------------------------------------------
 
-def default_frame(spec: ManifoldSpec, p: Point) -> TangentVector:
+def default_frame(spec: ManifoldSpec, p: Point | PointContext) -> TangentVector:
     """The model's unit timelike reference frame at p."""
     if spec.kind == "SSST":
-        f = spec.potential_value(p.fiber_coords[0])
+        f = PointContext.of(spec, p).warps[0]
         return TangentVector.base_direction(spec, 1.0 / f)
     return TangentVector.base_direction(spec, 1.0)
 
-def normalize_null(spec: ManifoldSpec, p: Point | PointMetric,
+def normalize_null(spec: ManifoldSpec, p: Point | PointContext,
                    U: TangentVector, direction: TangentVector) -> TangentVector:
     """The element of the null congruence of U pointing along ``direction``.
 
     Solves for L with g(L,L) = 0 and g(L,U) = -1: the U-orthogonal part of
     ``direction`` fixes the spatial direction, the normalization fixes both
-    scale factors uniquely.  ``p`` may be the point's :class:`PointMetric`.
+    scale factors uniquely.
     """
-    g = PointMetric.of(spec, p)
+    g = PointContext.of(spec, p)
     g_UU = g.inner(U, U)
     if g_UU >= 0.0:
         raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
@@ -118,7 +128,7 @@ def normalize_null(spec: ManifoldSpec, p: Point | PointMetric,
     gamma = math.sqrt(-1.0 / (g_UU * n2))
     return beta * U + gamma * d_perp
 
-def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointMetric,
+def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
                           L: TangentVector, S_candidate: TangentVector,
                           frame_U: TangentVector | None = None) -> NullPlane:
     """Project S_candidate onto the degenerate configuration g(L,S) = 0.
@@ -127,11 +137,10 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointMetric,
     result must come out spacelike and independent of L.  L may carry
     either time orientation (the curvature of the plane is quadratic in
     L); the frame is attached to the plane only when L actually satisfies
-    the congruence normalization g(L,U) = -1.  ``p`` may be the point's
-    :class:`PointMetric`.
+    the congruence normalization g(L,U) = -1.
     """
-    g = PointMetric.of(spec, p)
-    U = frame_U if frame_U is not None else default_frame(spec, g.point)
+    g = PointContext.of(spec, p)
+    U = frame_U if frame_U is not None else default_frame(spec, g)
     g_LL = g.inner(L, L)
     g_LU = g.inner(L, U)
     scale = max(1.0, abs(g.inner(U, U)))
@@ -151,7 +160,7 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointMetric,
     plane.validate(tol=1e-9)
     return plane
 
-def _orthonormal_fiber_draw(g: PointMetric, chol_t, rng) -> TangentVector:
+def _orthonormal_fiber_draw(g: PointContext, chol_t, rng) -> TangentVector:
     """Spatial direction drawn isotropically in the warped metric at g's point.
 
     Per fiber, components are drawn on the unit sphere of the *warped*
@@ -167,18 +176,19 @@ def _orthonormal_fiber_draw(g: PointMetric, chol_t, rng) -> TangentVector:
         parts.append(tuple(x))
     return TangentVector(0.0, tuple(parts))
 
-def sample_plane(spec: ManifoldSpec, p: Point, rng,
+def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
                  frame_U: TangentVector | None = None,
                  base_free: bool = False) -> NullPlane:
     """One random degenerate plane in the congruence of the frame at p.
 
     With ``base_free=True`` the spacelike leg S is kept purely spatial
     (the degeneracy condition is then solved inside the fiber block), the
-    configuration the published base-free special cases assume.
+    configuration the published base-free special cases assume.  The
+    plane carries the point's context.
     """
-    g = PointMetric(spec, p)
-    U = frame_U if frame_U is not None else default_frame(spec, p)
-    chol_t = [np.linalg.cholesky(np.array(rows)).T for rows in g.fiber_rows]
+    g = PointContext.of(spec, p)
+    U = frame_U if frame_U is not None else default_frame(spec, g)
+    chol_t = [np.linalg.cholesky(G).T for G in g.fiber_metrics]
     for _ in range(32):
         direction = _orthonormal_fiber_draw(g, chol_t, rng)
         try:
@@ -220,9 +230,11 @@ def null_curvature_generic(spec: ManifoldSpec, plane: NullPlane) -> NullCurvatur
     against; it works for every spec kind, including generic base charts.
     """
     plane.validate(tol=1e-9)
-    p, L, S = plane.point, plane.L, plane.S
-    rss = riemann_general(spec, p, L, S, S)
-    numerator = metric_eval(spec, p, rss, L)
+    # the context the plane was built at, else a new one at its point
+    ctx = PointContext.of(spec, plane.context or plane.point)
+    L, S = plane.L, plane.S
+    rss = riemann_general(spec, ctx, L, S, S)
+    numerator = metric_eval(spec, ctx, rss, L)
     denominator = plane.g_SS
     return NullCurvatureResult(
         numerator=numerator, denominator=denominator,
@@ -234,8 +246,7 @@ def null_curvature_generic(spec: ManifoldSpec, plane: NullPlane) -> NullCurvatur
 # shared decomposition helpers
 # ---------------------------------------------------------------------------
 
-def _oriented_time_L(spec: ManifoldSpec, p: Point, L: TangentVector,
-                     unit: float) -> TangentVector:
+def _oriented_time_L(L: TangentVector, unit: float) -> TangentVector:
     """Validate that L has base coefficient +-unit and return the -unit
     representative (K is quadratic in L, so the flip is value-neutral)."""
     a = float(L.base_part)
@@ -257,30 +268,28 @@ class _TimeData:
     rF: tuple      # g_F(R_F(V,W)W, V) per fiber
     h: float       # base coefficient of S
 
-def _time_data(spec: ManifoldSpec, p: Point, L: TangentVector,
+def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
                S: TangentVector) -> _TimeData:
     if not spec.is_time_base:
         raise ValidationError(f"{spec.kind} is not a time-base kind")
-    p.validate(spec)
+    ctx = PointContext.of(spec, p)
     L.validate(spec)
     S.validate(spec)
-    L = _oriented_time_L(spec, p, L, 1.0)
-    geom = geometry(spec)
-    _, fps = geom.struct_point(p)
-    t = float(p.t)
+    L = _oriented_time_L(L, 1.0)
     b, db, ddb, gvv, gvw, gww, rf = [], [], [], [], [], [], []
-    for i, fib in enumerate(geom.fibers):
-        bi, dbi, ddbi = spec.warping_derivatives(i, t)
+    # b, b', b'' from the warp bundle: spec.warping_derivatives' call, once
+    for i, (fib, wd) in enumerate(zip(WarpedGeometry(spec).fibers,
+                                      ctx.warp_bundle)):
         v = np.asarray(L.fiber_parts[i], float)
         w = np.asarray(S.fiber_parts[i], float)
-        b.append(bi)
-        db.append(dbi)
-        ddb.append(ddbi)
-        gvv.append(fib.inner(fps[i], v, v))
-        gvw.append(fib.inner(fps[i], v, w))
-        gww.append(fib.inner(fps[i], w, w))
-        rcomp = fib.riemann(fps[i], v, w, w)
-        rf.append(float(np.asarray(rcomp) @ fib.metric(fps[i]) @ v))
+        b.append(wd.value)
+        db.append(float(wd.dcomps[0]))
+        ddb.append(float(wd.hess[0, 0]))
+        gvv.append(fib.inner(ctx, v, v))
+        gvw.append(fib.inner(ctx, v, w))
+        gww.append(fib.inner(ctx, w, w))
+        rcomp = fib.riemann(ctx, v, w, w)
+        rf.append(float(np.asarray(rcomp) @ fib.metric(ctx) @ v))
     return _TimeData(tuple(b), tuple(db), tuple(ddb), tuple(gvv), tuple(gvw),
                      tuple(gww), tuple(rf), float(S.base_part))
 
@@ -288,8 +297,9 @@ def _time_data(spec: ManifoldSpec, p: Point, L: TangentVector,
 # multiply warped (MGRW) evaluator
 # ---------------------------------------------------------------------------
 
-def mgrw_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
-                        S: TangentVector, path: str = "derived") -> NullCurvatureResult:
+def mgrw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                        L: TangentVector, S: TangentVector,
+                        path: str = "derived") -> NullCurvatureResult:
     """Closed-form K for L = -d_t + sum V_i, S = h d_t + sum W_j.
 
     ``path='derived'`` evaluates the oracle-verified term sum;
@@ -371,7 +381,8 @@ def mgrw_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
 # GRW evaluator and the exponential-warping remark
 # ---------------------------------------------------------------------------
 
-def grw_null_curvature(spec: ManifoldSpec, p: Point, plane: NullPlane,
+def grw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                       plane: NullPlane,
                        path: str = "derived") -> NullCurvatureResult:
     """Single-fiber closed form on a validated plane.
 
@@ -411,7 +422,8 @@ def grw_null_curvature(spec: ManifoldSpec, p: Point, plane: NullPlane,
 
     raise ValidationError(f"unknown path {path!r}")
 
-def grw_remark_value(spec: ManifoldSpec, p: Point, plane: NullPlane,
+def grw_remark_value(spec: ManifoldSpec, p: Point | PointContext,
+                     plane: NullPlane,
                      path: str = "derived") -> float:
     """The base-free (Y = 0) value K_F/b^2 +- (b''/b - (b'/b)^2).
 
@@ -436,8 +448,9 @@ def grw_remark_value(spec: ManifoldSpec, p: Point, plane: NullPlane,
 # generalized Kasner evaluator
 # ---------------------------------------------------------------------------
 
-def kasner_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
-                          S: TangentVector, path: str = "derived") -> NullCurvatureResult:
+def kasner_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                          L: TangentVector, S: TangentVector,
+                          path: str = "derived") -> NullCurvatureResult:
     """Kasner closed form with warpings phi**p_i.
 
     The derived path carries the full chain rule (phi' and phi'' enter
@@ -453,9 +466,10 @@ def kasner_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
     if path != "printed":
         raise ValidationError(f"unknown path {path!r}")
 
-    d = _time_data(spec, p, L, S)
+    ctx = PointContext.of(spec, p)
+    d = _time_data(spec, ctx, L, S)
 
-    phi, dphi, ddphi = scalar_derivatives(spec.phi.fn, float(p.t))
+    phi, dphi, ddphi = scalar_derivatives(spec.phi.fn, ctx.base_point[0])
     ps = spec.kasner_exponents
     m = len(ps)
     idx = range(m)
@@ -485,13 +499,7 @@ def kasner_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
     # printed with the sum distributed over both addends
     g_yy = -h * h
     denominator = sum(phi ** (2.0 * ps[j]) * g_yy + d.gWW[j] for j in idx)
-    numerator = float(sum(terms.values()))
-    breakdown = dict(terms)
-    breakdown["numerator"] = numerator
-    breakdown["denominator"] = denominator
-    breakdown["value"] = numerator / denominator if denominator != 0.0 else math.nan
-    return NullCurvatureResult(numerator=numerator, denominator=denominator,
-                               value=breakdown["value"], breakdown=breakdown)
+    return NullCurvatureResult.unchecked(terms, denominator, 0.0)
 
 # ---------------------------------------------------------------------------
 # four-dimensional special cases
@@ -502,8 +510,9 @@ def _require_signature(spec: ManifoldSpec, dims: tuple[int, ...], who: str) -> N
     if got != dims:
         raise ValidationError(f"{who} requires fiber signature {dims}, got {got}")
 
-def type1_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
-                         S: TangentVector, path: str = "derived") -> NullCurvatureResult:
+def type1_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                         L: TangentVector, S: TangentVector,
+                         path: str = "derived") -> NullCurvatureResult:
     """Single 3-dimensional fiber.  Printed form: no factor on the mixed
     term, an h^2 sign flip, and a bracket whose last factor prints
     g(V,W) where the expansion forces g(W,W)."""
@@ -533,8 +542,9 @@ def type1_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
         return NullCurvatureResult.from_terms(terms, denominator)
     raise ValidationError(f"unknown path {path!r}")
 
-def type2_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
-                         S: TangentVector, path: str = "derived") -> NullCurvatureResult:
+def type2_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                         L: TangentVector, S: TangentVector,
+                         path: str = "derived") -> NullCurvatureResult:
     """Fiber signature (1, 2): a line fiber V_1 = f_1 d_x, W_1 = h_1 d_x
     plus a surface fiber."""
     _require_signature(spec, (1, 2), "type2_null_curvature")
@@ -569,8 +579,9 @@ def type2_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
         return NullCurvatureResult.from_terms(terms, denominator)
     raise ValidationError(f"unknown path {path!r}")
 
-def type3_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
-                         S: TangentVector, path: str = "derived") -> NullCurvatureResult:
+def type3_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                         L: TangentVector, S: TangentVector,
+                         path: str = "derived") -> NullCurvatureResult:
     """Three line fibers with Kasner warpings; exponents must satisfy
     sum p_i = sum p_i^2 = 1 (checked to 1e-12).  The printed display's
     first term drops its curvature factor entirely and its displayed
@@ -583,11 +594,12 @@ def type3_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
         raise ConstraintError(
             f"Kasner constraint violated: sum p = {sum(ps)}, "
             f"sum p^2 = {sum(q * q for q in ps)}")
-    d = _time_data(spec, p, L, S)
+    ctx = PointContext.of(spec, p)
+    d = _time_data(spec, ctx, L, S)
     idx = range(3)
     f = d.h
     # line fibers: V_i = f_i d_x, W_i = h_i d_x; signed coefficients
-    comps_v = [float(vpart[0]) for vpart in _oriented_components(spec, p, L)]
+    comps_v = [float(vpart[0]) for vpart in _oriented_time_L(L, 1.0).fiber_parts]
     comps_w = [float(wpart[0]) for wpart in S.fiber_parts]
 
     if path == "derived":
@@ -610,7 +622,7 @@ def type3_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
         return NullCurvatureResult.from_terms(terms, denominator)
 
     if path == "printed":
-        phi, _, _ = scalar_derivatives(spec.phi.fn, float(p.t))
+        phi, _, _ = scalar_derivatives(spec.phi.fn, ctx.base_point[0])
         terms = {
             "lead_fh": -sum(phi ** ps[i] * comps_v[i] * comps_w[i] for i in idx),
             "hess_YY": sum(
@@ -629,24 +641,15 @@ def type3_null_curvature(spec: ManifoldSpec, p: Point, L: TangentVector,
         }
         denominator = -f * f * sum(
             phi ** (2.0 * ps[j]) * comps_w[j] ** 2 for j in idx)
-        numerator = float(sum(terms.values()))
-        breakdown = dict(terms)
-        breakdown["numerator"] = numerator
-        breakdown["denominator"] = denominator
-        breakdown["value"] = (numerator / denominator
-                              if abs(denominator) > 1e-300 else math.nan)
-        return NullCurvatureResult(numerator=numerator, denominator=denominator,
-                                   value=breakdown["value"], breakdown=breakdown)
+        return NullCurvatureResult.unchecked(terms, denominator, 1e-300)
     raise ValidationError(f"unknown path {path!r}")
-
-def _oriented_components(spec: ManifoldSpec, p: Point, L: TangentVector):
-    return _oriented_time_L(spec, p, L, 1.0).fiber_parts
 
 # ---------------------------------------------------------------------------
 # standard static evaluator
 # ---------------------------------------------------------------------------
 
-def ssst_null_curvature(spec: ManifoldSpec, p: Point, plane: NullPlane,
+def ssst_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                        plane: NullPlane,
                         path: str = "derived") -> NullCurvatureResult:
     """Standard static closed form on a plane normalized with U = f^-1 d_t.
 
@@ -662,8 +665,8 @@ def ssst_null_curvature(spec: ManifoldSpec, p: Point, plane: NullPlane,
     if spec.kind != "SSST":
         raise ValidationError("ssst_null_curvature requires kind='SSST'")
     plane.validate(tol=1e-9)
-    p.validate(spec)
-    f = spec.potential_value(p.fiber_coords[0])
+    ctx = PointContext.of(spec, p)
+    f = ctx.warps[0]
     L = plane.L
     a = float(L.base_part)
     if abs(abs(a) - 1.0 / f) > _SHAPE_TOL:
@@ -674,18 +677,15 @@ def ssst_null_curvature(spec: ManifoldSpec, p: Point, plane: NullPlane,
     S = plane.S
     h = float(S.base_part)
 
-    geom = geometry(spec)
-    bp, _ = geom.struct_point(p)
-    wd = geom.warp_bundle(bp)[0]
-    fib = geom.spec.fibers[0]
+    wd = ctx.warp_bundle[0]
     v = np.asarray(L.fiber_parts[0], float)
     w = np.asarray(S.fiber_parts[0], float)
-    G = fib.metric_matrix(p.fiber_coords[0])
+    G = ctx.fiber_metrics[0]
     hvv = float(v @ wd.hess @ v)
     hvw = float(v @ wd.hess @ w)
     hww = float(w @ wd.hess @ w)
     gww = float(w @ G @ w)
-    rf = _spatial_curvature_quadratic(spec, p, v, w, G)
+    rf = _spatial_curvature_quadratic(ctx, v, w, G)
     denominator = -f * f * h * h + gww
     # the gradient-squared prefactor multiplies
     # (g_I(Y, d_t)^2 + g_I(Y, Y)) = h^2 - h^2, identically zero for a
@@ -701,43 +701,32 @@ def ssst_null_curvature(spec: ManifoldSpec, p: Point, plane: NullPlane,
             "fiber_curvature": rf,
         }
         return NullCurvatureResult.from_terms(terms, denominator)
-    if path == "printed":
+    if path in ("printed", "printed_unit_s"):
+        flip = -1.0 if path == "printed_unit_s" else 1.0  # its H(W,W) sign
         terms = {
             "grad_sq": -wd.grad_sq * grad_bracket,
             "hess_VV": f * h * h * hvv,
             "hess_VW": 0.0,
-            "hess_WW": hww / f,
-            "fiber_curvature": -rf,
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    if path == "printed_unit_s":
-        terms = {
-            "grad_sq": -wd.grad_sq * grad_bracket,
-            "hess_VV": f * h * h * hvv,
-            "hess_VW": 0.0,
-            "hess_WW": -hww / f,
+            "hess_WW": flip * hww / f,
             "fiber_curvature": -rf,
         }
         return NullCurvatureResult.from_terms(terms, denominator)
     raise ValidationError(f"unknown path {path!r}")
 
-def _spatial_curvature_quadratic(spec: ManifoldSpec, p: Point, v, w, G) -> float:
+def _spatial_curvature_quadratic(ctx: PointContext, v, w, G) -> float:
     """g_F(R_F(V,W)W, V) on the static model's spatial factor."""
-    fib = spec.fibers[0]
-    k = fib.constant_curvature
+    k = ctx.spec.fibers[0].constant_curvature
     if k is not None:
         gvv = float(v @ G @ v)
         gvw = float(v @ G @ w)
         gww = float(w @ G @ w)
         return k * (gvv * gww - gvw * gvw)
-    # the spatial factor is the structural base, whose chart tensors are
-    # cached per point
-    geom = geometry(spec)
-    bp, _ = geom.struct_point(p)
-    rww = geom.base.riemann(bp, v, w, w)
+    # the spatial factor is the structural base
+    rww = riemann_apply(ctx.base_tensors, v, w, w)
     return float(rww @ G @ v)
 
-def ssst_remark_value(spec: ManifoldSpec, p: Point, plane: NullPlane,
+def ssst_remark_value(spec: ManifoldSpec, p: Point | PointContext,
+                      plane: NullPlane,
                       path: str = "derived") -> float:
     """Base-free (Y = 0) static value: K_F(V,W) +- H(W,W)/(f g_F(W,W)).
 
@@ -745,12 +734,10 @@ def ssst_remark_value(spec: ManifoldSpec, p: Point, plane: NullPlane,
     sign to plus.  Under H = k f g_F the derived value is K_F + k."""
     if abs(float(plane.S.base_part)) > _SHAPE_TOL:
         raise ValidationError("remark form applies to planes with no base part")
-    f = spec.potential_value(p.fiber_coords[0])
-    geom = geometry(spec)
-    bp, _ = geom.struct_point(p)
-    wd = geom.warp_bundle(bp)[0]
-    fib = spec.fibers[0]
-    G = fib.metric_matrix(p.fiber_coords[0])
+    ctx = PointContext.of(spec, p)
+    f = ctx.warps[0]
+    wd = ctx.warp_bundle[0]
+    G = ctx.fiber_metrics[0]
     v = np.asarray(plane.L.fiber_parts[0], float)
     w = np.asarray(plane.S.fiber_parts[0], float)
     gvv = float(v @ G @ v)
@@ -758,7 +745,7 @@ def ssst_remark_value(spec: ManifoldSpec, p: Point, plane: NullPlane,
     gww = float(w @ G @ w)
     hww = float(w @ wd.hess @ w)
     qf = gvv * gww - gvw * gvw
-    kf = _spatial_curvature_quadratic(spec, p, v, w, G) / qf
+    kf = _spatial_curvature_quadratic(ctx, v, w, G) / qf
     ratio = hww / (f * gww)
     return kf + ratio if path == "derived" else kf - ratio
 
@@ -781,7 +768,7 @@ def formula_paths(spec: ManifoldSpec) -> tuple[str, ...]:
 def specialized_null_curvature(spec: ManifoldSpec, plane: NullPlane,
                                path: str = "derived") -> NullCurvatureResult:
     """Route a plane to the model's specialized closed-form evaluator."""
-    p = plane.point
+    p = PointContext.of(spec, plane.context or plane.point)
     if spec.kind == "SSST":
         return ssst_null_curvature(spec, p, plane, path=path)
     if spec.kind == "GRW":
@@ -797,21 +784,24 @@ def specialized_null_curvature(spec: ManifoldSpec, plane: NullPlane,
 def isotropy_summary(values) -> dict:
     """Mean K over a set of planes at one point and the largest deviation
     from it: the frame-isotropy diagnostic of :func:`isotropy_scan`."""
+    if len(values) == 0:
+        raise ValidationError("isotropy needs at least one plane")
     arr = np.asarray(values)
     mean = float(arr.mean())
     return {"mean": mean,
             "max_deviation": float(np.max(np.abs(arr - mean))),
             "n_planes": len(values)}
 
-def isotropy_scan(spec: ManifoldSpec, p: Point, U: TangentVector | None,
-                  n_planes: int, seed: int) -> dict:
+def isotropy_scan(spec: ManifoldSpec, p: Point | PointContext,
+                  U: TangentVector | None, n_planes: int, seed: int) -> dict:
     """Sample n_planes degenerate planes in the congruence of U and report
     the mean K and the largest deviation from it.  A diagnostic for the
     frame-isotropy property of Robertson-Walker-like models."""
     rng = np.random.default_rng(np.uint64(seed))
-    frame = U if U is not None else default_frame(spec, p)
+    ctx = PointContext.of(spec, p)
+    frame = U if U is not None else default_frame(spec, ctx)
     values = []
     for _ in range(int(n_planes)):
-        plane = sample_plane(spec, p, rng, frame_U=frame)
+        plane = sample_plane(spec, ctx, rng, frame_U=frame)
         values.append(null_curvature_generic(spec, plane).value)
     return isotropy_summary(values)

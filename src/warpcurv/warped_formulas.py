@@ -23,12 +23,18 @@ origins in this module always refer to that structural decomposition;
 :func:`to_structural` / :func:`from_structural` translate user-facing
 :class:`~warpcurv.core_types.TangentVector` data.
 
-On a one-dimensional base with metric ``s * dt^2`` (s = -1 for spacetimes)
-every base-level object reduces to closed form in one place
-(:class:`LineBase`): ``grad_B b = s b' d_t``, ``|grad_B b|^2 = s (b')^2``,
-``H_B^b(d_t, d_t) = b''``, ``lap_B b = s b''``.  Getting these four signs
-wrong flips every spacetime formula downstream, so they are decided here
+On the one-dimensional base -dt^2 every base-level object reduces to
+closed form in one place
+(:meth:`~warpcurv.core_types.PointContext.scalar_data`):
+``grad_B b = -b' d_t``, ``|grad_B b|^2 = -(b')^2``,
+``H_B^b(d_t, d_t) = b''``, ``lap_B b = -b''``.  Getting these four signs
+wrong flips every spacetime formula downstream, so they are decided there
 exactly once.
+
+Every evaluator taking a point also takes its
+:class:`~warpcurv.core_types.PointContext`, which holds all per-point
+data; the structural views here (:class:`WarpedGeometry`, the base and
+fiber views) are stateless.
 """
 
 from __future__ import annotations
@@ -38,17 +44,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core_types import ManifoldSpec, Point, TangentVector
-from .errors import CapabilityError, ShapeError, ValidationError
-from .hyperdual import jet, scalar_derivatives, value
-from .tensor_oracle import (CoordinateChart, riemann_apply, riemann_oracle)
+from .core_types import ManifoldSpec, Point, PointContext, TangentVector
+from .errors import ValidationError
+from .hyperdual import jet, scalar_derivatives
+from .tensor_oracle import laplacian_oracle, riemann_apply
 
 __all__ = [
     "LiftedField",
     "base_lift",
     "fiber_lift",
     "WarpedGeometry",
-    "geometry",
     "to_structural",
     "from_structural",
     "covariant_derivative",
@@ -94,315 +99,161 @@ def fiber_lift(i: int, components: Sequence[float], fns=None) -> LiftedField:
 
 
 # ---------------------------------------------------------------------------
-# base operations
+# stateless structural views; the point data is read from a PointContext
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WarpData:
-    """One warping function's derivative bundle at a base point."""
-
-    value: float
-    dcomps: np.ndarray    # partial derivatives d_m b
-    grad: np.ndarray      # contravariant gradient components
-    hess: np.ndarray      # covariant Hessian H_B^b
-    lap: float            # metric trace of the Hessian
-    grad_sq: float        # g_B(grad b, grad b)
-
-
 class LineBase:
-    """One-dimensional base with metric s * dt^2 (s = -1 for spacetimes)."""
+    """One-dimensional base with metric -dt^2; the warpings' closed-form
+    base data comes from :meth:`PointContext.scalar_data`."""
 
     dim = 1
+    sign = -1.0
 
-    def __init__(self, sign: float = -1.0):
-        self.sign = float(sign)
-
-    def inner(self, x, y) -> float:
-        return self.sign * x[0] * y[0]
-
-    def warp_data(self, fn, base_point) -> WarpData:
-        b, db, ddb = scalar_derivatives(fn, base_point[0])
-        return WarpData(value=b,
-                        dcomps=np.array([db]),
-                        grad=np.array([self.sign * db]),
-                        hess=np.array([[ddb]]),
-                        lap=self.sign * ddb,
-                        grad_sq=self.sign * db * db)
-
-    def metric_inv(self, base_point) -> np.ndarray:
+    def metric_inv(self, ctx) -> np.ndarray:
         return np.array([[self.sign]])
 
-    def riemann(self, base_point, x, y, z) -> np.ndarray:
+    def cometric(self, ctx, a, b) -> float:
+        """g_B^{-1}(a, b) for covectors a, b."""
+        return self.sign * a[0] * b[0]
+
+    def riemann(self, ctx, x, y, z) -> np.ndarray:
         return np.zeros(1)
 
-    def ricci(self, base_point, x, y) -> float:
+    def ricci(self, ctx, x, y) -> float:
         return 0.0
 
-    def ricci_matrix(self, base_point) -> np.ndarray:
+    def ricci_matrix(self, ctx) -> np.ndarray:
         return np.zeros((1, 1))
 
-    def connection(self, base_point, x, y_comps, y_fns) -> np.ndarray:
+    def connection(self, ctx, x, y_comps, y_fns) -> np.ndarray:
         if y_fns is None:
             return np.zeros(1)
-        _, dy, _ = scalar_derivatives(y_fns[0], base_point[0])
+        _, dy, _ = scalar_derivatives(y_fns[0], ctx.base_point[0])
         return np.array([x[0] * dy])
-
-    def scalar_data(self, fn, base_point) -> WarpData:
-        return self.warp_data(fn, base_point)
 
 
 class ChartBase:
-    """General pseudo-Riemannian base backed by the chart oracle."""
+    """General pseudo-Riemannian base, read from the context's chart-oracle
+    tensors of the base."""
 
-    def __init__(self, chart: CoordinateChart):
-        self.chart = chart
-        self.dim = chart.dim
-        self._cache: dict = {}
+    def __init__(self, dim: int):
+        self.dim = dim
 
-    def _tensors(self, base_point):
-        key = tuple(base_point)
-        if key not in self._cache:
-            if len(self._cache) > 128:
-                self._cache.clear()
-            self._cache[key] = riemann_oracle(self.chart, list(base_point))
-        return self._cache[key]
+    def metric_inv(self, ctx) -> np.ndarray:
+        return ctx.base_tensors.metric_inv
 
-    def inner(self, x, y) -> float:
-        raise NotImplementedError  # callers use inner_at (needs the point)
+    def cometric(self, ctx, a, b) -> float:
+        return float(a @ ctx.base_tensors.metric_inv @ b)
 
-    def inner_at(self, base_point, x, y) -> float:
-        g = self._tensors(base_point).metric
-        return float(np.asarray(x) @ g @ np.asarray(y))
+    def riemann(self, ctx, x, y, z) -> np.ndarray:
+        return riemann_apply(ctx.base_tensors, x, y, z)
 
-    def metric_inv(self, base_point) -> np.ndarray:
-        return self._tensors(base_point).metric_inv
+    def ricci(self, ctx, x, y) -> float:
+        return float(np.asarray(x) @ ctx.base_tensors.ricci @ np.asarray(y))
 
-    def warp_data(self, fn, base_point) -> WarpData:
-        t = self._tensors(base_point)
-        val, dphi, ddphi = jet(fn, base_point)
-        hess = ddphi - np.einsum("kij,k->ij", t.gamma, dphi)
-        grad = t.metric_inv @ dphi
-        return WarpData(value=val, dcomps=dphi, grad=grad, hess=hess,
-                        lap=float(np.einsum("ij,ij->", t.metric_inv, hess)),
-                        grad_sq=float(dphi @ t.metric_inv @ dphi))
+    def ricci_matrix(self, ctx) -> np.ndarray:
+        return ctx.base_tensors.ricci
 
-    scalar_data = warp_data
-
-    def riemann(self, base_point, x, y, z) -> np.ndarray:
-        return riemann_apply(self._tensors(base_point), x, y, z)
-
-    def ricci(self, base_point, x, y) -> float:
-        r = self._tensors(base_point).ricci
-        return float(np.asarray(x) @ r @ np.asarray(y))
-
-    def ricci_matrix(self, base_point) -> np.ndarray:
-        return self._tensors(base_point).ricci
-
-    def connection(self, base_point, x, y_comps, y_fns) -> np.ndarray:
-        t = self._tensors(base_point)
+    def connection(self, ctx, x, y_comps, y_fns) -> np.ndarray:
+        t = ctx.base_tensors
         out = np.einsum("kmn,m,n->k", t.gamma, np.asarray(x), np.asarray(y_comps))
         if y_fns is not None:
-            jac = np.array([jet(f, base_point)[1] for f in y_fns])
+            jac = np.array([jet(f, ctx.base_point)[1] for f in y_fns])
             out = out + jac @ np.asarray(x)
         return out
 
 
-# ---------------------------------------------------------------------------
-# structural fibers
-# ---------------------------------------------------------------------------
+_TIME_METRIC = np.array([[-1.0]])
+_TIME_METRIC.flags.writeable = False
+
 
 class _StructFiber:
-    """Fiber-level metric/curvature access; constant-curvature closed forms
-    where tagged, chart oracle otherwise."""
+    """Structural fiber ``index``: constant-curvature closed forms where
+    tagged, the context's chart-oracle tensors otherwise.  A static
+    model's one structural fiber is the time line (``lorentz_time``)."""
 
-    def __init__(self, dim, metric_fn, constant_curvature=None, chart=None,
-                 lorentz_time=False):
+    def __init__(self, index, dim, constant_curvature=None, lorentz_time=False):
+        self.index = index
         self.dim = dim
-        self.metric_fn = metric_fn
         self.k = constant_curvature
-        self.chart = chart
         self.lorentz_time = lorentz_time
-        self._cache: dict = {}
 
-    @classmethod
-    def from_fiber(cls, fiber) -> "_StructFiber":
-        return cls(fiber.dim, fiber.metric, fiber.constant_curvature,
-                   fiber.chart())
+    def metric(self, ctx) -> np.ndarray:
+        """Fiber metric matrix at the context's point (read-only)."""
+        if self.lorentz_time:
+            return _TIME_METRIC
+        return ctx.fiber_metrics[self.index]
 
-    @classmethod
-    def time_axis(cls) -> "_StructFiber":
-        return cls(1, lambda c: [[-1.0]], constant_curvature=0.0,
-                   lorentz_time=True)
+    def inner(self, ctx, v, w) -> float:
+        return float(np.asarray(v) @ self.metric(ctx) @ np.asarray(w))
 
-    def _entry(self, x) -> dict:
-        """Per-point store: the metric matrix and, once asked for, the
-        oracle tensors at fiber point x."""
-        key = tuple(x)
-        entry = self._cache.get(key)
-        if entry is None:
-            if len(self._cache) > 128:
-                self._cache.clear()
-            entry = self._cache[key] = {}
-        return entry
-
-    def _tensors(self, x):
-        entry = self._entry(x)
-        if "tensors" not in entry:
-            entry["tensors"] = riemann_oracle(self.chart, list(x))
-        return entry["tensors"]
-
-    def metric(self, x) -> np.ndarray:
-        """Fiber metric matrix at x (read-only; shared by later calls)."""
-        entry = self._entry(x)
-        g = entry.get("metric")
-        if g is None:
-            rows = self.metric_fn(list(x))
-            g = np.array([[value(rows[i][j]) for j in range(self.dim)]
-                          for i in range(self.dim)], dtype=float)
-            g.flags.writeable = False
-            entry["metric"] = g
-        return g
-
-    def inner(self, x, v, w) -> float:
-        return float(np.asarray(v) @ self.metric(x) @ np.asarray(w))
-
-    def riemann(self, x, v, w, u) -> np.ndarray:
+    def riemann(self, ctx, v, w, u) -> np.ndarray:
         """Components of R_F(V, W) U."""
         if self.dim == 1:
             return np.zeros(1)
         if self.k is not None:
-            g = self.metric(x)
+            g = self.metric(ctx)
             v, w, u = np.asarray(v), np.asarray(w), np.asarray(u)
             return self.k * (float(w @ g @ u) * v - float(v @ g @ u) * w)
-        return riemann_apply(self._tensors(x), v, w, u)
+        return riemann_apply(ctx.fiber_tensors(self.index), v, w, u)
 
-    def ricci(self, x, v, w) -> float:
+    def ricci(self, ctx, v, w) -> float:
         if self.dim == 1:
             return 0.0
         if self.k is not None:
-            return self.k * (self.dim - 1) * self.inner(x, v, w)
-        r = self._tensors(x).ricci
+            return self.k * (self.dim - 1) * self.inner(ctx, v, w)
+        r = ctx.fiber_tensors(self.index).ricci
         return float(np.asarray(v) @ r @ np.asarray(w))
 
-    def ricci_matrix(self, x) -> np.ndarray:
+    def ricci_matrix(self, ctx) -> np.ndarray:
         """Ric_F in fiber coordinates, entry for entry as :meth:`ricci`."""
         if self.dim == 1:
             return np.zeros((1, 1))
         if self.k is not None:
-            return self.k * (self.dim - 1) * self.metric(x)
-        return self._tensors(x).ricci
+            return self.k * (self.dim - 1) * self.metric(ctx)
+        return ctx.fiber_tensors(self.index).ricci
 
-    def connection(self, x, v, w_comps, w_fns) -> np.ndarray:
+    def connection(self, ctx, v, w_comps, w_fns) -> np.ndarray:
         if self.lorentz_time:
             return np.zeros(1)
-        if self.chart is None:
-            raise CapabilityError("fiber connection requires a coordinate chart")
-        t = self._tensors(x)
+        t = ctx.fiber_tensors(self.index)
         out = np.einsum("kab,a,b->k", t.gamma, np.asarray(v), np.asarray(w_comps))
         if w_fns is not None:
-            jac = np.array([jet(f, x)[1] for f in w_fns])
+            jac = np.array([jet(f, ctx.fiber_points[self.index])[1] for f in w_fns])
             out = out + jac @ np.asarray(v)
         return out
 
-    def gradient(self, x, dpsi) -> np.ndarray:
+    def gradient(self, ctx, dpsi) -> np.ndarray:
         if self.lorentz_time:
             return -np.asarray(dpsi)
-        return np.linalg.inv(self.metric(x)) @ np.asarray(dpsi)
+        return np.linalg.inv(self.metric(ctx)) @ np.asarray(dpsi)
 
-
-# ---------------------------------------------------------------------------
-# the geometry object
-# ---------------------------------------------------------------------------
 
 class WarpedGeometry:
-    """Structural view of a :class:`ManifoldSpec` as base + warped fibers."""
+    """Structural view of a :class:`ManifoldSpec` as base + warped fibers.
+
+    Stateless: it holds no point data, which every method reads from the
+    :class:`~warpcurv.core_types.PointContext` it is given.
+    """
 
     def __init__(self, spec: ManifoldSpec):
-        self.spec = spec
         if spec.kind == "SSST":
-            self.base = ChartBase(spec.fibers[0].chart())
-            self.warp_fns = (spec.potential.fn,)
-            self.fibers = [_StructFiber.time_axis()]
-        elif spec.base_chart is not None:
-            self.base = ChartBase(spec.base_chart)
-            self.warp_fns = tuple(
-                (w.fn if hasattr(w, "fn") else w) for w in spec.warpings)
-            self.fibers = [_StructFiber.from_fiber(f) for f in spec.fibers]
+            self.base = ChartBase(spec.fibers[0].dim)
+            self.fibers = [_StructFiber(0, 1, 0.0, lorentz_time=True)]
         else:
-            self.base = LineBase(-1.0)
-            self.warp_fns = tuple(
-                (lambda t, _f=w.fn: _f(t)) for w in spec.warpings)
-            self.fibers = [_StructFiber.from_fiber(f) for f in spec.fibers]
+            self.base = (LineBase() if spec.base_chart is None
+                         else ChartBase(spec.base_chart.dim))
+            self.fibers = [_StructFiber(i, f.dim, f.constant_curvature)
+                           for i, f in enumerate(spec.fibers)]
         self.m = len(self.fibers)
-        self._warp_cache: dict = {}
 
-    # -- structural coordinates/vectors ------------------------------------
-
-    def struct_point(self, p: Point):
-        spec = self.spec
-        if spec.kind == "SSST":
-            return tuple(map(float, p.fiber_coords[0])), ((float(p.t),),)
-        if spec.base_chart is not None:
-            return tuple(map(float, p.t)), tuple(tuple(map(float, x))
-                                                 for x in p.fiber_coords)
-        return (float(p.t),), tuple(tuple(map(float, x)) for x in p.fiber_coords)
-
-    def warp_bundle(self, base_point) -> list[WarpData]:
-        key = tuple(base_point)
-        if key not in self._warp_cache:
-            if len(self._warp_cache) > 128:
-                self._warp_cache.clear()
-            self._warp_cache[key] = [self.base.warp_data(f, base_point)
-                                     for f in self.warp_fns]
-        return self._warp_cache[key]
-
-    def base_inner(self, base_point, x, y) -> float:
-        if isinstance(self.base, LineBase):
-            return self.base.inner(x, y)
-        return self.base.inner_at(base_point, x, y)
-
-    def inner_grads(self, base_point, i, k) -> float:
+    def inner_grads(self, ctx, i, k) -> float:
         """g_B(grad b_i, grad b_k)."""
-        wds = self.warp_bundle(base_point)
-        if isinstance(self.base, LineBase):
-            return self.base.sign * wds[i].dcomps[0] * wds[k].dcomps[0]
-        ginv = self.base.metric_inv(base_point)
-        return float(wds[i].dcomps @ ginv @ wds[k].dcomps)
-
-    def nabla_grad(self, base_point, i, x) -> np.ndarray:
-        """Components of nab^B_X (grad_B b_i), i.e. the (1,1) Hessian on X."""
-        wd = self.warp_bundle(base_point)[i]
-        ginv = self.base.metric_inv(base_point)
-        return ginv @ wd.hess @ np.asarray(x)
-
-    def full_inner(self, base_point, fiber_points, u, v) -> float:
-        """g(U, V) for structural vectors (base_comps, [fiber comps])."""
-        ub, uf = u
-        vb, vf = v
-        acc = self.base_inner(base_point, ub, vb)
-        wds = self.warp_bundle(base_point)
-        for i, fib in enumerate(self.fibers):
-            b = wds[i].value
-            acc += b * b * fib.inner(fiber_points[i], uf[i], vf[i])
-        return acc
+        wds = ctx.warp_bundle
+        return self.base.cometric(ctx, wds[i].dcomps, wds[k].dcomps)
 
     def zero_vec(self):
         return (np.zeros(self.base.dim), [np.zeros(f.dim) for f in self.fibers])
-
-
-_GEOM_CACHE: dict[int, tuple] = {}
-
-
-def geometry(spec: ManifoldSpec) -> WarpedGeometry:
-    """WarpedGeometry for a spec, cached per spec object to reuse oracle data."""
-    hit = _GEOM_CACHE.get(id(spec))
-    if hit is not None and hit[0] is spec:
-        return hit[1]
-    if len(_GEOM_CACHE) > 64:
-        _GEOM_CACHE.clear()
-    geom = WarpedGeometry(spec)
-    _GEOM_CACHE[id(spec)] = (spec, geom)
-    return geom
 
 
 def to_structural(spec: ManifoldSpec, v: TangentVector):
@@ -430,38 +281,19 @@ def from_structural(spec: ManifoldSpec, base_comps, fiber_comps) -> TangentVecto
                                for part in fiber_comps))
 
 
-def _lift_struct(geom: WarpedGeometry, a: LiftedField):
-    """LiftedField -> structural vector with a single populated factor."""
-    base, fibers = geom.zero_vec()
-    if a.origin == "base":
-        if len(a.components) != geom.base.dim:
-            raise ShapeError("base lift has wrong component count")
-        base = np.asarray(a.components, float)
-    else:
-        i = int(a.origin)
-        if not 0 <= i < geom.m:
-            raise ValidationError(f"no fiber {i}")
-        if len(a.components) != geom.fibers[i].dim:
-            raise ShapeError("fiber lift has wrong component count")
-        fibers[i] = np.asarray(a.components, float)
-    return base, fibers
-
-
 # ---------------------------------------------------------------------------
 # covariant derivative (three cases)
 # ---------------------------------------------------------------------------
 
-def covariant_derivative(spec: ManifoldSpec, p: Point, A: LiftedField,
-                         B: LiftedField) -> TangentVector:
+def covariant_derivative(spec: ManifoldSpec, p: Point | PointContext,
+                         A: LiftedField, B: LiftedField) -> TangentVector:
     """nab_A B on lifted fields, by the warped-product case formulas."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
-    wds = geom.warp_bundle(bp)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
+    wds = ctx.warp_bundle
     base_out, fiber_out = geom.zero_vec()
 
     if A.origin == "base" and B.origin == "base":
-        base_out = geom.base.connection(bp, np.asarray(A.components),
+        base_out = geom.base.connection(ctx, np.asarray(A.components),
                                         np.asarray(B.components),
                                         B.component_fns)
     elif A.origin == "base" or B.origin == "base":
@@ -475,12 +307,12 @@ def covariant_derivative(spec: ManifoldSpec, p: Point, A: LiftedField,
             pass  # distinct fibers: identically zero
         else:
             fib = geom.fibers[i]
-            fiber_out[i] = fib.connection(fps[i], np.asarray(A.components),
+            fiber_out[i] = fib.connection(ctx, np.asarray(A.components),
                                           np.asarray(B.components),
                                           B.component_fns)
             b = wds[i].value
-            gvw = b * b * fib.inner(fps[i], A.components, B.components)
-            ginv = geom.base.metric_inv(bp)
+            gvw = b * b * fib.inner(ctx, A.components, B.components)
+            ginv = geom.base.metric_inv(ctx)
             base_out = base_out - (gvw / b) * (ginv @ wds[i].dcomps)
     return from_structural(spec, base_out, fiber_out)
 
@@ -489,49 +321,42 @@ def covariant_derivative(spec: ManifoldSpec, p: Point, A: LiftedField,
 # gradient and Laplacian lifts
 # ---------------------------------------------------------------------------
 
-def gradient_lift(spec: ManifoldSpec, p: Point, fn,
+def gradient_lift(spec: ManifoldSpec, p: Point | PointContext, fn,
                   origin: str | int = "base") -> TangentVector:
     """grad of a scalar lifted from the base or from fiber ``origin``."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
     base_out, fiber_out = geom.zero_vec()
     if origin == "base":
-        sd = geom.base.scalar_data(fn, bp)
-        base_out = sd.grad
+        base_out = ctx.scalar_data(fn).grad
     else:
         i = int(origin)
-        fib = geom.fibers[i]
-        b = geom.warp_bundle(bp)[i].value
-        _, dpsi, _ = jet(fn, fps[i])
-        fiber_out[i] = fib.gradient(fps[i], dpsi) / (b * b)
+        b = ctx.warp_bundle[i].value
+        _, dpsi, _ = jet(fn, ctx.fiber_points[i])
+        fiber_out[i] = geom.fibers[i].gradient(ctx, dpsi) / (b * b)
     return from_structural(spec, base_out, fiber_out)
 
 
-def laplacian_lift(spec: ManifoldSpec, p: Point, fn,
+def laplacian_lift(spec: ManifoldSpec, p: Point | PointContext, fn,
                    origin: str | int = "base") -> float:
     """Laplace-Beltrami of a lifted scalar: base scalars pick up the
     warped-volume drift term, fiber scalars just rescale by 1/b^2."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
-    wds = geom.warp_bundle(bp)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
+    wds = ctx.warp_bundle
     if origin == "base":
-        sd = geom.base.scalar_data(fn, bp)
+        sd = ctx.scalar_data(fn)
         acc = sd.lap
-        ginv = geom.base.metric_inv(bp)
+        ginv = geom.base.metric_inv(ctx)
         for i, fib in enumerate(geom.fibers):
             cross = float(sd.dcomps @ ginv @ wds[i].dcomps)
             acc += fib.dim * cross / wds[i].value
         return float(acc)
     i = int(origin)
-    fib = geom.fibers[i]
-    if fib.lorentz_time:
-        _, _, dd = scalar_derivatives(lambda t: fn([t]), fps[i][0])
+    x = ctx.fiber_points[i]
+    if geom.fibers[i].lorentz_time:
+        _, _, dd = scalar_derivatives(lambda t: fn([t]), x[0])
         lap_f = -dd
     else:
-        from .tensor_oracle import laplacian_oracle
-        lap_f = laplacian_oracle(fib.chart, list(fps[i]), fn)
+        lap_f = laplacian_oracle(spec.fibers[i].chart(), list(x), fn)
     b = wds[i].value
     return float(lap_f / (b * b))
 
@@ -559,25 +384,23 @@ def classify_triple(oa, ob, oc) -> str:
     return "zero_three_distinct_fibers"
 
 
-def riemann_mwp(spec: ManifoldSpec, p: Point, A: LiftedField, B: LiftedField,
-                C: LiftedField) -> TangentVector:
+def riemann_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
+                B: LiftedField, C: LiftedField) -> TangentVector:
     """R(A, B) C for lifted fields, dispatching to exactly one case."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
     base_out, fiber_out = _riemann_struct(
-        geom, bp, fps,
+        geom, ctx,
         (A.origin, np.asarray(A.components, float)),
         (B.origin, np.asarray(B.components, float)),
         (C.origin, np.asarray(C.components, float)))
     return from_structural(spec, base_out, fiber_out)
 
 
-def _riemann_struct(geom: WarpedGeometry, bp, fps, A, B, C):
+def _riemann_struct(geom: WarpedGeometry, ctx: PointContext, A, B, C):
     oa, a = A
     ob, b = B
     oc, c = C
-    wds = geom.warp_bundle(bp)
+    wds = ctx.warp_bundle
     base_out, fiber_out = geom.zero_vec()
 
     case = classify_triple(oa, ob, oc)
@@ -585,7 +408,7 @@ def _riemann_struct(geom: WarpedGeometry, bp, fps, A, B, C):
         return base_out, fiber_out
 
     if case == "base_curvature":
-        base_out = geom.base.riemann(bp, a, b, c)
+        base_out = geom.base.riemann(ctx, a, b, c)
         return base_out, fiber_out
 
     if case == "fiber_base_base":
@@ -606,8 +429,10 @@ def _riemann_struct(geom: WarpedGeometry, bp, fps, A, B, C):
             x, v, sgn = b, a, -1.0
         i = int(oc)
         bi = wds[i].value
-        gvw = bi * bi * geom.fibers[i].inner(fps[i], v, c)
-        base_out = sgn * (-gvw / bi) * geom.nabla_grad(bp, i, x)
+        gvw = bi * bi * geom.fibers[i].inner(ctx, v, c)
+        # nab^B_X grad_B b_i: the (1,1) Hessian on X
+        nab = geom.base.metric_inv(ctx) @ wds[i].hess @ np.asarray(x)
+        base_out = sgn * (-gvw / bi) * nab
         return base_out, fiber_out
 
     if case == "cross_fiber_gradient":
@@ -620,8 +445,8 @@ def _riemann_struct(geom: WarpedGeometry, bp, fps, A, B, C):
             k, u, i, sgn = int(ob), b, int(oa), -1.0
             v, w = a, c
         bi, bk = wds[i].value, wds[k].value
-        gvw = bi * bi * geom.fibers[i].inner(fps[i], v, w)
-        coeff = -gvw * geom.inner_grads(bp, i, k) / (bi * bk)
+        gvw = bi * bi * geom.fibers[i].inner(ctx, v, w)
+        coeff = -gvw * geom.inner_grads(ctx, i, k) / (bi * bk)
         fiber_out[k] = sgn * coeff * u
         return base_out, fiber_out
 
@@ -629,9 +454,9 @@ def _riemann_struct(geom: WarpedGeometry, bp, fps, A, B, C):
         i = int(oa)
         fib = geom.fibers[i]
         bi = wds[i].value
-        rf = fib.riemann(fps[i], a, b, c)
-        gac = bi * bi * fib.inner(fps[i], a, c)
-        gbc = bi * bi * fib.inner(fps[i], b, c)
+        rf = fib.riemann(ctx, a, b, c)
+        gac = bi * bi * fib.inner(ctx, a, c)
+        gbc = bi * bi * fib.inner(ctx, b, c)
         ratio = wds[i].grad_sq / (bi * bi)
         fiber_out[i] = rf + ratio * (gac * b - gbc * a)
         return base_out, fiber_out
@@ -639,12 +464,11 @@ def _riemann_struct(geom: WarpedGeometry, bp, fps, A, B, C):
     raise ValidationError(f"unhandled case {case}")  # pragma: no cover
 
 
-def riemann_general(spec: ManifoldSpec, p: Point, X: TangentVector,
-                    Y: TangentVector, Z: TangentVector) -> TangentVector:
+def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
+                    X: TangentVector, Y: TangentVector,
+                    Z: TangentVector) -> TangentVector:
     """R(X, Y) Z for arbitrary vectors via multilinear expansion over lifts."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
     pieces_x = _split_struct(geom, to_structural(spec, X))
     pieces_y = _split_struct(geom, to_structural(spec, Y))
     pieces_z = _split_struct(geom, to_structural(spec, Z))
@@ -656,7 +480,7 @@ def riemann_general(spec: ManifoldSpec, p: Point, X: TangentVector,
                 # +0.0 and only ever add, so skipping it changes no bit
                 if classify_triple(Ax[0], By[0], Cz[0]).startswith("zero"):
                     continue
-                b_out, f_out = _riemann_struct(geom, bp, fps, Ax, By, Cz)
+                b_out, f_out = _riemann_struct(geom, ctx, Ax, By, Cz)
                 base_acc = base_acc + b_out
                 for i in range(geom.m):
                     fiber_acc[i] = fiber_acc[i] + f_out[i]
@@ -679,23 +503,21 @@ def _split_struct(geom: WarpedGeometry, sv):
 # Ricci curvature (four cases)
 # ---------------------------------------------------------------------------
 
-def ricci_mwp(spec: ManifoldSpec, p: Point, A: LiftedField,
+def ricci_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
               B: LiftedField) -> float:
     """Ric(A, B) on lifted fields."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
-    return _ricci_struct(geom, bp, fps,
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
+    return _ricci_struct(geom, ctx,
                          (A.origin, np.asarray(A.components, float)),
                          (B.origin, np.asarray(B.components, float)))
 
 
-def _ricci_struct(geom: WarpedGeometry, bp, fps, A, B) -> float:
+def _ricci_struct(geom: WarpedGeometry, ctx: PointContext, A, B) -> float:
     oa, a = A
     ob, b = B
-    wds = geom.warp_bundle(bp)
+    wds = ctx.warp_bundle
     if oa == "base" and ob == "base":
-        acc = geom.base.ricci(bp, a, b)
+        acc = geom.base.ricci(ctx, a, b)
         for i, fib in enumerate(geom.fibers):
             h = float(np.asarray(a) @ wds[i].hess @ np.asarray(b))
             acc -= fib.dim * h / wds[i].value
@@ -707,36 +529,34 @@ def _ricci_struct(geom: WarpedGeometry, bp, fps, A, B) -> float:
         return 0.0
     fib = geom.fibers[i]
     bi = wds[i].value
-    gvw = bi * bi * fib.inner(fps[i], a, b)
-    return float(fib.ricci(fps[i], a, b) - _fiber_bracket(geom, bp, i) * gvw)
+    gvw = bi * bi * fib.inner(ctx, a, b)
+    return float(fib.ricci(ctx, a, b) - _fiber_bracket(geom, ctx, i) * gvw)
 
 
-def _fiber_bracket(geom: WarpedGeometry, bp, i: int) -> float:
+def _fiber_bracket(geom: WarpedGeometry, ctx: PointContext, i: int) -> float:
     """The factor of g(V, W) in Ric(V, W) for V, W in fiber i."""
-    wds = geom.warp_bundle(bp)
+    wds = ctx.warp_bundle
     bi = wds[i].value
     bracket = wds[i].lap / bi + (geom.fibers[i].dim - 1) * wds[i].grad_sq / (bi * bi)
     for k in range(geom.m):
         if k != i:
-            bracket += geom.fibers[k].dim * geom.inner_grads(bp, i, k) / (
+            bracket += geom.fibers[k].dim * geom.inner_grads(ctx, i, k) / (
                 bi * wds[k].value)
     return bracket
 
 
-def ricci_general(spec: ManifoldSpec, p: Point, X: TangentVector,
-                  Y: TangentVector) -> float:
+def ricci_general(spec: ManifoldSpec, p: Point | PointContext,
+                  X: TangentVector, Y: TangentVector) -> float:
     """Ric(X, Y) for arbitrary vectors via bilinear expansion over lifts."""
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
     acc = 0.0
     for Ax in _split_struct(geom, to_structural(spec, X)):
         for By in _split_struct(geom, to_structural(spec, Y)):
-            acc += _ricci_struct(geom, bp, fps, Ax, By)
+            acc += _ricci_struct(geom, ctx, Ax, By)
     return acc
 
 
-def ricci_matrix(spec: ManifoldSpec, p: Point) -> np.ndarray:
+def ricci_matrix(spec: ManifoldSpec, p: Point | PointContext) -> np.ndarray:
     """Ric(d_a, d_b) in chart coordinates, assembled block by block.
 
     The base block is ``Ric_B - sum_i dim_i H^{b_i} / b_i``, fiber block i
@@ -745,18 +565,16 @@ def ricci_matrix(spec: ManifoldSpec, p: Point) -> np.ndarray:
     (time first).  Every entry equals :func:`ricci_general` on the
     coordinate basis exactly.
     """
-    p.validate(spec)
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
-    wds = geom.warp_bundle(bp)
-    base = geom.base.ricci_matrix(bp)
+    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
+    wds = ctx.warp_bundle
+    base = geom.base.ricci_matrix(ctx)
     for i, fib in enumerate(geom.fibers):
         base = base - fib.dim * wds[i].hess / wds[i].value
     blocks = [base]
     for i, fib in enumerate(geom.fibers):
         bi = wds[i].value
-        gvw = bi * bi * fib.metric(fps[i])
-        blocks.append(fib.ricci_matrix(fps[i]) - _fiber_bracket(geom, bp, i) * gvw)
+        gvw = bi * bi * fib.metric(ctx)
+        blocks.append(fib.ricci_matrix(ctx) - _fiber_bracket(geom, ctx, i) * gvw)
     sizes = [blk.shape[0] for blk in blocks]
     n = sum(sizes)
     ric = np.zeros((n, n))

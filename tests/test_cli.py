@@ -233,3 +233,41 @@ class TestInputErrors:
         assert out.returncode == 3
         assert len(out.stderr.splitlines()) == 1
         assert "negative base" in out.stderr
+
+    GRW = {"kind": "GRW", "base": {"t1": -5.0, "t2": 5.0},
+           "fibers": [{"dim": 1, "model": "euclidean"}],
+           "warpings": [{"form": "exp", "params": {"c": 1.0, "k": 1.0}}]}
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"kind": "GRW", ', "spec is not valid JSON"),
+        ('[1, 2]', "spec must be an object"),
+        (json.dumps({k: v for k, v in GRW.items() if k != "fibers"}),
+         "missing field 'fibers'"),
+        (json.dumps({**GRW, "fibers": {"dim": 1}}),
+         "field 'fibers' must be a non-empty list"),
+        (json.dumps({**GRW, "base": {"t1": "early", "t2": 5.0}}),
+         "field 'base.t1' must be a number"),
+        (json.dumps({**GRW, "fibers": [{"dim": 1}]}),
+         "missing field 'fibers[0].model'"),
+        (json.dumps({**GRW, "warpings": [{"form": "exp",
+                                          "params": {"c": "one", "k": 1.0}}]}),
+         "warpings[0]: parameter 'c' must be a number"),
+        (json.dumps({**GRW, "warpings": [{"form": "exp", "params": {"c": 1.0}}]}),
+         "warpings[0]: exp form needs parameter 'k'"),
+        (json.dumps({**GRW, "fibers": [{"dim": 2, "model": "sphere",
+                                        "radius": 0.0}]}),
+         "not positive definite"),
+        (json.dumps({**GRW, "warpings": [{"form": "schwarzschild",
+                                          "params": {"m": 1.0}}]}),
+         "warping cannot be evaluated at t = 0.0"),
+    ], ids=["not-json", "not-object", "no-fibers", "fibers-type", "t1-type",
+            "fiber-model", "param-type", "param-missing", "radius-0",
+            "warping-domain"])
+    def test_bad_spec_file_is_2(self, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        out = run_cli("report", str(path), "--point", "t=1.0")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert message in out.stderr

@@ -150,3 +150,26 @@ class TestPowerDomain:
         assert hd.power(-2.0, 3.0) == -8.0
         val, d1, d2 = hd.scalar_derivatives(lambda x: hd.power(x, 2.0), -3.0)
         assert (val, d1, d2) == (9.0, -6.0, 2.0)
+
+
+class TestLogSqrtDomain:
+    """log and sqrt of a non-positive argument raise DomainError on the
+    float, HyperDual and Jet paths alike, never math's ValueError or a
+    ZeroDivisionError from the derivative."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda f, t: f(t),
+        lambda f, t: hd.scalar_derivatives(f, t),
+        lambda f, t: hd.jet(lambda c: f(c[0]), [[1.0], [t]]),
+    ], ids=["float", "hyperdual", "jet"])
+    @pytest.mark.parametrize("f", [hd.log, hd.sqrt], ids=["log", "sqrt"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0], ids=["zero", "negative"])
+    def test_non_positive_argument(self, evaluate, f, bad):
+        with pytest.raises(DomainError, match="non-positive argument"):
+            evaluate(f, bad)
+
+    @pytest.mark.parametrize("f,x", [(hd.log, 2.5), (hd.sqrt, 2.5)])
+    def test_positive_argument_unchanged(self, f, x):
+        ref = math.log(x) if f is hd.log else math.sqrt(x)
+        assert f(x) == ref
+        assert hd.scalar_derivatives(f, x)[0] == ref

@@ -20,7 +20,7 @@ from warpcurv import (Interval, NullPlane, PlaneError, Point, ShapeError,
                       split, ssst_null_curvature, type1_null_curvature,
                       type2_null_curvature, type3_null_curvature)
 from warpcurv.errors import ConstraintError, ConstructionError
-from warpcurv.null_sectional import ssst_remark_value
+from warpcurv.null_sectional import isotropy_summary, ssst_remark_value
 
 
 def minkowski():
@@ -558,6 +558,13 @@ class TestIsotropyScan:
         a = isotropy_scan(entry.spec, entry.default_point(), None, 50, 9)
         b = isotropy_scan(entry.spec, entry.default_point(), None, 50, 9)
         assert a == b
+
+    def test_no_planes_is_a_validation_error(self):
+        entry = by_name("minkowski")
+        with pytest.raises(ValidationError, match="at least one plane"):
+            isotropy_summary([])
+        with pytest.raises(ValidationError, match="at least one plane"):
+            isotropy_scan(entry.spec, entry.default_point(), None, 0, 3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Point-invariant work done once: the per-point metric, the report's
-isotropy block built from its own planes, and the zero-case skip in the
-multilinear Riemann expansion."""
+"""Point-invariant work done once: the per-point context and its metric,
+the report's isotropy block built from its own planes, and the zero-case
+skip in the multilinear Riemann expansion."""
 
 import json
 
 import numpy as np
 import pytest
 
-from warpcurv import (CoordinateChart, Interval, Point, PointMetric,
+from warpcurv import (CoordinateChart, Interval, Point, PointContext,
                       TangentVector, WarpingFunction, assemble_chart, catalog,
                       euclidean_fiber, flatten, generic_warped_spec,
                       isotropy_scan, metric_eval, mgrw_spec, riemann_general,
@@ -16,8 +16,9 @@ from warpcurv import hyperdual as hd
 from warpcurv.cli import main as cli_main
 from warpcurv.errors import ShapeError, ValidationError
 from warpcurv.hyperdual import value
-from warpcurv.warped_formulas import (_riemann_struct, _split_struct,
-                                      from_structural, geometry, to_structural)
+from warpcurv.warped_formulas import (WarpedGeometry, _riemann_struct,
+                                      _split_struct, from_structural,
+                                      to_structural)
 
 CATALOG = catalog()
 
@@ -57,7 +58,7 @@ def sparse_vector(spec, rng, keep=0.6):
 
 
 # ---------------------------------------------------------------------------
-# PointMetric
+# PointContext: the metric at the point
 # ---------------------------------------------------------------------------
 
 class TestPointMetric:
@@ -67,7 +68,7 @@ class TestPointMetric:
         chart = assemble_chart(spec)
         for _ in range(20):
             p = draw(rng)
-            g = PointMetric(spec, p)
+            g = PointContext(spec, p)
             G = np.array([[value(e) for e in row]
                           for row in chart.metric_at(list(p.flat(spec)))])
             for _ in range(5):
@@ -80,7 +81,7 @@ class TestPointMetric:
     def test_metric_eval_is_build_then_inner(self, name, spec, draw):
         rng = np.random.default_rng(4)
         p = draw(rng)
-        g = PointMetric(spec, p)
+        g = PointContext(spec, p)
         for _ in range(10):
             X, Y = sparse_vector(spec, rng), sparse_vector(spec, rng)
             assert metric_eval(spec, p, X, Y) == g.inner(X, Y)
@@ -89,31 +90,32 @@ class TestPointMetric:
         entry = CATALOG[6]
         p = entry.default_point()
         plane = sample_plane(entry.spec, p, np.random.default_rng(2))
-        g = PointMetric(entry.spec, p)
+        g = PointContext(entry.spec, p)
         again = g.plane(plane.L, plane.S, plane.frame_U)
         assert again == plane
+        assert plane.context.spec is entry.spec and again.context is g
 
     def test_validates_point_and_vectors(self):
         entry = CATALOG[0]
-        g = PointMetric(entry.spec, entry.default_point())
+        g = PointContext(entry.spec, entry.default_point())
         bad = TangentVector(1.0, ((1.0, 0.0),))
         with pytest.raises(ShapeError):
             g.inner(bad, bad)
         with pytest.raises(ShapeError):
-            PointMetric(entry.spec, Point(0.0, ((0.0, 0.0),)))
+            PointContext(entry.spec, Point(0.0, ((0.0, 0.0),)))
 
     def test_of_rejects_another_spec(self):
         a, b = CATALOG[0], CATALOG[6]
-        g = PointMetric(a.spec, a.default_point())
-        assert PointMetric.of(a.spec, g) is g
+        g = PointContext(a.spec, a.default_point())
+        assert PointContext.of(a.spec, g) is g
         with pytest.raises(ValidationError):
-            PointMetric.of(b.spec, g)
+            PointContext.of(b.spec, g)
 
     def test_fiber_metric_is_read_only(self):
         entry = CATALOG[4]
-        p = entry.default_point()
-        fib = geometry(entry.spec).fibers[0]
-        G = fib.metric(tuple(map(float, p.fiber_coords[0])))
+        ctx = PointContext(entry.spec, entry.default_point())
+        G = WarpedGeometry(entry.spec).fibers[0].metric(ctx)
+        assert G is ctx.fiber_metrics[0]
         with pytest.raises(ValueError):
             G[0, 0] = 2.0
 
@@ -140,14 +142,13 @@ def test_report_isotropy_equals_isotropy_scan(entry, tmp_path):
 
 def full_expansion(spec, p, X, Y, Z):
     """R(X, Y) Z summed over every lift triple, vanishing cases included."""
-    geom = geometry(spec)
-    bp, fps = geom.struct_point(p)
+    geom, ctx = WarpedGeometry(spec), PointContext(spec, p)
     pieces = [_split_struct(geom, to_structural(spec, v)) for v in (X, Y, Z)]
     base_acc, fiber_acc = geom.zero_vec()
     for Ax in pieces[0]:
         for By in pieces[1]:
             for Cz in pieces[2]:
-                b_out, f_out = _riemann_struct(geom, bp, fps, Ax, By, Cz)
+                b_out, f_out = _riemann_struct(geom, ctx, Ax, By, Cz)
                 base_acc = base_acc + b_out
                 for i in range(geom.m):
                     fiber_acc[i] = fiber_acc[i] + f_out[i]
