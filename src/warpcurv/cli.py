@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -39,8 +40,9 @@ from .warped_formulas import ricci_matrix
 COMPARE_ABS_TOL = 1e-10
 COMPARE_REL_TOL = 1e-8
 
-# points per batched oracle call in ``scan``; bounds the batch's memory
-SCAN_CHUNK = 64
+# points per batched oracle call in ``scan`` and samples per chunk in
+# ``compare``; bounds the batch's memory
+CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -49,11 +51,23 @@ SCAN_CHUNK = 64
 
 def _resolve_model(token: str) -> tuple[str, ManifoldSpec, CatalogEntry | None]:
     if os.path.exists(token):
-        with open(token) as fh:
-            spec = spec_from_json(fh.read())
-        return spec.name or os.path.basename(token), spec, None
+        return _read_spec_file(token)
     entry = by_name(token)
     return entry.name, entry.spec, entry
+
+
+def _read_spec_file(path: str) -> tuple[str, ManifoldSpec, None]:
+    if not os.path.isfile(path):
+        raise ValidationError(f"spec file {path!r} is not a regular file")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc.reason
+        raise ValidationError(f"cannot read spec file {path!r}: {reason}") \
+            from None
+    spec = spec_from_json(text)
+    return spec.name or os.path.basename(path), spec, None
 
 
 def _fallback_entry(name: str, spec: ManifoldSpec) -> CatalogEntry:
@@ -238,45 +252,55 @@ def cmd_compare(args) -> int:
     root = np.random.default_rng(np.uint64(seed))
     ledger = []
     derived_ok = True
-    for i in range(args.samples):
-        plane_seed = int(root.integers(0, 2 ** 63))
-        rng = np.random.default_rng(np.uint64(plane_seed))
-        ctx = PointContext(spec, entry.random_point(rng))
-        plane = sample_plane(spec, ctx, rng)  # the evaluators reuse its ctx
-        x = list(ctx.point.flat(spec))
-        tensors = riemann_oracle(chart, x)
-        k_oracle = null_sectional_from_tensors(tensors, flatten(plane.L),
-                                               flatten(plane.S))
-        scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
-        tol = max(COMPARE_ABS_TOL, COMPARE_REL_TOL * scale)
-        coords = {"model": name, "point": x, "plane_seed": plane_seed}
+    for start in range(0, args.samples, CHUNK):
+        # each sample draws its point and plane from its own seed, so
+        # drawing a chunk at a time leaves every draw as it was
+        draws = []
+        for _ in range(min(CHUNK, args.samples - start)):
+            plane_seed = int(root.integers(0, 2 ** 63))
+            rng = np.random.default_rng(np.uint64(plane_seed))
+            ctx = PointContext(spec, entry.random_point(rng))
+            draws.append((plane_seed, sample_plane(spec, ctx, rng)))
+        # the evaluators reuse the context each plane was drawn at
+        contexts = [plane.context for _, plane in draws]
+        PointContext.fill_base_tensors(contexts)
+        batch = riemann_oracle_batch(chart, [c.point.flat(spec)
+                                             for c in contexts])
+        for (plane_seed, plane), tensors in zip(draws, batch):
+            x = list(plane.context.point.flat(spec))
+            k_oracle = null_sectional_from_tensors(tensors, flatten(plane.L),
+                                                   flatten(plane.S))
+            scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
+            tol = max(COMPARE_ABS_TOL, COMPARE_REL_TOL * scale)
+            coords = {"model": name, "point": x, "plane_seed": plane_seed}
 
-        derived = specialized_null_curvature(spec, plane, "derived")
-        gen = null_curvature_generic(spec, plane)
-        for label, res in (("as-derived", derived), ("generic", gen)):
-            if abs(res.value - k_oracle) > tol:
-                derived_ok = False
-                ledger.append(_ledger_row(coords, "value", label, "oracle",
-                                          res.value, k_oracle))
+            derived = specialized_null_curvature(spec, plane, "derived")
+            gen = null_curvature_generic(spec, plane)
+            for label, res in (("as-derived", derived), ("generic", gen)):
+                if abs(res.value - k_oracle) > tol:
+                    derived_ok = False
+                    ledger.append(_ledger_row(coords, "value", label,
+                                              "oracle", res.value, k_oracle))
 
-        for path in printed_paths:
-            printed = specialized_null_curvature(spec, plane, path)
-            label = f"as-printed:{path.removeprefix('printed').lstrip('_') or 'main'}"
-            keys = sorted(set(derived.breakdown) | set(printed.breakdown))
-            for key in keys:
-                va = printed.breakdown.get(key, 0.0)
-                vb = derived.breakdown.get(key, 0.0)
-                if not np.isfinite(va) or abs(va - vb) > tol:
-                    ledger.append(_ledger_row(coords, key, label, "as-derived",
-                                              va, vb))
-            if not np.isfinite(printed.value) \
-                    or abs(printed.value - k_oracle) > tol:
-                ledger.append(_ledger_row(coords, "value", label, "oracle",
-                                          printed.value, k_oracle))
+            for path in printed_paths:
+                printed = specialized_null_curvature(spec, plane, path)
+                label = ("as-printed:"
+                         f"{path.removeprefix('printed').lstrip('_') or 'main'}")
+                keys = sorted(set(derived.breakdown) | set(printed.breakdown))
+                for key in keys:
+                    va = printed.breakdown.get(key, 0.0)
+                    vb = derived.breakdown.get(key, 0.0)
+                    if not np.isfinite(va) or abs(va - vb) > tol:
+                        ledger.append(_ledger_row(coords, key, label,
+                                                  "as-derived", va, vb))
+                if not np.isfinite(printed.value) \
+                        or abs(printed.value - k_oracle) > tol:
+                    ledger.append(_ledger_row(coords, "value", label,
+                                              "oracle", printed.value,
+                                              k_oracle))
 
     with open(args.ledger, "w") as fh:
-        json.dump(ledger, fh, indent=2)
-        fh.write("\n")
+        write_ledger(fh, ledger)
     print(f"{name}: {args.samples} samples, {len(ledger)} ledger entries "
           f"-> {args.ledger}; derived-vs-oracle "
           f"{'OK' if derived_ok else 'DISAGREES'}")
@@ -287,6 +311,41 @@ def _ledger_row(coords: dict, term: str, path_a: str, path_b: str,
                 va: float, vb: float) -> dict:
     return {**coords, "term": term, "path_a": path_a, "path_b": path_b,
             "value_a": va, "value_b": vb, "abs_diff": abs(va - vb)}
+
+
+def write_ledger(fh, rows) -> None:
+    """Write ledger rows, one at a time from a fixed template; the bytes
+    are those of ``json.dump(rows, fh, indent=2)`` and a newline."""
+    sep = "[\n"
+    for row in rows:
+        coords = ",\n      ".join(map(_json_number, row["point"]))
+        point = f"[\n      {coords}\n    ]" if coords else "[]"
+        fh.write(
+            f'{sep}  {{\n'
+            f'    "model": {json.dumps(row["model"])},\n'
+            f'    "point": {point},\n'
+            f'    "plane_seed": {_json_number(row["plane_seed"])},\n'
+            f'    "term": {json.dumps(row["term"])},\n'
+            f'    "path_a": {json.dumps(row["path_a"])},\n'
+            f'    "path_b": {json.dumps(row["path_b"])},\n'
+            f'    "value_a": {_json_number(row["value_a"])},\n'
+            f'    "value_b": {_json_number(row["value_b"])},\n'
+            f'    "abs_diff": {_json_number(row["abs_diff"])}\n'
+            f'  }}')
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def _json_number(x) -> str:
+    """A number as ``json`` writes it: ``float.__repr__``, with NaN and
+    the infinities spelled NaN, Infinity and -Infinity."""
+    if not isinstance(x, float):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +369,8 @@ def cmd_scan(args) -> int:
 
     rows = []
     ctx = None
-    for start in range(0, len(points), SCAN_CHUNK):
-        chunk = points[start:start + SCAN_CHUNK]
+    for start in range(0, len(points), CHUNK):
+        chunk = points[start:start + CHUNK]
         batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
         for p, tensors in zip(chunk, batch):
             # only t moves along the sweep; each step's context shares the

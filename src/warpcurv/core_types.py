@@ -28,8 +28,8 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import DomainError, ShapeError, ValidationError
 from .hyperdual import value
-from .tensor_oracle import (CoordinateChart, CurvatureTensors, riemann_oracle,
-                            sectional_curvature_oracle)
+from .tensor_oracle import (CoordinateChart, CurvatureTensors,
+                            riemann_oracle_batch, sectional_curvature_oracle)
 
 __all__ = [
     "Interval",
@@ -671,7 +671,9 @@ class PointContext:
     :mod:`warpcurv.warped_formulas`) and evaluates each fiber metric.  The
     warping values (the potential f for SSST), their derivative bundle and
     the chart-oracle tensors of the base and of each fiber are computed on
-    first use, once per slot; all arrays are read-only.  A filled slot
+    first use, once per slot; all arrays are read-only.  A caller holding
+    many contexts may fill their base tensors in one batched oracle call
+    first (:meth:`fill_base_tensors`).  A filled slot
     keeps its value (two threads filling it at once compute the same
     bits), so a context may be shared between threads.
     """
@@ -782,18 +784,35 @@ class PointContext:
     def base_tensors(self) -> CurvatureTensors | None:
         """Chart-oracle tensors of the structural base; None on a line."""
         if self._base_tensors is None:
-            spec = self.spec
-            chart = (spec.fibers[0].chart() if spec.kind == "SSST"
-                     else spec.base_chart)
-            if chart is not None:
-                self._base_tensors = _oracle(chart, self.base_point)
+            PointContext.fill_base_tensors([self])
         return self._base_tensors
+
+    @staticmethod
+    def fill_base_tensors(contexts: Sequence["PointContext"]) -> None:
+        """Fill the structural base tensors of every context that has a
+        base chart and no tensors yet, from one batched oracle call.
+
+        All contexts must belong to one spec.  This is the only way the
+        slot is filled, so it holds the same bits whoever filled it."""
+        empty = [c for c in contexts if c._base_tensors is None]
+        if not empty:
+            return
+        spec = empty[0].spec
+        if any(c.spec is not spec for c in empty):
+            raise ValidationError("point contexts belong to different specs")
+        chart = (spec.fibers[0].chart() if spec.kind == "SSST"
+                 else spec.base_chart)
+        if chart is None:
+            return
+        for c, t in zip(empty, _oracle(chart, [c.base_point for c in empty])):
+            if c._base_tensors is None:
+                c._base_tensors = t
 
     def fiber_tensors(self, i: int) -> CurvatureTensors:
         """Chart-oracle tensors of the spec's fiber i at its coordinates."""
         if self._fiber_tensors[i] is None:
             self._fiber_tensors[i] = _oracle(self.spec.fibers[i].chart(),
-                                             self.point.fiber_coords[i])
+                                             [self.point.fiber_coords[i]])[0]
         return self._fiber_tensors[i]
 
     @property
@@ -826,10 +845,13 @@ class PointContext:
                         grad_sq=float(dphi @ t.metric_inv @ dphi))
 
 
-def _oracle(chart: CoordinateChart, x) -> CurvatureTensors:
-    t = riemann_oracle(chart, list(x))
-    _read_only(t.metric, t.metric_inv, t.gamma, t.riemann, t.ricci, t.dmetric)
-    return t
+def _oracle(chart: CoordinateChart, points) -> list[CurvatureTensors]:
+    """Batched oracle tensors at each point, as read-only arrays."""
+    batch = riemann_oracle_batch(chart, points)
+    for t in batch:
+        _read_only(t.metric, t.metric_inv, t.gamma, t.riemann, t.ricci,
+                   t.dmetric)
+    return batch
 
 
 def metric_eval(spec: ManifoldSpec, p: "Point | PointContext", X: TangentVector,

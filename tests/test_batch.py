@@ -17,7 +17,7 @@ from warpcurv import (CoordinateChart, DegenerateMetricError, DomainError,
                       riemann_oracle_batch, schwarzschild_spatial_fiber,
                       sphere_fiber, split)
 from warpcurv import hyperdual as hd
-from warpcurv.cli import SCAN_CHUNK
+from warpcurv.cli import CHUNK
 from warpcurv.tensor_oracle import _metric_partials_batch
 
 BATCH_TOL = 1e-13
@@ -315,7 +315,7 @@ class TestChunkedScan:
 
     @pytest.mark.parametrize("quantity", ["ricci", "KU"])
     def test_crosses_a_chunk_boundary(self, tmp_path, quantity):
-        steps = SCAN_CHUNK + 1
+        steps = CHUNK + 1
         out = tmp_path / "scan.csv"
         res = run_scan("schwarzschild_exterior", "--from", "-1", "--to", "1",
                        "--steps", str(steps), "--quantity", quantity,

@@ -234,6 +234,19 @@ class TestInputErrors:
         assert len(out.stderr.splitlines()) == 1
         assert "negative base" in out.stderr
 
+    @pytest.mark.parametrize("command", [
+        ("report",), ("compare", "--samples", "1"),
+        ("scan", "--from", "0", "--to", "1"),
+    ], ids=["report", "compare", "scan"])
+    def test_directory_as_model_is_2(self, tmp_path, command):
+        ledger = tmp_path / "ledger.json"
+        extra = ("--ledger", str(ledger)) if command[0] == "compare" else ()
+        out = run_cli(command[0], str(tmp_path), *command[1:], *extra)
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            f"error: spec file {str(tmp_path)!r} is not a regular file"]
+        assert not ledger.exists()
+
     GRW = {"kind": "GRW", "base": {"t1": -5.0, "t2": 5.0},
            "fibers": [{"dim": 1, "model": "euclidean"}],
            "warpings": [{"form": "exp", "params": {"c": 1.0, "k": 1.0}}]}
