@@ -9,7 +9,9 @@ Three subcommands:
   closed forms ever disagree with the oracle beyond tolerance.
 * ``scan``    : CSV sweep of a quantity along the base coordinate.
 
-Exit codes: 0 success, 2 input/validation error, 3 chart-domain error.
+Exit codes: 0 success; 1 only from ``compare``, when a derived closed form
+disagrees with the oracle; 2 input, validation or file error; 3 domain
+error or degenerate metric; 4 internal error (traceback on stderr).
 The default seed comes from the ``WARPCURV_SEED`` environment variable.
 Output is byte-identical for identical (arguments, seed) on one platform.
 """
@@ -21,6 +23,7 @@ import json
 import math
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -358,6 +361,9 @@ def cmd_scan(args) -> int:
         entry = _fallback_entry(name, spec)
     if args.var != "t":
         raise ValidationError("only the base coordinate t can be scanned")
+    if not math.isfinite(args.stop - args.start):
+        raise ValidationError(
+            "--from and --to must be finite numbers with a finite span")
     seed = _seed_from(args)
     chart = assemble_chart(spec)
     base_point = entry.default_point()
@@ -458,16 +464,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a numpy overflow or invalid operation raises, as Python's do
+        with np.errstate(over="raise", invalid="raise"):
+            return args.func(args)
     except (DomainError, DegenerateMetricError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GeometryError as exc:
+    except ArithmeticError as exc:  # overflow or division by zero
+        print(f"error: the model cannot be evaluated here: {exc}",
+              file=sys.stderr)
+        return 3
+    except (GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

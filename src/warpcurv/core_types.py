@@ -28,7 +28,7 @@ import numpy as np
 from . import hyperdual as hd
 from .errors import DomainError, ShapeError, ValidationError
 from .hyperdual import value
-from .tensor_oracle import (CoordinateChart, CurvatureTensors,
+from .tensor_oracle import (MAX_CHART_DIM, CoordinateChart, CurvatureTensors,
                             riemann_oracle_batch, sectional_curvature_oracle)
 
 __all__ = [
@@ -414,6 +414,7 @@ class ManifoldSpec:
                 raise ValidationError("GRW requires exactly one fiber")
         if self.kind == "MultiplyWarped-generic" and self.base_chart is None:
             raise ValidationError("generic kind requires a base chart")
+        self.validate_structure()
 
     # -- structure helpers ---------------------------------------------------
 
@@ -451,7 +452,8 @@ class ManifoldSpec:
         return names
 
     def validate_structure(self) -> None:
-        """Spot-check warping positivity and fiber SPD at sample points."""
+        """Spot-check warping positivity and fiber SPD at sample points;
+        runs on construction."""
         for w in self.warpings:
             if isinstance(w, WarpingFunction):
                 w.check_positive(self.base)
@@ -1005,14 +1007,18 @@ def _fiber_from_dict(d, where: str) -> FiberSpec:
     if model == "schwarzschild_spatial":
         return schwarzschild_spatial_fiber(_field(d, "mass", float, where))
     dim = _field(d, "dim", float, where)
-    if not dim.is_integer():
-        raise ValidationError(f"spec: field '{where}.dim' must be an integer")
+    if not dim.is_integer() or not 1 <= dim <= MAX_CHART_DIM:
+        raise ValidationError(f"spec: field '{where}.dim' must be an integer "
+                              f"from 1 to {MAX_CHART_DIM}, got {dim!r}")
     if model == "euclidean":
         return euclidean_fiber(int(dim))
-    if model == "sphere":
-        return sphere_fiber(int(dim), _field(d, "radius", float, where))
-    if model == "hyperbolic":
-        return hyperbolic_fiber(int(dim), _field(d, "radius", float, where))
+    if model in ("sphere", "hyperbolic"):
+        radius = _field(d, "radius", float, where)
+        if not math.isfinite(radius * radius):
+            raise ValidationError(
+                f"spec: field '{where}.radius' is out of range, got {radius!r}")
+        make = sphere_fiber if model == "sphere" else hyperbolic_fiber
+        return make(int(dim), radius)
     raise ValidationError(f"unknown fiber model {model!r}")
 
 
@@ -1045,7 +1051,8 @@ def spec_to_dict(spec: ManifoldSpec) -> dict:
 
 def spec_from_dict(d: dict) -> ManifoldSpec:
     """The spec a dict describes, checked: a missing field, a value of the
-    wrong type or a warping that is not positive raises ValidationError."""
+    wrong type or a warping that is not positive raises ValidationError
+    (the structure checks run in :class:`ManifoldSpec` itself)."""
     kind = _field(d, "kind", str, "")
     b = _field(d, "base", dict, "")
     base = Interval(_field(b, "t1", float, "base"), _field(b, "t2", float, "base"))
@@ -1068,7 +1075,6 @@ def spec_from_dict(d: dict) -> ManifoldSpec:
                 else mgrw_spec(base, ws, fibers, name=name))
     else:
         raise ValidationError(f"unknown kind {kind!r}")
-    spec.validate_structure()
     return spec
 
 

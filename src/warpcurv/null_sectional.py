@@ -19,6 +19,14 @@ Every specialized evaluator here carries two formula paths:
   cancel); the compare machinery in :mod:`warpcurv.cli` records every
   such disagreement in a machine-readable ledger.
 
+The closed forms live in one table, display -> path -> term function.
+The multi-fiber derived sum is written once and serves MGRW, Kasner and
+the type 2/3 displays; the single-fiber sum serves GRW and type 1.  The
+public evaluators are thin wrappers that keep their own guards (fiber
+signature, Kasner constraints, plane validation) and read the table;
+``formula_paths`` and ``specialized_null_curvature`` read the entries
+named after the model kinds.
+
 Breakdown keys are shared between paths so mismatches line up term by
 term.  All sampling is deterministic given a 64-bit seed.  Every function
 taking a point also takes its :class:`~warpcurv.core_types.PointContext`,
@@ -37,7 +45,7 @@ from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
                          TangentVector, metric_eval)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
-from .hyperdual import scalar_derivatives
+from .hyperdual import value
 from .tensor_oracle import riemann_apply
 from .warped_formulas import WarpedGeometry, riemann_general
 
@@ -243,7 +251,7 @@ def null_curvature_generic(spec: ManifoldSpec, plane: NullPlane) -> NullCurvatur
                    "value": numerator / denominator})
 
 # ---------------------------------------------------------------------------
-# shared decomposition helpers
+# the closed forms: one table of displays
 # ---------------------------------------------------------------------------
 
 def _oriented_time_L(L: TangentVector, unit: float) -> TangentVector:
@@ -267,6 +275,15 @@ class _TimeData:
     gWW: tuple
     rF: tuple      # g_F(R_F(V,W)W, V) per fiber
     h: float       # base coefficient of S
+    v: tuple       # fiber parts of L (base coefficient -1)
+    w: tuple       # fiber parts of S
+    ps: tuple | None     # Kasner exponents
+    phi: float | None    # Kasner scale phi(t)
+
+    @property
+    def g_SS(self) -> float:
+        return -self.h * self.h + sum(
+            self.b[j] ** 2 * self.gWW[j] for j in range(len(self.b)))
 
 def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
                S: TangentVector) -> _TimeData:
@@ -276,7 +293,7 @@ def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
     L.validate(spec)
     S.validate(spec)
     L = _oriented_time_L(L, 1.0)
-    b, db, ddb, gvv, gvw, gww, rf = [], [], [], [], [], [], []
+    b, db, ddb, gvv, gvw, gww, rf, vs, ws = [], [], [], [], [], [], [], [], []
     # b, b', b'' from the warp bundle: spec.warping_derivatives' call, once
     for i, (fib, wd) in enumerate(zip(WarpedGeometry(spec).fibers,
                                       ctx.warp_bundle)):
@@ -290,191 +307,126 @@ def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
         gww.append(fib.inner(ctx, w, w))
         rcomp = fib.riemann(ctx, v, w, w)
         rf.append(float(np.asarray(rcomp) @ fib.metric(ctx) @ v))
+        vs.append(v)
+        ws.append(w)
+    phi = None if spec.phi is None else value(spec.phi.fn(ctx.base_point[0]))
     return _TimeData(tuple(b), tuple(db), tuple(ddb), tuple(gvv), tuple(gvw),
-                     tuple(gww), tuple(rf), float(S.base_part))
+                     tuple(gww), tuple(rf), float(S.base_part), tuple(vs),
+                     tuple(ws), spec.kasner_exponents, phi)
 
-# ---------------------------------------------------------------------------
-# multiply warped (MGRW) evaluator
-# ---------------------------------------------------------------------------
-
-def mgrw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                        L: TangentVector, S: TangentVector,
-                        path: str = "derived") -> NullCurvatureResult:
-    """Closed-form K for L = -d_t + sum V_i, S = h d_t + sum W_j.
-
-    ``path='derived'`` evaluates the oracle-verified term sum;
-    ``path='printed'`` the published theorem display; ``path='printed_corollary'``
-    the published h d_t specialization (whose denominator prints a second
-    derivative of h where the bilinear expansion forces -h^2, and whose
-    bracket term carries an extra (b')^2 b'' factor).
-    """
-    d = _time_data(spec, p, L, S)
-    m = len(d.b)
-    idx = range(m)
+def _multi_derived(d: _TimeData) -> NullCurvatureResult:
+    """The oracle-verified multi-fiber sum (MGRW, Kasner, types 2 and 3)."""
+    idx = range(len(d.b))
     h = d.h
+    terms = {
+        "hess_mixed_lead": -sum(d.b[i] * d.ddb[i] * h * d.gVW[i] for i in idx),
+        "hess_YY": -sum(d.b[i] * d.ddb[i] * h * h * d.gVV[i] for i in idx),
+        "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * d.gWW[j] for j in idx),
+        "hess_mixed_trail": -sum(d.b[i] * d.ddb[i] * h * d.gVW[i] for i in idx),
+        "cross_fiber_VV_WW": sum(
+            d.b[i] * d.db[i] * d.b[j] * d.db[j] * d.gVV[i] * d.gWW[j]
+            for i in idx for j in idx if i != j),
+        "cross_fiber_VW_VW": -sum(
+            d.b[i] * d.db[i] * d.b[j] * d.db[j] * d.gVW[i] * d.gVW[j]
+            for i in idx for j in idx if i != j),
+        "fiber_curvature": sum(d.b[i] ** 2 * d.rF[i] for i in idx),
+        "warp_rate_bracket": sum(
+            d.b[i] ** 2 * d.db[i] ** 2 * (d.gVV[i] * d.gWW[i] - d.gVW[i] ** 2)
+            for i in idx),
+    }
+    return NullCurvatureResult.from_terms(terms, d.g_SS)
 
-    if path == "derived":
-        terms = {
-            "hess_mixed_lead": -sum(d.b[i] * d.ddb[i] * h * d.gVW[i] for i in idx),
-            "hess_YY": -sum(d.b[i] * d.ddb[i] * h * h * d.gVV[i] for i in idx),
-            "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * d.gWW[j] for j in idx),
-            "hess_mixed_trail": -sum(d.b[i] * d.ddb[i] * h * d.gVW[i] for i in idx),
-            "cross_fiber_VV_WW": sum(
-                d.b[i] * d.db[i] * d.b[j] * d.db[j] * d.gVV[i] * d.gWW[j]
-                for i in idx for j in idx if i != j),
-            "cross_fiber_VW_VW": -sum(
-                d.b[i] * d.db[i] * d.b[j] * d.db[j] * d.gVW[i] * d.gVW[j]
-                for i in idx for j in idx if i != j),
-            "fiber_curvature": sum(d.b[i] ** 2 * d.rF[i] for i in idx),
-            "warp_rate_bracket": sum(
-                d.b[i] ** 2 * d.db[i] ** 2 * (d.gVV[i] * d.gWW[i] - d.gVW[i] ** 2)
-                for i in idx),
-        }
-        denominator = -h * h + sum(d.b[j] ** 2 * d.gWW[j] for j in idx)
-        return NullCurvatureResult.from_terms(terms, denominator)
-
-    if path == "printed":
-        terms = {
-            "hess_mixed_lead": sum(d.b[k] * d.gVW[k] * h * d.ddb[k] for k in idx),
-            "hess_YY": sum(d.b[k] * d.gVV[k] * h * h * d.ddb[k] for k in idx),
-            "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * d.gWW[j] for j in idx),
-            "hess_mixed_trail": sum(d.b[i] * d.gVW[i] * h * d.ddb[i] for i in idx),
-            "cross_fiber_VV_WW": -sum(
-                d.b[k] * d.db[j] ** 2 * d.gVV[k] * d.gWW[j]
-                for j in idx for k in idx if j != k),
-            "cross_fiber_VW_VW": 0.0,
-            "fiber_curvature": sum(d.b[i] ** 2 * d.rF[i] for i in idx),
-            "warp_rate_bracket": -sum(
-                d.b[i] ** 2 * d.db[i] ** 2 * d.ddb[i]
-                * (d.gVW[i] ** 2 - d.gVV[i] * d.gWW[i]) for i in idx),
-        }
-        denominator = -h * h + sum(d.b[j] ** 2 * d.gWW[j] for j in idx)
-        # the companion derivation sketch prints the denominator as a
-        # product of the base and fiber norms; recorded for the ledger
-        alt = sum(d.b[j] ** 2 * (-h * h) * d.gWW[j] for j in idx)
-        return NullCurvatureResult.from_terms(
-            terms, denominator, extra={"denominator_alt_product": alt})
-
-    if path == "printed_corollary":
-        terms = {
-            "hess_mixed_lead": sum(h * d.b[k] * d.ddb[k] * d.gVW[k] for k in idx),
-            "hess_YY": sum(h * h * d.b[k] * d.ddb[k] * d.gVV[k] for k in idx),
-            "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * d.gWW[j] for j in idx),
-            "hess_mixed_trail": sum(h * d.b[i] * d.ddb[i] * d.gVW[i] for i in idx),
-            "cross_fiber_VV_WW": -sum(
-                d.b[k] * d.db[j] ** 2 * d.gVV[k] * d.gWW[j]
-                for j in idx for k in idx if j != k),
-            "cross_fiber_VW_VW": 0.0,
-            "fiber_curvature": sum(d.b[i] ** 2 * d.rF[i] for i in idx),
-            "warp_rate_bracket": -sum(
-                d.b[i] * d.db[i] ** 4 * d.ddb[i]
-                * (d.gVW[i] ** 2 - d.gVV[i] * d.gWW[i]) for i in idx),
-        }
-        # printed as  -h'' + sum b^2 g_F(W,W);  h is a pointwise scalar here,
-        # so the literal second derivative contributes nothing
-        denominator = 0.0 + sum(d.b[j] ** 2 * d.gWW[j] for j in idx)
-        return NullCurvatureResult.from_terms(terms, denominator)
-
-    raise ValidationError(f"unknown path {path!r}")
-
-# ---------------------------------------------------------------------------
-# GRW evaluator and the exponential-warping remark
-# ---------------------------------------------------------------------------
-
-def grw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                       plane: NullPlane,
-                       path: str = "derived") -> NullCurvatureResult:
-    """Single-fiber closed form on a validated plane.
-
-    The printed corollary drops the mixed Hessian term, flips the sign of
-    the H(Y,Y) term, and evaluates the warp-rate bracket with
-    ``g(V,W)^2 - g_F(W,W)/b^2`` under a plus sign; all three mismatches
-    are oracle-adjudicated in favor of the derived form.
-    """
-    if spec.kind not in ("GRW", "MGRW", "Kasner") or spec.m != 1:
-        raise ValidationError("grw_null_curvature requires a single-fiber model")
-    plane.validate(tol=1e-9)
-    d = _time_data(spec, p, plane.L, plane.S)
+def _single_derived(d: _TimeData) -> NullCurvatureResult:
+    """The oracle-verified single-fiber sum (GRW and type 1); it keeps the
+    mixed Hessian pair as one ``hess_mixed`` term."""
     b, db, ddb = d.b[0], d.db[0], d.ddb[0]
     gvv, gvw, gww, r = d.gVV[0], d.gVW[0], d.gWW[0], d.rF[0]
     h = d.h
-    denominator = -h * h + b * b * gww
+    terms = {
+        "warp_acc_WW": -b * ddb * gww,
+        "fiber_curvature": b * b * r,
+        "hess_YY": -b * ddb * h * h * gvv,
+        "hess_mixed": -2.0 * b * ddb * h * gvw,
+        "warp_rate_bracket": b * b * db * db * (gvv * gww - gvw * gvw),
+    }
+    return NullCurvatureResult.from_terms(terms, -h * h + b * b * gww)
 
-    if path == "derived":
-        terms = {
-            "warp_acc_WW": -b * ddb * gww,
-            "fiber_curvature": b * b * r,
-            "hess_YY": -b * ddb * h * h * gvv,
-            "hess_mixed": -2.0 * b * ddb * h * gvw,
-            "warp_rate_bracket": b * b * db * db * (gvv * gww - gvw * gvw),
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
+# the printed displays, transcribed literally, typos included
 
-    if path == "printed":
-        terms = {
-            "warp_acc_WW": -b * ddb * gww,
-            "fiber_curvature": b * b * r,
-            "hess_YY": b * gvv * h * h * ddb,
-            "hess_mixed": 0.0,
-            "warp_rate_bracket": b * b * db * db * (gvw * gvw - gww / (b * b)),
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-
-    raise ValidationError(f"unknown path {path!r}")
-
-def grw_remark_value(spec: ManifoldSpec, p: Point | PointContext,
-                     plane: NullPlane,
-                     path: str = "derived") -> float:
-    """The base-free (Y = 0) value K_F/b^2 +- (b''/b - (b'/b)^2).
-
-    The published remark attaches the correction with a plus sign; the
-    oracle fixes it to minus.  Both orientations vanish exactly when the
-    warping is c * e^(k t), which is the remark's characterization.
-    """
-    d = _time_data(spec, p, plane.L, plane.S)
-    if abs(d.h) > _SHAPE_TOL:
-        raise ValidationError("remark form applies to planes with no base part")
-    b, db, ddb = d.b[0], d.db[0], d.ddb[0]
-    qf = d.gVV[0] * d.gWW[0] - d.gVW[0] ** 2
-    kf = d.rF[0] / qf
-    correction = ddb / b - (db / b) ** 2
-    if path == "derived":
-        return kf / (b * b) - correction
-    if path == "printed":
-        return kf / (b * b) + correction
-    raise ValidationError(f"unknown path {path!r}")
-
-# ---------------------------------------------------------------------------
-# generalized Kasner evaluator
-# ---------------------------------------------------------------------------
-
-def kasner_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                          L: TangentVector, S: TangentVector,
-                          path: str = "derived") -> NullCurvatureResult:
-    """Kasner closed form with warpings phi**p_i.
-
-    The derived path carries the full chain rule (phi' and phi'' enter
-    every differentiated warping).  The printed corollary reads as if
-    phi' = 1 and phi'' = 0 in its explicit terms, keeps symbolic Hessians
-    in the mixed terms, and its bracket term accretes an extra
-    p_i (p_i - 1) phi**(p_i - 2) factor; transcribed literally.
-    """
-    if spec.kind != "Kasner":
-        raise ValidationError("kasner_null_curvature requires kind='Kasner'")
-    if path == "derived":
-        return mgrw_null_curvature(spec, p, L, S, path="derived")
-    if path != "printed":
-        raise ValidationError(f"unknown path {path!r}")
-
-    ctx = PointContext.of(spec, p)
-    d = _time_data(spec, ctx, L, S)
-
-    phi, dphi, ddphi = scalar_derivatives(spec.phi.fn, ctx.base_point[0])
-    ps = spec.kasner_exponents
-    m = len(ps)
-    idx = range(m)
+def _mgrw_printed(d: _TimeData) -> NullCurvatureResult:
+    idx = range(len(d.b))
     h = d.h
+    terms = {
+        "hess_mixed_lead": sum(d.b[k] * d.gVW[k] * h * d.ddb[k] for k in idx),
+        "hess_YY": sum(d.b[k] * d.gVV[k] * h * h * d.ddb[k] for k in idx),
+        "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * d.gWW[j] for j in idx),
+        "hess_mixed_trail": sum(d.b[i] * d.gVW[i] * h * d.ddb[i] for i in idx),
+        "cross_fiber_VV_WW": -sum(
+            d.b[k] * d.db[j] ** 2 * d.gVV[k] * d.gWW[j]
+            for j in idx for k in idx if j != k),
+        "cross_fiber_VW_VW": 0.0,
+        "fiber_curvature": sum(d.b[i] ** 2 * d.rF[i] for i in idx),
+        "warp_rate_bracket": -sum(
+            d.b[i] ** 2 * d.db[i] ** 2 * d.ddb[i]
+            * (d.gVW[i] ** 2 - d.gVV[i] * d.gWW[i]) for i in idx),
+    }
+    # the companion derivation sketch prints the denominator as a
+    # product of the base and fiber norms; recorded for the ledger
+    alt = sum(d.b[j] ** 2 * (-h * h) * d.gWW[j] for j in idx)
+    return NullCurvatureResult.from_terms(
+        terms, d.g_SS, extra={"denominator_alt_product": alt})
 
+def _mgrw_corollary(d: _TimeData) -> NullCurvatureResult:
+    idx = range(len(d.b))
+    h = d.h
+    terms = {
+        "hess_mixed_lead": sum(h * d.b[k] * d.ddb[k] * d.gVW[k] for k in idx),
+        "hess_YY": sum(h * h * d.b[k] * d.ddb[k] * d.gVV[k] for k in idx),
+        "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * d.gWW[j] for j in idx),
+        "hess_mixed_trail": sum(h * d.b[i] * d.ddb[i] * d.gVW[i] for i in idx),
+        "cross_fiber_VV_WW": -sum(
+            d.b[k] * d.db[j] ** 2 * d.gVV[k] * d.gWW[j]
+            for j in idx for k in idx if j != k),
+        "cross_fiber_VW_VW": 0.0,
+        "fiber_curvature": sum(d.b[i] ** 2 * d.rF[i] for i in idx),
+        "warp_rate_bracket": -sum(
+            d.b[i] * d.db[i] ** 4 * d.ddb[i]
+            * (d.gVW[i] ** 2 - d.gVV[i] * d.gWW[i]) for i in idx),
+    }
+    # printed as  -h'' + sum b^2 g_F(W,W);  h is a pointwise scalar here,
+    # so the literal second derivative contributes nothing
+    denominator = 0.0 + sum(d.b[j] ** 2 * d.gWW[j] for j in idx)
+    return NullCurvatureResult.from_terms(terms, denominator)
+
+def _grw_printed(d: _TimeData) -> NullCurvatureResult:
+    b, db, ddb = d.b[0], d.db[0], d.ddb[0]
+    gvv, gvw, gww, r = d.gVV[0], d.gVW[0], d.gWW[0], d.rF[0]
+    h = d.h
+    terms = {
+        "warp_acc_WW": -b * ddb * gww,
+        "fiber_curvature": b * b * r,
+        "hess_YY": b * gvv * h * h * ddb,
+        "hess_mixed": 0.0,
+        "warp_rate_bracket": b * b * db * db * (gvw * gvw - gww / (b * b)),
+    }
+    return NullCurvatureResult.from_terms(terms, -h * h + b * b * gww)
+
+def _grw_remark(sign: float):
+    """The base-free value K_F/b^2 + sign (b''/b - (b'/b)^2)."""
+    def form(d: _TimeData) -> float:
+        if abs(d.h) > _SHAPE_TOL:
+            raise ValidationError("remark form applies to planes with no base part")
+        b, db, ddb = d.b[0], d.db[0], d.ddb[0]
+        qf = d.gVV[0] * d.gWW[0] - d.gVW[0] ** 2
+        kf = d.rF[0] / qf
+        correction = ddb / b - (db / b) ** 2
+        return kf / (b * b) + sign * correction
+    return form
+
+def _kasner_printed(d: _TimeData) -> NullCurvatureResult:
+    phi, ps = d.phi, d.ps
+    idx = range(len(ps))
+    h = d.h
     terms = {
         "hess_mixed_lead": sum(
             phi ** ps[k] * d.gVW[k] * h * d.ddb[k] for k in idx),
@@ -501,9 +453,171 @@ def kasner_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
     denominator = sum(phi ** (2.0 * ps[j]) * g_yy + d.gWW[j] for j in idx)
     return NullCurvatureResult.unchecked(terms, denominator, 0.0)
 
-# ---------------------------------------------------------------------------
-# four-dimensional special cases
-# ---------------------------------------------------------------------------
+def _type1_printed(d: _TimeData) -> NullCurvatureResult:
+    """Type 1: no factor on the mixed term, an h^2 sign flip, and a bracket
+    whose last factor prints g(V,W) where the expansion forces g(W,W)."""
+    b, db, ddb = d.b[0], d.db[0], d.ddb[0]
+    gvv, gvw, gww, r = d.gVV[0], d.gVW[0], d.gWW[0], d.rF[0]
+    h = d.h
+    terms = {
+        "hess_YY": h * h * b * ddb * gvv,
+        "warp_acc_WW": -b * ddb * gww,
+        "hess_mixed": b * ddb * gvw,
+        "fiber_curvature": b * b * r,
+        "warp_rate_bracket": -b * b * db * db * (gvw * gvw - gvv * gvw),
+    }
+    return NullCurvatureResult.from_terms(terms, -h * h + b * b * gww)
+
+def _type2_printed(d: _TimeData) -> NullCurvatureResult:
+    """Type 2 (V_1 = f_1 d_x, W_1 = h_1 d_x on the line fiber): the line
+    fiber's mixed pair enters with a plus sign, the surface fiber's mixed
+    term without its -2h factor, H(Y,Y) flipped and without the line
+    fiber, and both cross-fiber terms dropped."""
+    b1, db1, ddb1 = d.b[0], d.db[0], d.ddb[0]
+    b2, db2, ddb2 = d.b[1], d.db[1], d.ddb[1]
+    f1h1, h1h1 = d.gVW[0], d.gWW[0]
+    gvv, gvw, gww, r = d.gVV[1], d.gVW[1], d.gWW[1], d.rF[1]
+    h = d.h
+    terms = {
+        "line_mixed_lead": b1 * f1h1 * h * ddb1,
+        "hess_YY": b2 * h * h * ddb2 * gvv,
+        "warp_acc_WW": -(b1 * ddb1 * h1h1 + b2 * ddb2 * gww),
+        "line_mixed_trail": b1 * f1h1 * h * ddb1,
+        "hess_mixed": b2 * ddb2 * gvw,
+        "fiber_curvature": b2 * b2 * r,
+        "warp_rate_bracket": -b2 * b2 * db2 * db2 * (gvw * gvw - gvv * gww),
+    }
+    denominator = -h * h + b1 * b1 * h1h1 + b2 * b2 * gww
+    return NullCurvatureResult.from_terms(terms, denominator)
+
+def _type3_printed(d: _TimeData) -> NullCurvatureResult:
+    """Type 3 (line fibers, V_i = f_i d_x, W_i = h_i d_x): the first term
+    drops its curvature factor entirely, and g(S,S) is missing the plus
+    between the base and fiber norms, so it vanishes on base-free planes."""
+    phi, ps = d.phi, d.ps
+    idx = range(3)
+    f = d.h
+    comps_v = [float(v[0]) for v in d.v]
+    comps_w = [float(w[0]) for w in d.w]
+    terms = {
+        "lead_fh": -sum(phi ** ps[i] * comps_v[i] * comps_w[i] for i in idx),
+        "hess_YY": sum(
+            phi ** ps[k] * comps_v[k] ** 2 * f * f
+            * ps[k] * (ps[k] - 1.0) * phi ** (ps[k] - 2.0) for k in idx),
+        "warp_acc_WW": -sum(
+            ps[j] * (ps[j] - 1.0) * phi ** (ps[j] - 2.0)
+            * phi ** ps[j] * comps_w[j] ** 2 for j in idx),
+        "hess_mixed": sum(
+            phi ** ps[i] * comps_v[i] * comps_w[i] * f
+            * ps[i] * (ps[i] - 1.0) * phi ** (ps[i] - 2.0) for i in idx),
+        "cross_fiber_VV_WW": -sum(
+            phi ** ps[k] * comps_v[k] ** 2 * ps[j] ** 2
+            * phi ** (2.0 * ps[j] - 2.0) * comps_w[j] ** 2
+            for j in idx for k in idx if j != k),
+    }
+    denominator = -f * f * sum(
+        phi ** (2.0 * ps[j]) * comps_w[j] ** 2 for j in idx)
+    return NullCurvatureResult.unchecked(terms, denominator, 1e-300)
+
+# the gradient-squared prefactor multiplies (g_I(Y, d_t)^2 + g_I(Y, Y))
+# = h^2 - h^2, identically zero for a time-directed base part
+_GRAD_BRACKET = 0.0
+
+def _ssst_derived(f, h, hvv, hvw, hww, rf, grad_sq) -> dict:
+    return {"grad_sq": _GRAD_BRACKET, "hess_VV": f * h * h * hvv,
+            "hess_VW": 2.0 * h * hvw, "hess_WW": hww / f, "fiber_curvature": rf}
+
+def _ssst_printed(flip: float):
+    """``flip`` is the display's H(W,W) sign."""
+    def terms(f, h, hvv, hvw, hww, rf, grad_sq) -> dict:
+        return {"grad_sq": -grad_sq * _GRAD_BRACKET, "hess_VV": f * h * h * hvv,
+                "hess_VW": 0.0, "hess_WW": flip * hww / f,
+                "fiber_curvature": -rf}
+    return terms
+
+# display -> path -> term function.  The displays named after a model kind
+# are that kind's formula paths (``formula_paths``, ``compare``); the type
+# 1/2/3 displays and the remark are library-only.  The time-base term
+# functions take a _TimeData; the static ones the scalars of
+# ssst_null_curvature and return the terms alone.
+_FORMS = {
+    "MGRW": {"derived": _multi_derived, "printed": _mgrw_printed,
+             "printed_corollary": _mgrw_corollary},
+    "GRW": {"derived": _single_derived, "printed": _grw_printed},
+    "Kasner": {"derived": _multi_derived, "printed": _kasner_printed},
+    "SSST": {"derived": _ssst_derived, "printed": _ssst_printed(1.0),
+             "printed_unit_s": _ssst_printed(-1.0)},
+    "GRW remark": {"derived": _grw_remark(-1.0), "printed": _grw_remark(1.0)},
+    "type1": {"derived": _single_derived, "printed": _type1_printed},
+    "type2": {"derived": _multi_derived, "printed": _type2_printed},
+    "type3": {"derived": _multi_derived, "printed": _type3_printed},
+}
+
+def _form(display: str, path: str):
+    try:
+        return _FORMS[display][path]
+    except KeyError:
+        raise ValidationError(f"unknown path {path!r}") from None
+
+def _time_form(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
+               S: TangentVector, display: str, path: str):
+    """One time-base display's path, evaluated on the plane (L, S) at p."""
+    form = _form(display, path)
+    return form(_time_data(spec, p, L, S))
+
+def mgrw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                        L: TangentVector, S: TangentVector,
+                        path: str = "derived") -> NullCurvatureResult:
+    """Closed-form K for L = -d_t + sum V_i, S = h d_t + sum W_j.
+
+    ``path='derived'`` evaluates the oracle-verified term sum;
+    ``path='printed'`` the published theorem display; ``path='printed_corollary'``
+    the published h d_t specialization (whose denominator prints a second
+    derivative of h where the bilinear expansion forces -h^2, and whose
+    bracket term carries an extra (b')^2 b'' factor).
+    """
+    return _time_form(spec, p, L, S, "MGRW", path)
+
+def grw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                       plane: NullPlane,
+                       path: str = "derived") -> NullCurvatureResult:
+    """Single-fiber closed form on a validated plane.
+
+    The printed corollary drops the mixed Hessian term, flips the sign of
+    the H(Y,Y) term, and evaluates the warp-rate bracket with
+    ``g(V,W)^2 - g_F(W,W)/b^2`` under a plus sign; all three mismatches
+    are oracle-adjudicated in favor of the derived form.
+    """
+    if spec.kind not in ("GRW", "MGRW", "Kasner") or spec.m != 1:
+        raise ValidationError("grw_null_curvature requires a single-fiber model")
+    plane.validate(tol=1e-9)
+    return _time_form(spec, p, plane.L, plane.S, "GRW", path)
+
+def grw_remark_value(spec: ManifoldSpec, p: Point | PointContext,
+                     plane: NullPlane,
+                     path: str = "derived") -> float:
+    """The base-free (Y = 0) value K_F/b^2 +- (b''/b - (b'/b)^2).
+
+    The published remark attaches the correction with a plus sign; the
+    oracle fixes it to minus.  Both orientations vanish exactly when the
+    warping is c * e^(k t), which is the remark's characterization.
+    """
+    return _time_form(spec, p, plane.L, plane.S, "GRW remark", path)
+
+def kasner_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
+                          L: TangentVector, S: TangentVector,
+                          path: str = "derived") -> NullCurvatureResult:
+    """Kasner closed form with warpings phi**p_i.
+
+    The derived path carries the full chain rule (phi' and phi'' enter
+    every differentiated warping).  The printed corollary reads as if
+    phi' = 1 and phi'' = 0 in its explicit terms, keeps symbolic Hessians
+    in the mixed terms, and its bracket term accretes an extra
+    p_i (p_i - 1) phi**(p_i - 2) factor; transcribed literally.
+    """
+    if spec.kind != "Kasner":
+        raise ValidationError("kasner_null_curvature requires kind='Kasner'")
+    return _time_form(spec, p, L, S, "Kasner", path)
 
 def _require_signature(spec: ManifoldSpec, dims: tuple[int, ...], who: str) -> None:
     got = tuple(f.dim for f in spec.fibers)
@@ -513,79 +627,24 @@ def _require_signature(spec: ManifoldSpec, dims: tuple[int, ...], who: str) -> N
 def type1_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
                          L: TangentVector, S: TangentVector,
                          path: str = "derived") -> NullCurvatureResult:
-    """Single 3-dimensional fiber.  Printed form: no factor on the mixed
-    term, an h^2 sign flip, and a bracket whose last factor prints
-    g(V,W) where the expansion forces g(W,W)."""
+    """Single 3-dimensional fiber; the derived path is the GRW sum."""
     _require_signature(spec, (3,), "type1_null_curvature")
-    d = _time_data(spec, p, L, S)
-    b, db, ddb = d.b[0], d.db[0], d.ddb[0]
-    gvv, gvw, gww, r = d.gVV[0], d.gVW[0], d.gWW[0], d.rF[0]
-    h = d.h
-    denominator = -h * h + b * b * gww
-    if path == "derived":
-        terms = {
-            "hess_YY": -h * h * b * ddb * gvv,
-            "warp_acc_WW": -b * ddb * gww,
-            "hess_mixed": -2.0 * h * b * ddb * gvw,
-            "fiber_curvature": b * b * r,
-            "warp_rate_bracket": b * b * db * db * (gvv * gww - gvw * gvw),
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    if path == "printed":
-        terms = {
-            "hess_YY": h * h * b * ddb * gvv,
-            "warp_acc_WW": -b * ddb * gww,
-            "hess_mixed": b * ddb * gvw,
-            "fiber_curvature": b * b * r,
-            "warp_rate_bracket": -b * b * db * db * (gvw * gvw - gvv * gvw),
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    raise ValidationError(f"unknown path {path!r}")
+    return _time_form(spec, p, L, S, "type1", path)
 
 def type2_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
                          L: TangentVector, S: TangentVector,
                          path: str = "derived") -> NullCurvatureResult:
-    """Fiber signature (1, 2): a line fiber V_1 = f_1 d_x, W_1 = h_1 d_x
-    plus a surface fiber."""
+    """Fiber signature (1, 2): a line fiber plus a surface fiber; the
+    derived path is the MGRW sum."""
     _require_signature(spec, (1, 2), "type2_null_curvature")
-    d = _time_data(spec, p, L, S)
-    b1, db1, ddb1 = d.b[0], d.db[0], d.ddb[0]
-    b2, db2, ddb2 = d.b[1], d.db[1], d.ddb[1]
-    f1h1, f1f1, h1h1 = d.gVW[0], d.gVV[0], d.gWW[0]
-    gvv, gvw, gww, r = d.gVV[1], d.gVW[1], d.gWW[1], d.rF[1]
-    h = d.h
-    denominator = -h * h + b1 * b1 * h1h1 + b2 * b2 * gww
-    if path == "derived":
-        terms = {
-            "hess_mixed": -2.0 * h * (b1 * ddb1 * f1h1 + b2 * ddb2 * gvw),
-            "hess_YY": -h * h * (b1 * ddb1 * f1f1 + b2 * ddb2 * gvv),
-            "warp_acc_WW": -(b1 * ddb1 * h1h1 + b2 * ddb2 * gww),
-            "cross_fiber_VV_WW": b1 * db1 * b2 * db2 * (f1f1 * gww + h1h1 * gvv),
-            "cross_fiber_VW_VW": -2.0 * b1 * db1 * b2 * db2 * f1h1 * gvw,
-            "fiber_curvature": b2 * b2 * r,
-            "warp_rate_bracket": b2 * b2 * db2 * db2 * (gvv * gww - gvw * gvw),
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    if path == "printed":
-        terms = {
-            "line_mixed_lead": b1 * f1h1 * h * ddb1,
-            "hess_YY": b2 * h * h * ddb2 * gvv,
-            "warp_acc_WW": -(b1 * ddb1 * h1h1 + b2 * ddb2 * gww),
-            "line_mixed_trail": b1 * f1h1 * h * ddb1,
-            "hess_mixed": b2 * ddb2 * gvw,
-            "fiber_curvature": b2 * b2 * r,
-            "warp_rate_bracket": -b2 * b2 * db2 * db2 * (gvw * gvw - gvv * gww),
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    raise ValidationError(f"unknown path {path!r}")
+    return _time_form(spec, p, L, S, "type2", path)
 
 def type3_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
                          L: TangentVector, S: TangentVector,
                          path: str = "derived") -> NullCurvatureResult:
     """Three line fibers with Kasner warpings; exponents must satisfy
-    sum p_i = sum p_i^2 = 1 (checked to 1e-12).  The printed display's
-    first term drops its curvature factor entirely and its displayed
-    g(S,S) is missing the plus between the base and fiber norms."""
+    sum p_i = sum p_i^2 = 1 (checked to 1e-12).  The derived path is the
+    MGRW sum."""
     _require_signature(spec, (1, 1, 1), "type3_null_curvature")
     ps = spec.kasner_exponents
     if ps is None:
@@ -594,59 +653,7 @@ def type3_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
         raise ConstraintError(
             f"Kasner constraint violated: sum p = {sum(ps)}, "
             f"sum p^2 = {sum(q * q for q in ps)}")
-    ctx = PointContext.of(spec, p)
-    d = _time_data(spec, ctx, L, S)
-    idx = range(3)
-    f = d.h
-    # line fibers: V_i = f_i d_x, W_i = h_i d_x; signed coefficients
-    comps_v = [float(vpart[0]) for vpart in _oriented_time_L(L, 1.0).fiber_parts]
-    comps_w = [float(wpart[0]) for wpart in S.fiber_parts]
-
-    if path == "derived":
-        terms = {
-            "hess_mixed": -2.0 * f * sum(
-                d.b[i] * d.ddb[i] * comps_v[i] * comps_w[i] for i in idx),
-            "hess_YY": -f * f * sum(
-                d.b[i] * d.ddb[i] * comps_v[i] ** 2 for i in idx),
-            "warp_acc_WW": -sum(d.b[j] * d.ddb[j] * comps_w[j] ** 2 for j in idx),
-            "cross_fiber_VV_WW": sum(
-                d.b[i] * d.db[i] * d.b[j] * d.db[j]
-                * comps_v[i] ** 2 * comps_w[j] ** 2
-                for i in idx for j in idx if i != j),
-            "cross_fiber_VW_VW": -sum(
-                d.b[i] * d.db[i] * d.b[j] * d.db[j]
-                * comps_v[i] * comps_w[i] * comps_v[j] * comps_w[j]
-                for i in idx for j in idx if i != j),
-        }
-        denominator = -f * f + sum(d.b[j] ** 2 * comps_w[j] ** 2 for j in idx)
-        return NullCurvatureResult.from_terms(terms, denominator)
-
-    if path == "printed":
-        phi, _, _ = scalar_derivatives(spec.phi.fn, ctx.base_point[0])
-        terms = {
-            "lead_fh": -sum(phi ** ps[i] * comps_v[i] * comps_w[i] for i in idx),
-            "hess_YY": sum(
-                phi ** ps[k] * comps_v[k] ** 2 * f * f
-                * ps[k] * (ps[k] - 1.0) * phi ** (ps[k] - 2.0) for k in idx),
-            "warp_acc_WW": -sum(
-                ps[j] * (ps[j] - 1.0) * phi ** (ps[j] - 2.0)
-                * phi ** ps[j] * comps_w[j] ** 2 for j in idx),
-            "hess_mixed": sum(
-                phi ** ps[i] * comps_v[i] * comps_w[i] * f
-                * ps[i] * (ps[i] - 1.0) * phi ** (ps[i] - 2.0) for i in idx),
-            "cross_fiber_VV_WW": -sum(
-                phi ** ps[k] * comps_v[k] ** 2 * ps[j] ** 2
-                * phi ** (2.0 * ps[j] - 2.0) * comps_w[j] ** 2
-                for j in idx for k in idx if j != k),
-        }
-        denominator = -f * f * sum(
-            phi ** (2.0 * ps[j]) * comps_w[j] ** 2 for j in idx)
-        return NullCurvatureResult.unchecked(terms, denominator, 1e-300)
-    raise ValidationError(f"unknown path {path!r}")
-
-# ---------------------------------------------------------------------------
-# standard static evaluator
-# ---------------------------------------------------------------------------
+    return _time_form(spec, p, L, S, "type3", path)
 
 def ssst_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
                         plane: NullPlane,
@@ -674,44 +681,16 @@ def ssst_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
             f"L must have base coefficient +-1/f = {1.0 / f:.6g}, got {a:.6g}")
     if a > 0:
         L = -L
-    S = plane.S
-    h = float(S.base_part)
-
+    h = float(plane.S.base_part)
     wd = ctx.warp_bundle[0]
     v = np.asarray(L.fiber_parts[0], float)
-    w = np.asarray(S.fiber_parts[0], float)
+    w = np.asarray(plane.S.fiber_parts[0], float)
     G = ctx.fiber_metrics[0]
-    hvv = float(v @ wd.hess @ v)
-    hvw = float(v @ wd.hess @ w)
-    hww = float(w @ wd.hess @ w)
-    gww = float(w @ G @ w)
-    rf = _spatial_curvature_quadratic(ctx, v, w, G)
-    denominator = -f * f * h * h + gww
-    # the gradient-squared prefactor multiplies
-    # (g_I(Y, d_t)^2 + g_I(Y, Y)) = h^2 - h^2, identically zero for a
-    # time-directed base part
-    grad_bracket = 0.0
-
-    if path == "derived":
-        terms = {
-            "grad_sq": grad_bracket,
-            "hess_VV": f * h * h * hvv,
-            "hess_VW": 2.0 * h * hvw,
-            "hess_WW": hww / f,
-            "fiber_curvature": rf,
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    if path in ("printed", "printed_unit_s"):
-        flip = -1.0 if path == "printed_unit_s" else 1.0  # its H(W,W) sign
-        terms = {
-            "grad_sq": -wd.grad_sq * grad_bracket,
-            "hess_VV": f * h * h * hvv,
-            "hess_VW": 0.0,
-            "hess_WW": flip * hww / f,
-            "fiber_curvature": -rf,
-        }
-        return NullCurvatureResult.from_terms(terms, denominator)
-    raise ValidationError(f"unknown path {path!r}")
+    terms = _form("SSST", path)(
+        f, h, float(v @ wd.hess @ v), float(v @ wd.hess @ w),
+        float(w @ wd.hess @ w), _spatial_curvature_quadratic(ctx, v, w, G),
+        wd.grad_sq)
+    return NullCurvatureResult.from_terms(terms, -f * f * h * h + float(w @ G @ w))
 
 def _spatial_curvature_quadratic(ctx: PointContext, v, w, G) -> float:
     """g_F(R_F(V,W)W, V) on the static model's spatial factor."""
@@ -754,29 +733,20 @@ def ssst_remark_value(spec: ManifoldSpec, p: Point | PointContext,
 # ---------------------------------------------------------------------------
 
 def formula_paths(spec: ManifoldSpec) -> tuple[str, ...]:
-    """Formula paths available for this spec's specialized evaluator."""
-    if spec.kind == "SSST":
-        return ("derived", "printed", "printed_unit_s")
-    if spec.kind == "Kasner":
-        return ("derived", "printed")
-    if spec.kind == "GRW":
-        return ("derived", "printed")
-    if spec.kind == "MGRW":
-        return ("derived", "printed", "printed_corollary")
-    return ("derived",)
+    """Formula paths available for this spec's specialized evaluator: its
+    kind's display in the closed-form table, else the generic expansion."""
+    return tuple(_FORMS[spec.kind]) if spec.kind in _FORMS else ("derived",)
 
 def specialized_null_curvature(spec: ManifoldSpec, plane: NullPlane,
                                path: str = "derived") -> NullCurvatureResult:
-    """Route a plane to the model's specialized closed-form evaluator."""
+    """Route a plane to its model kind's display in the closed-form table."""
     p = PointContext.of(spec, plane.context or plane.point)
     if spec.kind == "SSST":
         return ssst_null_curvature(spec, p, plane, path=path)
     if spec.kind == "GRW":
         return grw_null_curvature(spec, p, plane, path=path)
-    if spec.kind == "Kasner":
-        return kasner_null_curvature(spec, p, plane.L, plane.S, path=path)
-    if spec.kind == "MGRW":
-        return mgrw_null_curvature(spec, p, plane.L, plane.S, path=path)
+    if spec.kind in _FORMS:
+        return _time_form(spec, p, plane.L, plane.S, spec.kind, path)
     if path != "derived":
         raise ValidationError(f"{spec.kind} has no printed closed form")
     return null_curvature_generic(spec, plane)

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _DET_TOL = 1e-12
+MAX_CHART_DIM = 8  # largest chart, and largest spec-file fiber, supported
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,9 @@ class CoordinateChart:
     domain: Callable[[Sequence[float]], bool] | None = None
 
     def __post_init__(self):
-        if not 1 <= self.dim <= 8:
-            raise ShapeError("charts are supported up to dimension 8")
+        if not 1 <= self.dim <= MAX_CHART_DIM:
+            raise ShapeError(
+                f"charts are supported up to dimension {MAX_CHART_DIM}")
 
     def check_point(self, x: Sequence[float]) -> None:
         if len(x) != self.dim:

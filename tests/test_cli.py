@@ -284,3 +284,59 @@ class TestInputErrors:
         assert "Traceback" not in out.stderr
         assert len(out.stderr.splitlines()) == 1
         assert message in out.stderr
+
+    @pytest.mark.parametrize("dim", [0, 9, 3000, 1e308])
+    def test_fiber_dim_out_of_range_is_2(self, tmp_path, dim):
+        """The bound is checked before any fiber is built."""
+        spec = {**self.GRW, "fibers": [{"dim": dim, "model": "euclidean"}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = run_cli("report", str(path))
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            f"error: spec: field 'fibers[0].dim' must be an integer from 1 "
+            f"to 8, got {float(dim)!r}"]
+
+    @pytest.mark.parametrize("window", [("-inf", "0"), ("nan", "1"),
+                                        ("-1e308", "1e308")])
+    def test_non_finite_scan_window_is_2(self, window):
+        out = run_cli("scan", "minkowski", f"--from={window[0]}",
+                      f"--to={window[1]}")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "error: --from and --to must be finite numbers with a finite span"]
+
+    @pytest.mark.parametrize("model,window,message", [
+        ("grw_exponential", ("5e16", "5e16"), "math range error"),
+        ("kasner_vacuum", ("1.1", "3e218"), "overflow encountered in det"),
+    ], ids=["python-overflow", "numpy-overflow"])
+    def test_overflow_is_3(self, model, window, message):
+        """A model that overflows at the point exits 3, whether Python or
+        numpy overflows; numpy's would otherwise be a warning and a row."""
+        out = run_cli("scan", model, f"--from={window[0]}",
+                      f"--to={window[1]}", "--steps=3", "--quantity=ricci")
+        assert out.returncode == 3
+        assert out.stderr.splitlines() == [
+            f"error: the model cannot be evaluated here: {message}"]
+
+    def test_ledger_directory_is_2(self, tmp_path):
+        out = run_cli("compare", "minkowski", "--samples", "1",
+                      "--ledger", str(tmp_path))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_4(self, monkeypatch, capsys):
+        """Exit 1 stays compare's finding; a crash prints its traceback
+        and exits 4."""
+        from warpcurv import cli
+
+        def crash(args):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "cmd_report", crash)
+        assert cli.main(["report", "minkowski"]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert err.rstrip().endswith("RuntimeError: boom")

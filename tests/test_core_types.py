@@ -277,6 +277,16 @@ class TestFiberSpec:
         for name in ("minkowski", "kasner_vacuum", "einstein_static"):
             by_name(name).spec.validate_structure()
 
+    def test_library_specs_validated_on_construction(self):
+        """A spec built in code gets the checks a spec file gets."""
+        with pytest.raises(ValidationError, match=(
+                r"fiber metric not positive definite at \(1\.1, 0\.4\)")):
+            grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(1.0),
+                     sphere_fiber(2, 0.0))
+        with pytest.raises(ValidationError, match="warping must be positive"):
+            grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(-1.0),
+                     euclidean_fiber(3))
+
 
 # ---------------------------------------------------------------------------
 # JSON serialization

@@ -619,3 +619,177 @@ class TestPrintedPaths:
         h = plane.S.base_part
         assert cor.denominator - derived.denominator == pytest.approx(
             h * h, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# printed displays of the four-dimensional special cases
+# ---------------------------------------------------------------------------
+
+def _fiber_scalars(spec, plane, i):
+    """(b, b', b'', g_F(V,V), g_F(V,W), g_F(W,W)) of fiber i, recomputed
+    from the spec with L oriented to base coefficient -1."""
+    L = plane.L if plane.L.base_part < 0 else -plane.L
+    b, db, ddb = spec.warpings[i].derivatives(plane.point.t)
+    G = spec.fibers[i].metric_matrix(plane.point.fiber_coords[i])
+    v = np.array(L.fiber_parts[i])
+    w = np.array(plane.S.fiber_parts[i])
+    return b, db, ddb, v @ G @ v, v @ G @ w, w @ G @ w
+
+
+def _displays(evaluator, spec, plane):
+    """The derived and printed results of one evaluator on a plane."""
+    return [evaluator(spec, plane.point, plane.L, plane.S, path)
+            for path in ("derived", "printed")]
+
+
+def _mixed(res):
+    """The mixed Hessian contribution, whether kept as one term or as a
+    lead/trail pair."""
+    return sum(v for k, v in res.breakdown.items() if k.startswith("hess_mixed"))
+
+
+def _type2_spec():
+    return mgrw_spec(
+        Interval(0.0, math.inf),
+        [WarpingFunction.from_form("power", {"c": 1.0, "q": 1.5}),
+         WarpingFunction.from_form("exp", {"c": 1.0, "k": 0.4})],
+        [euclidean_fiber(1, ("x",)), sphere_fiber(2, 1.3)])
+
+
+def _planes(spec, points, seed, base_free=False):
+    rng = np.random.default_rng(seed)
+    return [sample_plane(spec, p, rng, base_free=base_free) for p in points]
+
+
+CLOSE = dict(rel=1e-10, abs=1e-12)
+
+
+class TestTypePrintedDisplays:
+    """Each documented erratum of the type 1/2/3 printed displays, term by
+    term against the derived display of the same plane."""
+
+    def _type1_planes(self):
+        entry = by_name("grw_exponential")
+        rng = np.random.default_rng(40)
+        return entry.spec, _planes(entry.spec,
+                                   [entry.random_point(rng) for _ in range(12)], 41)
+
+    def test_type1_hess_YY_sign_flip(self):
+        spec, planes = self._type1_planes()
+        for plane in planes:
+            d, pr = _displays(type1_null_curvature, spec, plane)
+            assert d.breakdown["hess_YY"] != 0.0
+            assert pr.breakdown["hess_YY"] == pytest.approx(
+                -d.breakdown["hess_YY"], **CLOSE)
+
+    def test_type1_unchanged_terms(self):
+        spec, planes = self._type1_planes()
+        for plane in planes:
+            d, pr = _displays(type1_null_curvature, spec, plane)
+            for key in ("warp_acc_WW", "fiber_curvature", "denominator"):
+                assert pr.breakdown[key] == d.breakdown[key]
+
+    def test_type1_mixed_term_has_no_factor(self):
+        """Printed b b'' g(V,W) where the expansion gives -2 h b b'' g(V,W)."""
+        spec, planes = self._type1_planes()
+        for plane in planes:
+            h = plane.S.base_part
+            d, pr = _displays(type1_null_curvature, spec, plane)
+            assert abs(h) > 1e-3
+            assert -2.0 * h * pr.breakdown["hess_mixed"] == pytest.approx(
+                _mixed(d), **CLOSE)
+
+    def test_type1_bracket_prints_gVW_for_gWW(self):
+        spec, planes = self._type1_planes()
+        for plane in planes:
+            b, db, _, gvv, gvw, gww = _fiber_scalars(spec, plane, 0)
+            d, pr = _displays(type1_null_curvature, spec, plane)
+            assert pr.breakdown["warp_rate_bracket"] - \
+                d.breakdown["warp_rate_bracket"] == pytest.approx(
+                    b * b * db * db * gvv * (gvw - gww), **CLOSE)
+
+    def _type2_planes(self):
+        spec = _type2_spec()
+        rng = np.random.default_rng(42)
+        points = [Point(rng.uniform(0.5, 2.0),
+                        ((rng.uniform(-1.0, 1.0),),
+                         (rng.uniform(0.6, 2.5), rng.uniform(0.0, 6.0))))
+                  for _ in range(12)]
+        return spec, _planes(spec, points, 43)
+
+    def test_type2_line_fiber_mixed_pair_and_bare_surface_mixed(self):
+        """The line fiber's mixed pair enters with + h b1 b1'' f1 h1 twice,
+        the surface fiber's mixed term without its -2 h factor."""
+        spec, planes = self._type2_planes()
+        for plane in planes:
+            h = plane.S.base_part
+            d, pr = _displays(type2_null_curvature, spec, plane)
+            assert pr.breakdown["line_mixed_lead"] == pr.breakdown["line_mixed_trail"]
+            assert pr.breakdown["line_mixed_lead"] != 0.0
+            assert (-pr.breakdown["line_mixed_lead"] - pr.breakdown["line_mixed_trail"]
+                    - 2.0 * h * pr.breakdown["hess_mixed"]) == pytest.approx(
+                        _mixed(d), **CLOSE)
+
+    def test_type2_hess_YY_drops_line_fiber_and_flips_sign(self):
+        spec, planes = self._type2_planes()
+        for plane in planes:
+            h = plane.S.base_part
+            b1, _, ddb1, f1f1, _, _ = _fiber_scalars(spec, plane, 0)
+            d, pr = _displays(type2_null_curvature, spec, plane)
+            assert d.breakdown["hess_YY"] + pr.breakdown["hess_YY"] == \
+                pytest.approx(-h * h * b1 * ddb1 * f1f1, **CLOSE)
+
+    def test_type2_drops_cross_fiber_terms(self):
+        spec, planes = self._type2_planes()
+        for plane in planes:
+            d, pr = _displays(type2_null_curvature, spec, plane)
+            assert d.breakdown["cross_fiber_VV_WW"] != 0.0
+            assert not any(k.startswith("cross_fiber") for k in pr.breakdown)
+            for key in ("warp_acc_WW", "fiber_curvature", "warp_rate_bracket",
+                        "denominator"):
+                assert pr.breakdown[key] == pytest.approx(d.breakdown[key], **CLOSE)
+
+    def _type3_planes(self, base_free=False):
+        entry = by_name("kasner_vacuum")
+        rng = np.random.default_rng(44)
+        return entry.spec, _planes(entry.spec,
+                                   [entry.random_point(rng) for _ in range(12)],
+                                   45, base_free=base_free)
+
+    def test_type3_first_term_drops_curvature_factor(self):
+        """lead_fh = -sum b_i f_i h_i: neither b_i'' nor the base
+        coefficient of S survives; the derived mixed term carries both."""
+        spec, planes = self._type3_planes()
+        for plane in planes:
+            h = plane.S.base_part
+            d, pr = _displays(type3_null_curvature, spec, plane)
+            lead = 0.0
+            for i in range(3):
+                b, _, _, _, gvw, _ = _fiber_scalars(spec, plane, i)
+                lead -= b * gvw
+            assert pr.breakdown["lead_fh"] == pytest.approx(lead, **CLOSE)
+            assert -2.0 * pr.breakdown["hess_mixed"] == pytest.approx(
+                _mixed(d), **CLOSE)
+            assert pr.breakdown["hess_YY"] == pytest.approx(
+                -d.breakdown["hess_YY"], **CLOSE)
+            assert pr.breakdown["warp_acc_WW"] == pytest.approx(
+                d.breakdown["warp_acc_WW"], **CLOSE)
+            assert h != 0.0
+
+    def test_type3_product_denominator(self):
+        """The printed g(S,S) multiplies the base and fiber norms."""
+        spec, planes = self._type3_planes()
+        for plane in planes:
+            h = plane.S.base_part
+            d, pr = _displays(type3_null_curvature, spec, plane)
+            assert pr.denominator == pytest.approx(
+                -h * h * (d.denominator + h * h), **CLOSE)
+            assert math.isfinite(pr.value)
+
+    def test_type3_product_denominator_is_nan_on_base_free_planes(self):
+        spec, planes = self._type3_planes(base_free=True)
+        for plane in planes:
+            d, pr = _displays(type3_null_curvature, spec, plane)
+            assert math.isfinite(d.value)
+            assert pr.denominator == 0.0
+            assert math.isnan(pr.value)
