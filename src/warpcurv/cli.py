@@ -36,7 +36,8 @@ from .models import CatalogEntry, by_name
 from .null_sectional import (formula_paths, isotropy_summary,
                              null_curvature_generic, sample_plane,
                              specialized_null_curvature)
-from .tensor_oracle import (lowered_riemann, null_sectional_from_tensors,
+from .tensor_oracle import (lowered_riemann, lowered_riemann_batch,
+                            null_sectional_batch, null_sectional_from_tensors,
                             riemann_oracle, riemann_oracle_batch)
 from .warped_formulas import ricci_matrix
 
@@ -264,16 +265,22 @@ def cmd_compare(args) -> int:
             rng = np.random.default_rng(np.uint64(plane_seed))
             ctx = PointContext(spec, entry.random_point(rng))
             draws.append((plane_seed, sample_plane(spec, ctx, rng)))
-        # the evaluators reuse the context each plane was drawn at
+        # the evaluators reuse the context each plane was drawn at; the
+        # chunk's curvature tensors are built in one batch, and with them
+        # the base tensors and warp bundles they are built from
         contexts = [plane.context for _, plane in draws]
-        PointContext.fill_base_tensors(contexts)
+        PointContext.fill_riemann_tensors(contexts)
         batch = riemann_oracle_batch(chart, [c.point.flat(spec)
                                              for c in contexts])
-        for (plane_seed, plane), tensors in zip(draws, batch):
+        k_oracles = null_sectional_batch(
+            batch, [flatten(plane.L) for _, plane in draws],
+            [flatten(plane.S) for _, plane in draws])
+        peaks = np.abs(lowered_riemann_batch(batch)).max(axis=(1, 2, 3, 4))
+        del batch  # before the next chunk's batch is built
+        for (plane_seed, plane), k_oracle, peak in zip(
+                draws, k_oracles.tolist(), peaks.tolist()):
             x = list(plane.context.point.flat(spec))
-            k_oracle = null_sectional_from_tensors(tensors, flatten(plane.L),
-                                                   flatten(plane.S))
-            scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
+            scale = max(1.0, peak)
             tol = max(COMPARE_ABS_TOL, COMPARE_REL_TOL * scale)
             coords = {"model": name, "point": x, "plane_seed": plane_seed}
 
@@ -318,19 +325,35 @@ def _ledger_row(coords: dict, term: str, path_a: str, path_b: str,
 
 def write_ledger(fh, rows) -> None:
     """Write ledger rows, one at a time from a fixed template; the bytes
-    are those of ``json.dump(rows, fh, indent=2)`` and a newline."""
+    are those of ``json.dump(rows, fh, indent=2)`` and a newline.  The
+    head of a row (model, point, plane_seed) is formatted once for a run
+    of rows of one sample, and each distinct string is spelled once."""
+    spelled: dict[str, str] = {}
+
+    def spell(text: str) -> str:
+        if text not in spelled:
+            spelled[text] = json.dumps(text)
+        return spelled[text]
+
     sep = "[\n"
+    sample = head = None
     for row in rows:
-        coords = ",\n      ".join(map(_json_number, row["point"]))
-        point = f"[\n      {coords}\n    ]" if coords else "[]"
+        model, point, plane_seed = row["model"], row["point"], row["plane_seed"]
+        # rows of one sample share its point list
+        if sample is None or point is not sample[1] \
+                or (model, plane_seed) != (sample[0], sample[2]):
+            coords = ",\n      ".join(map(_json_number, point))
+            listed = f"[\n      {coords}\n    ]" if coords else "[]"
+            head = (f'  {{\n'
+                    f'    "model": {spell(model)},\n'
+                    f'    "point": {listed},\n'
+                    f'    "plane_seed": {_json_number(plane_seed)},\n')
+            sample = (model, point, plane_seed)
         fh.write(
-            f'{sep}  {{\n'
-            f'    "model": {json.dumps(row["model"])},\n'
-            f'    "point": {point},\n'
-            f'    "plane_seed": {_json_number(row["plane_seed"])},\n'
-            f'    "term": {json.dumps(row["term"])},\n'
-            f'    "path_a": {json.dumps(row["path_a"])},\n'
-            f'    "path_b": {json.dumps(row["path_b"])},\n'
+            f'{sep}{head}'
+            f'    "term": {spell(row["term"])},\n'
+            f'    "path_a": {spell(row["path_a"])},\n'
+            f'    "path_b": {spell(row["path_b"])},\n'
             f'    "value_a": {_json_number(row["value_a"])},\n'
             f'    "value_b": {_json_number(row["value_b"])},\n'
             f'    "abs_diff": {_json_number(row["abs_diff"])}\n'

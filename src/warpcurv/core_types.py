@@ -306,9 +306,19 @@ def euclidean_fiber(dim: int, names: tuple[str, ...] | None = None) -> FiberSpec
                      sample_coords=tuple(0.1 * (i + 1) for i in range(dim)))
 
 
+def _require_radius(radius: float, model: str) -> float:
+    """A fiber radius as a float; a negative one describes no space.  A
+    zero radius passes here and fails the fiber's positivity check."""
+    r = float(radius)
+    if r < 0.0:
+        raise ValidationError(f"{model} radius must not be negative, got {r!r}")
+    return r
+
+
 def sphere_fiber(dim: int, radius: float = 1.0) -> FiberSpec:
     """Round sphere of the given radius in hyperspherical coordinates."""
-    r2 = float(radius) ** 2
+    radius = _require_radius(radius, "sphere")
+    r2 = radius ** 2
     if dim == 1:
         metric = lambda c: [[r2]]
         names, sample, guard = ("phi",), (0.3,), None
@@ -326,13 +336,14 @@ def sphere_fiber(dim: int, radius: float = 1.0) -> FiberSpec:
     else:
         raise ValidationError("sphere fibers supported for dim <= 3")
     return FiberSpec(dim=dim, metric=metric, curvature_tag="sphere", model="sphere",
-                     radius=float(radius), coord_names=names, domain=guard,
+                     radius=radius, coord_names=names, domain=guard,
                      sample_coords=sample)
 
 
 def hyperbolic_fiber(dim: int, radius: float = 1.0) -> FiberSpec:
     """Hyperbolic space of curvature -1/radius^2 in polar coordinates."""
-    r2 = float(radius) ** 2
+    radius = _require_radius(radius, "hyperbolic")
+    r2 = radius ** 2
     if dim == 2:
         def metric(c):
             return [[r2, 0.0], [0.0, r2 * hd.sinh(c[0]) ** 2]]
@@ -349,7 +360,7 @@ def hyperbolic_fiber(dim: int, radius: float = 1.0) -> FiberSpec:
     else:
         raise ValidationError("hyperbolic fibers supported for dim in (2, 3)")
     return FiberSpec(dim=dim, metric=metric, curvature_tag="hyperbolic",
-                     model="hyperbolic", radius=float(radius), coord_names=names,
+                     model="hyperbolic", radius=radius, coord_names=names,
                      domain=guard, sample_coords=sample)
 
 
@@ -674,15 +685,17 @@ class PointContext:
     warping values (the potential f for SSST), their derivative bundle and
     the chart-oracle tensors of the base and of each fiber are computed on
     first use, once per slot; all arrays are read-only.  A caller holding
-    many contexts may fill their base tensors in one batched oracle call
-    first (:meth:`fill_base_tensors`).  A filled slot
-    keeps its value (two threads filling it at once compute the same
-    bits), so a context may be shared between threads.
+    many contexts may fill their base tensors, warp bundles and curvature
+    tensors in one batched call each first (:meth:`fill_base_tensors`,
+    :meth:`fill_warp_bundles`, :meth:`fill_riemann_tensors`); a lone
+    fill is a batch of one, so a slot holds the same bits whoever filled
+    it.  A filled slot keeps its value (two threads filling it at once
+    compute the same bits), so a context may be shared between threads.
     """
 
     __slots__ = ("spec", "point", "base_point", "fiber_points", "fiber_rows",
                  "fiber_metrics", "base_rows", "_warps", "_warp_bundle",
-                 "_base_tensors", "_fiber_tensors")
+                 "_base_tensors", "_fiber_tensors", "_riemann")
 
     def __init__(self, spec: ManifoldSpec, p: Point):
         p.validate(spec)
@@ -695,7 +708,8 @@ class PointContext:
                                    for rows in self.fiber_rows)
         _read_only(*self.fiber_metrics)
         self._fiber_tensors = [None] * spec.m
-        self._base_tensors = self._warp_bundle = self._warps = self.base_rows = None
+        self._base_tensors = self._warp_bundle = self._warps = None
+        self._riemann = self.base_rows = None
         if spec.kind == "SSST":
             self.base_point = coords[0]
         else:
@@ -710,6 +724,7 @@ class PointContext:
             self.fiber_points = ((float(p.t),),)
             return
         self._base_tensors = self._warp_bundle = self._warps = None
+        self._riemann = None
         if spec.base_chart is not None:
             self.base_point = tuple(map(float, p.t))
             self.base_rows = np.array(
@@ -721,7 +736,8 @@ class PointContext:
     def at_base(self, t) -> "PointContext":
         """The context at base coordinate ``t`` and the same fiber point,
         sharing what does not depend on t: the fiber metrics and tensors,
-        and for a static model every slot this context has filled."""
+        and for a static model every slot this context has filled (its
+        curvature tensor included)."""
         if self.spec.base_chart is None:
             self.spec.base.require(float(t))
         ctx = object.__new__(PointContext)
@@ -790,18 +806,25 @@ class PointContext:
         return self._base_tensors
 
     @staticmethod
+    def _unfilled(contexts: Sequence["PointContext"],
+                  slot: str) -> list["PointContext"]:
+        """The contexts whose ``slot`` is still empty; they must share a spec."""
+        empty = [c for c in contexts if getattr(c, slot) is None]
+        if any(c.spec is not empty[0].spec for c in empty):
+            raise ValidationError("point contexts belong to different specs")
+        return empty
+
+    @staticmethod
     def fill_base_tensors(contexts: Sequence["PointContext"]) -> None:
         """Fill the structural base tensors of every context that has a
         base chart and no tensors yet, from one batched oracle call.
 
         All contexts must belong to one spec.  This is the only way the
         slot is filled, so it holds the same bits whoever filled it."""
-        empty = [c for c in contexts if c._base_tensors is None]
+        empty = PointContext._unfilled(contexts, "_base_tensors")
         if not empty:
             return
         spec = empty[0].spec
-        if any(c.spec is not spec for c in empty):
-            raise ValidationError("point contexts belong to different specs")
         chart = (spec.fibers[0].chart() if spec.kind == "SSST"
                  else spec.base_chart)
         if chart is None:
@@ -821,9 +844,61 @@ class PointContext:
     def warp_bundle(self) -> tuple[WarpData, ...]:
         """:meth:`scalar_data` of each warping (the potential for SSST)."""
         if self._warp_bundle is None:
-            self._warp_bundle = tuple(self.scalar_data(getattr(w, "fn", w))
-                                      for w in self.spec.warpings)
+            PointContext.fill_warp_bundles([self])
         return self._warp_bundle
+
+    @staticmethod
+    def fill_warp_bundles(contexts: Sequence["PointContext"]) -> None:
+        """Fill the warp bundle of every context that has none yet; on a
+        chart base each warping's jets come from one batched ``jet`` call.
+
+        All contexts must belong to one spec.  This is the only way the
+        slot is filled, and a jet at many points has the bits of one at
+        each point, so the slot holds the same bits whoever filled it."""
+        empty = PointContext._unfilled(contexts, "_warp_bundle")
+        if not empty:
+            return
+        fns = [getattr(w, "fn", w) for w in empty[0].spec.warpings]
+        PointContext.fill_base_tensors(empty)
+        if empty[0].base_tensors is None:
+            bundles = [tuple(c.scalar_data(fn) for fn in fns) for c in empty]
+        else:
+            jets = [hd.jet(fn, [c.base_point for c in empty]) for fn in fns]
+            bundles = [tuple(_chart_data(c.base_tensors, float(val[k]),
+                                         grad[k], hess[k])
+                             for val, grad, hess in jets)
+                       for k, c in enumerate(empty)]
+        for c, bundle in zip(empty, bundles):
+            if c._warp_bundle is None:
+                c._warp_bundle = bundle
+
+    @property
+    def riemann_tensor(self) -> np.ndarray:
+        """g(R(d_a, d_b) d_c, d_d) at the point in chart coordinates, from
+        the warped-product case formulas
+        (:func:`warpcurv.warped_formulas.riemann_tensor`); read-only."""
+        if self._riemann is None:
+            PointContext.fill_riemann_tensors([self])
+        return self._riemann
+
+    @staticmethod
+    def fill_riemann_tensors(contexts: Sequence["PointContext"]) -> None:
+        """Fill the curvature tensor of every context that has none yet,
+        from one batched build.
+
+        All contexts must belong to one spec.  This is the only way the
+        slot is filled, and the build works point by point on stacked
+        arrays, so the slot holds the same bits whoever filled it."""
+        empty = PointContext._unfilled(contexts, "_riemann")
+        if not empty:
+            return
+        # warped_formulas builds on this module, so it is imported late
+        from .warped_formulas import riemann_tensor
+        tensors = riemann_tensor(empty[0].spec, empty)
+        tensors.flags.writeable = False
+        for c, r in zip(empty, tensors):
+            if c._riemann is None:
+                c._riemann = r
 
     def scalar_data(self, fn) -> WarpData:
         """Derivative bundle of a scalar ``fn`` of the base coordinates.
@@ -839,12 +914,18 @@ class PointContext:
             return WarpData(value=b, dcomps=np.array([db]),
                             grad=np.array([-db]), hess=np.array([[ddb]]),
                             lap=-ddb, grad_sq=-db * db)
-        val, dphi, ddphi = hd.jet(fn, self.base_point)
-        hess = ddphi - np.einsum("kij,k->ij", t.gamma, dphi)
-        return WarpData(value=val, dcomps=dphi, grad=t.metric_inv @ dphi,
-                        hess=hess,
-                        lap=float(np.einsum("ij,ij->", t.metric_inv, hess)),
-                        grad_sq=float(dphi @ t.metric_inv @ dphi))
+        return _chart_data(t, *hd.jet(fn, self.base_point))
+
+
+def _chart_data(t: CurvatureTensors, val: float, dphi: np.ndarray,
+                ddphi: np.ndarray) -> WarpData:
+    """A scalar's bundle on a chart base, from its jet at the point and the
+    base's oracle tensors there."""
+    hess = ddphi - np.einsum("kij,k->ij", t.gamma, dphi)
+    return WarpData(value=val, dcomps=dphi, grad=t.metric_inv @ dphi,
+                    hess=hess,
+                    lap=float(np.einsum("ij,ij->", t.metric_inv, hess)),
+                    grad_sq=float(dphi @ t.metric_inv @ dphi))
 
 
 def _oracle(chart: CoordinateChart, points) -> list[CurvatureTensors]:
@@ -1014,6 +1095,9 @@ def _fiber_from_dict(d, where: str) -> FiberSpec:
         return euclidean_fiber(int(dim))
     if model in ("sphere", "hyperbolic"):
         radius = _field(d, "radius", float, where)
+        if radius < 0.0:
+            raise ValidationError(f"spec: field '{where}.radius' must not be "
+                                  f"negative, got {radius!r}")
         if not math.isfinite(radius * radius):
             raise ValidationError(
                 f"spec: field '{where}.radius' is out of range, got {radius!r}")

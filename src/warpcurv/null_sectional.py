@@ -42,12 +42,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
-                         TangentVector, metric_eval)
+                         TangentVector, flatten)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import value
 from .tensor_oracle import riemann_apply
-from .warped_formulas import WarpedGeometry, riemann_general
+from .warped_formulas import WarpedGeometry
 
 __all__ = [
     "NullCurvatureResult",
@@ -168,13 +168,15 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
     plane.validate(tol=1e-9)
     return plane
 
-def _orthonormal_fiber_draw(g: PointContext, chol_t, rng) -> TangentVector:
+def _orthonormal_fiber_draw(g: PointContext, chol_t, rng,
+                            base_zero) -> TangentVector:
     """Spatial direction drawn isotropically in the warped metric at g's point.
 
     Per fiber, components are drawn on the unit sphere of the *warped*
     fiber block, so draw coefficients are invariant under rescaling the
     warpings; this keeps seeded scans comparable across base points.
-    ``chol_t`` holds C^T for the Cholesky factor C of each fiber metric.
+    ``chol_t`` holds C^T for the Cholesky factor C of each fiber metric;
+    ``base_zero`` is the spec's zero base part.
     """
     parts = []
     for i, c_t in enumerate(chol_t):
@@ -182,7 +184,7 @@ def _orthonormal_fiber_draw(g: PointContext, chol_t, rng) -> TangentVector:
         if g.spec.kind != "SSST":  # SSST's one fiber is unwarped
             x = x / g.warps[i]
         parts.append(tuple(x))
-    return TangentVector(0.0, tuple(parts))
+    return TangentVector(base_zero, tuple(parts))
 
 def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
                  frame_U: TangentVector | None = None,
@@ -197,13 +199,14 @@ def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
     chol_t = [np.linalg.cholesky(G).T for G in g.fiber_metrics]
+    base_zero = TangentVector.zero(spec).base_part
     for _ in range(32):
-        direction = _orthonormal_fiber_draw(g, chol_t, rng)
+        direction = _orthonormal_fiber_draw(g, chol_t, rng, base_zero)
         try:
             L = normalize_null(spec, g, U, direction)
         except ConstructionError:
             continue
-        W = _orthonormal_fiber_draw(g, chol_t, rng)
+        W = _orthonormal_fiber_draw(g, chol_t, rng, base_zero)
         if base_free:
             v_spatial = L - (g.inner(L, U) / g.inner(U, U)) * U
             g_vv = g.inner(v_spatial, v_spatial)
@@ -228,21 +231,26 @@ def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
     raise PlaneError("could not sample a valid degenerate plane in 32 tries")
 
 # ---------------------------------------------------------------------------
-# reference evaluator (multilinear expansion through the case formulas)
+# reference evaluator (the case formulas' curvature tensor, contracted)
 # ---------------------------------------------------------------------------
 
 def null_curvature_generic(spec: ManifoldSpec, plane: NullPlane) -> NullCurvatureResult:
-    """K from the curvature case formulas by full multilinear expansion.
+    """K = R(L,S,S,L) / g(S,S) from the curvature case formulas.
 
-    This is the reference path every specialized evaluator is tested
-    against; it works for every spec kind, including generic base charts.
+    The plane's context holds g(R(d_a, d_b) d_c, d_d), assembled once per
+    point from the case formulas
+    (:func:`~warpcurv.warped_formulas.riemann_tensor`), so each plane is
+    one contraction.  This is the reference path every specialized
+    evaluator is tested against; it works for every spec kind, including
+    generic base charts.
     """
     plane.validate(tol=1e-9)
     # the context the plane was built at, else a new one at its point
     ctx = PointContext.of(spec, plane.context or plane.point)
-    L, S = plane.L, plane.S
-    rss = riemann_general(spec, ctx, L, S, S)
-    numerator = metric_eval(spec, ctx, rss, L)
+    plane.L.validate(spec)
+    plane.S.validate(spec)
+    l, s = np.array(flatten(plane.L)), np.array(flatten(plane.S))
+    numerator = float(l @ (ctx.riemann_tensor @ l @ s @ s))
     denominator = plane.g_SS
     return NullCurvatureResult(
         numerator=numerator, denominator=denominator,

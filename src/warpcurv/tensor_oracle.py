@@ -35,12 +35,14 @@ __all__ = [
     "riemann_oracle_batch",
     "riemann_apply",
     "null_sectional_from_tensors",
+    "null_sectional_batch",
     "null_sectional_oracle",
     "sectional_curvature_oracle",
     "gradient_oracle",
     "hessian_oracle",
     "laplacian_oracle",
     "lowered_riemann",
+    "lowered_riemann_batch",
     "curvature_residuals",
 ]
 
@@ -268,6 +270,36 @@ def null_sectional_from_tensors(tensors: CurvatureTensors, L, S,
     return _inner(g, rss, L) / gSS
 
 
+def null_sectional_batch(batch: Sequence[CurvatureTensors], L, S,
+                         tol: float = 1e-9) -> np.ndarray:
+    """:func:`null_sectional_from_tensors` at each point of a batch, with
+    the planes' components stacked as ``(N, n)`` arrays.
+
+    Each contraction runs in the scalar function's order, ``(a @ g) @ b``,
+    so every value has its bits.  The plane checks run over the whole
+    batch first; the first sample that fails one raises the scalar
+    function's PlaneError.
+    """
+    if not len(batch):
+        return np.zeros(0)
+    g = np.stack([t.metric for t in batch])
+    L, S = np.asarray(L, float), np.asarray(S, float)
+
+    def inner(a, b):
+        return ((a[:, None] @ g) @ b[:, :, None])[:, 0, 0]
+
+    gLL, gSS, gLS = inner(L, L), inner(S, S), inner(L, S)
+    scale = np.maximum(1.0, np.abs(gSS))
+    bad = ((gSS <= tol * scale) | (np.abs(gLL) > tol * scale)
+           | (np.abs(gLS) > tol * scale))
+    if bad.any():
+        k = int(np.flatnonzero(bad)[0])
+        null_sectional_from_tensors(batch[k], L[k], S[k], tol)  # raises
+    rss = np.einsum("nlijk,ni,nj,nk->nl",
+                    np.stack([t.riemann for t in batch]), L, S, S)
+    return inner(rss, L) / gSS
+
+
 def null_sectional_oracle(chart: CoordinateChart, x: Sequence[float],
                           L, S, tol: float = 1e-9) -> float:
     """g(R(L,S)S, L) / g(S,S) straight from the chart curvature at x.
@@ -323,6 +355,12 @@ def laplacian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> float:
 def lowered_riemann(tensors: CurvatureTensors) -> np.ndarray:
     """R4[i,j,k,l] = g(R(d_i, d_j) d_k, d_l)."""
     return np.einsum("lm,mijk->ijkl", tensors.metric, tensors.riemann)
+
+
+def lowered_riemann_batch(batch: Sequence[CurvatureTensors]) -> np.ndarray:
+    """:func:`lowered_riemann` at each point of a batch, ``(N, n, n, n, n)``."""
+    return np.einsum("nlm,nmijk->nijkl", np.stack([t.metric for t in batch]),
+                     np.stack([t.riemann for t in batch]))
 
 
 def curvature_residuals(tensors: CurvatureTensors) -> dict:

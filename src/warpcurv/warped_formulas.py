@@ -64,6 +64,7 @@ __all__ = [
     "riemann_general",
     "ricci_general",
     "ricci_matrix",
+    "riemann_tensor",
     "classify_triple",
 ]
 
@@ -497,6 +498,115 @@ def _split_struct(geom: WarpedGeometry, sv):
         if np.any(comp != 0.0):
             pieces.append((i, comp))
     return pieces
+
+
+def riemann_tensor(spec: ManifoldSpec,
+                   contexts: Sequence[PointContext]) -> np.ndarray:
+    """g(R(d_a, d_b) d_c, d_d) at each context's point, ``(N, n, n, n, n)``
+    in chart order, assembled block by block from the case formulas.
+
+    With X, Y base indices, V, W fiber-i indices, U, Z fiber-k indices
+    (k != i) and g_i, g_k the unwarped fiber metrics, the nonzero blocks
+    are, up to the curvature symmetries:
+
+    * ``R(X,Y,Y',X') = R_B``, the base's lowered oracle curvature;
+    * ``R(V,X,Y,W) = -b_i H^{b_i}(X,Y) g_i(V,W)``, and ``R(X,V,W,Y)``
+      likewise with the Hessian on (X, Y);
+    * ``R(U,V,W,Z) = -b_i b_k g_B(grad b_i, grad b_k) g_i(V,W) g_k(U,Z)``;
+    * ``R(V,W,W',V') = b_i^2 (R_{F_i} - |grad b_i|^2 Q_i)`` on fibers of
+      dimension 2 or more, with ``Q_i(a,b,c,d) = g_bc g_ad - g_ac g_bd``
+      and ``R_{F_i} = k Q_i`` on a fiber of constant curvature k.
+
+    Every other block is zero; a static model's structural blocks are
+    permuted back to chart order (time first), as in
+    :func:`ricci_matrix`.  The inputs are those :func:`riemann_general`
+    reads: the warp bundles, the fiber metrics and curvatures and the
+    base tensors, never the assembled chart's oracle.  Every product runs
+    elementwise on arrays stacked over the points, in a fixed order, so
+    each point's bits do not depend on the other points in the batch.
+    """
+    contexts = [PointContext.of(spec, c) for c in contexts]
+    geom = WarpedGeometry(spec)
+    count, n, nb = len(contexts), spec.dim, geom.base.dim
+    out = np.zeros((count, n, n, n, n))
+    if not contexts:
+        return out
+    PointContext.fill_warp_bundles(contexts)
+    wds = [c.warp_bundle for c in contexts]
+    if isinstance(geom.base, LineBase):
+        ginv = np.full((count, 1, 1), LineBase.sign)
+    else:
+        base = [c.base_tensors for c in contexts]
+        ginv = np.array([t.metric_inv for t in base])
+        out[:, :nb, :nb, :nb, :nb] = _lowered(
+            np.array([t.metric for t in base]),
+            np.array([t.riemann for t in base]))
+    b = [np.array([w[i].value for w in wds]) for i in range(geom.m)]
+    dcomps = [np.array([w[i].dcomps for w in wds]) for i in range(geom.m)]
+    metrics = [np.array([fib.metric(c) for c in contexts])
+               for fib in geom.fibers]
+    ofs = np.cumsum([nb] + [fib.dim for fib in geom.fibers])
+    X = slice(0, nb)
+    for i, fib in enumerate(geom.fibers):
+        V, G = slice(ofs[i], ofs[i + 1]), metrics[i]
+        hess = np.array([w[i].hess for w in wds])
+        # p[v, x, y, w] = b H(x, y) g(v, w)
+        p = (_col(b[i], 4) * hess[:, None, :, :, None]) * G[:, :, None, None, :]
+        out[:, V, X, X, V] = -p
+        out[:, X, V, X, V] = p.transpose(0, 2, 1, 3, 4)
+        out[:, X, V, V, X] = -p.transpose(0, 2, 1, 4, 3)
+        out[:, V, X, V, X] = p.transpose(0, 1, 2, 4, 3)
+        if fib.dim > 1:
+            q = (G[:, None, :, :, None] * G[:, :, None, None, :]
+                 - G[:, :, None, :, None] * G[:, None, :, None, :])
+            grad_sq = _col(np.array([w[i].grad_sq for w in wds]), 4)
+            if fib.k is not None:
+                inner = (fib.k - grad_sq) * q
+            else:
+                fts = [c.fiber_tensors(i) for c in contexts]
+                inner = _lowered(np.array([t.metric for t in fts]),
+                                 np.array([t.riemann for t in fts]))
+                inner = inner - grad_sq * q
+            out[:, V, V, V, V] = _col(b[i] * b[i], 4) * inner
+        for k in range(geom.m):
+            if k == i:
+                continue
+            U = slice(ofs[k], ofs[k + 1])
+            cross = b[i] * b[k] * _pairing(dcomps[i], ginv, dcomps[k])
+            # c[u, v, w, z] = b_i b_k g_B(grad b_i, grad b_k) g_i(v,w) g_k(u,z)
+            c = ((_col(cross, 4) * G[:, None, :, :, None])
+                 * metrics[k][:, :, None, None, :])
+            out[:, U, V, V, U] = -c
+            out[:, V, U, V, U] = c.transpose(0, 2, 1, 3, 4)
+    if spec.kind == "SSST":
+        order = np.roll(np.arange(n), 1)  # chart (t, x...) <- structural (x..., t)
+        for axis in range(1, 5):
+            out = out.take(order, axis=axis)
+    return out
+
+
+def _col(a: np.ndarray, extra: int) -> np.ndarray:
+    """``a`` of shape (N,) with ``extra`` trailing unit axes."""
+    return a.reshape(a.shape + (1,) * extra)
+
+
+def _pairing(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u^T m v at each point, summed term by term in a fixed order."""
+    acc = np.zeros(len(u))
+    for p in range(m.shape[1]):
+        for q in range(m.shape[2]):
+            acc = acc + u[:, p] * m[:, p, q] * v[:, q]
+    return acc
+
+
+def _lowered(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``[n, i, j, k, l] = sum_m g[n, l, m] r[n, m, i, j, k]`` for stacked
+    oracle tensors, summed in order of m (the lowering of
+    :func:`~warpcurv.tensor_oracle.lowered_riemann`)."""
+    acc = r[:, 0, :, :, :, None] * g[:, None, None, None, :, 0]
+    for m in range(1, g.shape[-1]):
+        acc = acc + r[:, m, :, :, :, None] * g[:, None, None, None, :, m]
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -285,6 +285,19 @@ class TestInputErrors:
         assert len(out.stderr.splitlines()) == 1
         assert message in out.stderr
 
+    @pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
+    def test_negative_radius_is_2(self, tmp_path, model):
+        """A negative radius describes no fiber; it is not read as |r|."""
+        spec = {**self.GRW, "fibers": [{"dim": 2, "model": model,
+                                        "radius": -2.0}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = run_cli("report", str(path))
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "error: spec: field 'fibers[0].radius' must not be negative, "
+            "got -2.0"]
+
     @pytest.mark.parametrize("dim", [0, 9, 3000, 1e308])
     def test_fiber_dim_out_of_range_is_2(self, tmp_path, dim):
         """The bound is checked before any fiber is built."""

@@ -277,6 +277,12 @@ class TestFiberSpec:
         for name in ("minkowski", "kasner_vacuum", "einstein_static"):
             by_name(name).spec.validate_structure()
 
+    @pytest.mark.parametrize("make", [sphere_fiber, hyperbolic_fiber])
+    def test_negative_radius_refused(self, make):
+        with pytest.raises(ValidationError, match="radius must not be negative"):
+            make(2, -2.0)
+        assert make(2, 2.0).constant_curvature == make(2, 2).constant_curvature
+
     def test_library_specs_validated_on_construction(self):
         """A spec built in code gets the checks a spec file gets."""
         with pytest.raises(ValidationError, match=(
