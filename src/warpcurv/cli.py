@@ -160,10 +160,8 @@ def cmd_report(args) -> int:
     generic_values = []
     scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
     tol = max(COMPARE_ABS_TOL, COMPARE_REL_TOL * scale)
-    for i in range(args.planes):
-        plane = sample_plane(spec, ctx, rng)
-        k_oracle = null_sectional_from_tensors(tensors, flatten(plane.L),
-                                               flatten(plane.S))
+    for i, plane, k_oracle in _report_planes(spec, ctx, tensors, rng,
+                                             args.planes):
         generic_values.append(null_curvature_generic(spec, plane).value)
         row = {"index": i, "K_oracle": k_oracle}
         for path in paths:
@@ -194,6 +192,19 @@ def cmd_report(args) -> int:
     }
     _emit_report(doc, args)
     return 0
+
+
+def _report_planes(spec, ctx, tensors, rng, count):
+    """(index, plane, K_oracle) for ``count`` planes drawn at ctx, a chunk
+    at a time: every plane is at the one point, so each chunk's oracle
+    side is one batched contraction of the point's tensors."""
+    for start in range(0, count, CHUNK):
+        drawn = [sample_plane(spec, ctx, rng)
+                 for _ in range(min(CHUNK, count - start))]
+        k_oracles = null_sectional_batch(
+            [tensors] * len(drawn), [flatten(plane.L) for plane in drawn],
+            [flatten(plane.S) for plane in drawn])
+        yield from zip(range(start, count), drawn, k_oracles.tolist())
 
 
 def _emit_report(doc, args) -> None:

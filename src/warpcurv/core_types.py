@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import hyperdual as hd
-from .errors import DomainError, ShapeError, ValidationError
+from .errors import DomainError, PlaneError, ShapeError, ValidationError
 from .hyperdual import value
 from .tensor_oracle import (MAX_CHART_DIM, CoordinateChart, CurvatureTensors,
                             riemann_oracle_batch, sectional_curvature_oracle)
@@ -54,7 +54,10 @@ __all__ = [
     "metric_eval",
     "assemble_chart",
     "flatten",
+    "components",
     "split",
+    "tangent",
+    "all_finite",
     "spec_to_dict",
     "spec_from_dict",
     "spec_to_json",
@@ -616,11 +619,26 @@ def flatten(v: TangentVector) -> tuple[float, ...]:
     return base + tuple(float(c) for part in v.fiber_parts for c in part)
 
 
+def components(v: TangentVector) -> tuple:
+    """:func:`flatten` without the float conversion: each component keeps
+    its type (a numpy scalar stays one, so ``np.errstate`` still applies
+    to arithmetic on it)."""
+    base = v.base_part if isinstance(v.base_part, tuple) else (v.base_part,)
+    return base + tuple(c for part in v.fiber_parts for c in part)
+
+
 def split(components: Sequence[float], spec: ManifoldSpec) -> TangentVector:
     """Inverse of :func:`flatten` for the given spec."""
     comps = tuple(float(c) for c in components)
     if len(comps) != spec.dim:
         raise ShapeError(f"expected {spec.dim} values, got {len(comps)}")
+    return tangent(spec, comps)
+
+
+def tangent(spec: ManifoldSpec, comps: tuple) -> TangentVector:
+    """Inverse of :func:`components`: the tangent vector whose flat chart
+    components are ``comps`` (length ``spec.dim``, unchecked), each
+    keeping its type."""
     nb = spec.base_dim
     base = comps[:nb] if spec.base_chart is not None else comps[0]
     parts = []
@@ -641,15 +659,21 @@ def point_from_flat(spec: ManifoldSpec, coords: Sequence[float]) -> Point:
 # the product metric
 # ---------------------------------------------------------------------------
 
-def _fiber_inner(rows, v, w) -> float:
+def _fiber_inner(rows, v, w, ofs: int) -> float:
+    """g_F(v, w) for the fiber block of flat components v, w starting at
+    ``ofs``; zero components are skipped."""
     acc = 0.0
-    for i in range(len(rows)):
-        if v[i] == 0.0:
+    n = len(rows)
+    for i in range(n):
+        vi = v[ofs + i]
+        if vi == 0.0:
             continue
-        for j in range(len(rows)):
-            if w[j] == 0.0:
+        row = rows[i]
+        for j in range(n):
+            wj = w[ofs + j]
+            if wj == 0.0:
                 continue
-            acc += v[i] * rows[i][j] * w[j]
+            acc += vi * row[j] * wj
     return acc
 
 
@@ -683,19 +707,26 @@ class PointContext:
     the spatial factor is the structural base and time the one fiber; see
     :mod:`warpcurv.warped_formulas`) and evaluates each fiber metric.  The
     warping values (the potential f for SSST), their derivative bundle and
-    the chart-oracle tensors of the base and of each fiber are computed on
-    first use, once per slot; all arrays are read-only.  A caller holding
-    many contexts may fill their base tensors, warp bundles and curvature
+    the chart-oracle tensors of the base and of each fiber, and the
+    transposed Cholesky factor of each fiber metric (:attr:`chol_t`, which
+    the plane sampler draws with) are computed on first use, once per
+    slot; all arrays are read-only.  A caller holding many contexts may
+    fill their base tensors, fiber tensors, warp bundles and curvature
     tensors in one batched call each first (:meth:`fill_base_tensors`,
-    :meth:`fill_warp_bundles`, :meth:`fill_riemann_tensors`); a lone
-    fill is a batch of one, so a slot holds the same bits whoever filled
-    it.  A filled slot keeps its value (two threads filling it at once
-    compute the same bits), so a context may be shared between threads.
+    :meth:`fill_fiber_tensors`, :meth:`fill_warp_bundles`,
+    :meth:`fill_riemann_tensors`); a lone fill is a batch of one, so a
+    slot holds the same bits whoever filled it.  A filled slot keeps its
+    value (two threads filling it at once compute the same bits), so a
+    context may be shared between threads.
+
+    The metric is one bilinear form on flat chart components
+    (:meth:`form`); :meth:`inner` is that form on validated tangent
+    vectors.
     """
 
     __slots__ = ("spec", "point", "base_point", "fiber_points", "fiber_rows",
                  "fiber_metrics", "base_rows", "_warps", "_warp_bundle",
-                 "_base_tensors", "_fiber_tensors", "_riemann")
+                 "_base_tensors", "_fiber_tensors", "_riemann", "_chol_t")
 
     def __init__(self, spec: ManifoldSpec, p: Point):
         p.validate(spec)
@@ -708,6 +739,7 @@ class PointContext:
                                    for rows in self.fiber_rows)
         _read_only(*self.fiber_metrics)
         self._fiber_tensors = [None] * spec.m
+        self._chol_t = None
         self._base_tensors = self._warp_bundle = self._warps = None
         self._riemann = self.base_rows = None
         if spec.kind == "SSST":
@@ -735,9 +767,9 @@ class PointContext:
 
     def at_base(self, t) -> "PointContext":
         """The context at base coordinate ``t`` and the same fiber point,
-        sharing what does not depend on t: the fiber metrics and tensors,
-        and for a static model every slot this context has filled (its
-        curvature tensor included)."""
+        sharing what does not depend on t: the fiber metrics, their
+        Cholesky factors and tensors, and for a static model every slot
+        this context has filled (its curvature tensor included)."""
         if self.spec.base_chart is None:
             self.spec.base.require(float(t))
         ctx = object.__new__(PointContext)
@@ -759,22 +791,32 @@ class PointContext:
 
     def inner(self, X: TangentVector, Y: TangentVector) -> float:
         """g(X, Y) at the point."""
+        X.validate(self.spec)
+        Y.validate(self.spec)
+        return self.form(components(X), components(Y))
+
+    def form(self, x, y) -> float:
+        """g(x, y) at the point for flat chart components x, y (base
+        first, then each fiber's; see :func:`components`), unchecked.
+
+        The base term comes first, then ``b*b * g_F(v, w)`` per fiber (the
+        static model's one fiber is unwarped), skipping zero components;
+        each operation keeps its operands' types."""
         spec = self.spec
-        X.validate(spec)
-        Y.validate(spec)
         if spec.kind == "SSST":
-            acc = -(self.warps[0] ** 2) * X.base_part * Y.base_part
-            acc += _fiber_inner(self.fiber_rows[0], X.fiber_parts[0],
-                                Y.fiber_parts[0])
+            acc = -(self.warps[0] ** 2) * x[0] * y[0]
+            acc += _fiber_inner(self.fiber_rows[0], x, y, 1)
             return acc
         if self.base_rows is not None:
-            acc = float(np.asarray(X.base_part) @ self.base_rows
-                        @ np.asarray(Y.base_part))
+            nb = len(self.base_rows)
+            acc = float(np.asarray(x[:nb]) @ self.base_rows
+                        @ np.asarray(y[:nb]))
         else:
-            acc = -X.base_part * Y.base_part
-        for b, rows, v, w in zip(self.warps, self.fiber_rows, X.fiber_parts,
-                                 Y.fiber_parts):
-            acc += b * b * _fiber_inner(rows, v, w)
+            nb = 1
+            acc = -x[0] * y[0]
+        for b, rows in zip(self.warps, self.fiber_rows):
+            acc += b * b * _fiber_inner(rows, x, y, nb)
+            nb += len(rows)
         return acc
 
     def plane(self, L: TangentVector, S: TangentVector,
@@ -807,9 +849,10 @@ class PointContext:
 
     @staticmethod
     def _unfilled(contexts: Sequence["PointContext"],
-                  slot: str) -> list["PointContext"]:
-        """The contexts whose ``slot`` is still empty; they must share a spec."""
-        empty = [c for c in contexts if getattr(c, slot) is None]
+                  slot: Callable) -> list["PointContext"]:
+        """The contexts whose slot, read by ``slot(context)``, is still
+        empty; they must share a spec."""
+        empty = [c for c in contexts if slot(c) is None]
         if any(c.spec is not empty[0].spec for c in empty):
             raise ValidationError("point contexts belong to different specs")
         return empty
@@ -821,7 +864,7 @@ class PointContext:
 
         All contexts must belong to one spec.  This is the only way the
         slot is filled, so it holds the same bits whoever filled it."""
-        empty = PointContext._unfilled(contexts, "_base_tensors")
+        empty = PointContext._unfilled(contexts, lambda c: c._base_tensors)
         if not empty:
             return
         spec = empty[0].spec
@@ -836,9 +879,33 @@ class PointContext:
     def fiber_tensors(self, i: int) -> CurvatureTensors:
         """Chart-oracle tensors of the spec's fiber i at its coordinates."""
         if self._fiber_tensors[i] is None:
-            self._fiber_tensors[i] = _oracle(self.spec.fibers[i].chart(),
-                                             [self.point.fiber_coords[i]])[0]
+            PointContext.fill_fiber_tensors([self], i)
         return self._fiber_tensors[i]
+
+    @staticmethod
+    def fill_fiber_tensors(contexts: Sequence["PointContext"], i: int) -> None:
+        """Fill fiber i's tensors of every context that has none yet, from
+        one batched oracle call.
+
+        All contexts must belong to one spec.  This is the only way the
+        slot is filled, so it holds the same bits whoever filled it."""
+        empty = PointContext._unfilled(contexts, lambda c: c._fiber_tensors[i])
+        if not empty:
+            return
+        chart = empty[0].spec.fibers[i].chart()
+        for c, t in zip(empty, _oracle(chart, [c.point.fiber_coords[i]
+                                               for c in empty])):
+            if c._fiber_tensors[i] is None:
+                c._fiber_tensors[i] = t
+
+    @property
+    def chol_t(self) -> tuple[np.ndarray, ...]:
+        """C^T for the Cholesky factor C of each fiber metric (read-only)."""
+        if self._chol_t is None:
+            chol = tuple(np.linalg.cholesky(G).T for G in self.fiber_metrics)
+            _read_only(*chol)
+            self._chol_t = chol
+        return self._chol_t
 
     @property
     def warp_bundle(self) -> tuple[WarpData, ...]:
@@ -855,7 +922,7 @@ class PointContext:
         All contexts must belong to one spec.  This is the only way the
         slot is filled, and a jet at many points has the bits of one at
         each point, so the slot holds the same bits whoever filled it."""
-        empty = PointContext._unfilled(contexts, "_warp_bundle")
+        empty = PointContext._unfilled(contexts, lambda c: c._warp_bundle)
         if not empty:
             return
         fns = [getattr(w, "fn", w) for w in empty[0].spec.warpings]
@@ -889,7 +956,7 @@ class PointContext:
         All contexts must belong to one spec.  This is the only way the
         slot is filled, and the build works point by point on stacked
         arrays, so the slot holds the same bits whoever filled it."""
-        empty = PointContext._unfilled(contexts, "_riemann")
+        empty = PointContext._unfilled(contexts, lambda c: c._riemann)
         if not empty:
             return
         # warped_formulas builds on this module, so it is imported late
@@ -1007,9 +1074,22 @@ def assemble_chart(spec: ManifoldSpec) -> CoordinateChart:
 # null planes
 # ---------------------------------------------------------------------------
 
+def all_finite(*values) -> bool:
+    """True when no value is NaN or infinite."""
+    return all(map(math.isfinite, values))
+
+
 @dataclass(frozen=True)
 class NullPlane:
-    """Degenerate plane span(L, S) at a point, with cached normalization data."""
+    """Degenerate plane span(L, S) at a point, with cached normalization data.
+
+    ``context`` is the :class:`PointContext` the plane was built at, which
+    the evaluators reuse.  ``form_inputs`` is a read-only slot for the
+    inputs of the plane's closed forms:
+    :func:`~warpcurv.null_sectional.specialized_null_curvature` fills it
+    from ``context`` on first use, so every formula path of one plane
+    shares them.  It takes no part in comparisons.
+    """
 
     point: Point
     L: TangentVector
@@ -1022,6 +1102,8 @@ class NullPlane:
     # the context the plane was built at, which evaluators reuse
     context: PointContext | None = field(default=None, compare=False,
                                          repr=False)
+    form_inputs: object = field(default=None, init=False, compare=False,
+                                repr=False)
 
     @classmethod
     def build(cls, spec: ManifoldSpec, point: Point, L: TangentVector,
@@ -1034,7 +1116,11 @@ class NullPlane:
         return self.g_LL * self.g_SS - self.g_LS ** 2
 
     def validate(self, tol: float = 1e-10) -> None:
-        from .errors import PlaneError
+        if not all_finite(self.g_LL, self.g_LS, self.g_SS, self.g_LU):
+            raise PlaneError(
+                f"non-finite plane data: g(L,L) = {self.g_LL}, "
+                f"g(L,S) = {self.g_LS}, g(S,S) = {self.g_SS}, "
+                f"g(L,U) = {self.g_LU}")
         scale = max(1.0, abs(self.g_SS))
         if abs(self.g_LL) > tol * scale:
             raise PlaneError(f"L not null: g(L,L) = {self.g_LL:.3e}")

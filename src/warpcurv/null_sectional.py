@@ -42,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
-                         TangentVector, flatten)
+                         TangentVector, all_finite, components, flatten,
+                         tangent)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import value
@@ -120,21 +121,14 @@ def normalize_null(spec: ManifoldSpec, p: Point | PointContext,
 
     Solves for L with g(L,L) = 0 and g(L,U) = -1: the U-orthogonal part of
     ``direction`` fixes the spatial direction, the normalization fixes both
-    scale factors uniquely.
+    scale factors uniquely.  A non-finite direction or frame raises
+    PlaneError.
     """
     g = PointContext.of(spec, p)
-    g_UU = g.inner(U, U)
-    if g_UU >= 0.0:
-        raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
-    g_DU = g.inner(direction, U)
-    d_perp = direction - (g_DU / g_UU) * U
-    n2 = g.inner(d_perp, d_perp)
-    if n2 <= 1e-24:
-        raise ConstructionError(
-            "direction has no spacelike part; cannot complete to a null vector")
-    beta = -1.0 / g_UU
-    gamma = math.sqrt(-1.0 / (g_UU * n2))
-    return beta * U + gamma * d_perp
+    U.validate(spec)
+    direction.validate(spec)
+    u = components(U)
+    return tangent(spec, _null(g, u, _frame_norm(g, u), components(direction)))
 
 def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
                           L: TangentVector, S_candidate: TangentVector,
@@ -145,87 +139,153 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
     result must come out spacelike and independent of L.  L may carry
     either time orientation (the curvature of the plane is quadratic in
     L); the frame is attached to the plane only when L actually satisfies
-    the congruence normalization g(L,U) = -1.
+    the congruence normalization g(L,U) = -1.  Non-finite inputs raise
+    PlaneError.
     """
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
-    g_LL = g.inner(L, L)
-    g_LU = g.inner(L, U)
-    scale = max(1.0, abs(g.inner(U, U)))
+    for v in (L, S_candidate, U):
+        v.validate(spec)
+    u = components(U)
+    return _degenerate_plane(g, L, components(L), components(S_candidate),
+                             U, u, g.form(u, u))
+
+# The plane helpers work on flat chart components (core_types.components),
+# so the sampler's loop builds no tangent vector but the plane's own.  A
+# coefficient that scales a vector enters as a Python float, as it did
+# when it scaled a TangentVector (a numpy scalar times an object defers
+# to float multiplication), so every component keeps its type and bits.
+
+def _frame_norm(g: PointContext, u) -> float:
+    """g(U, U) for a timelike frame U."""
+    g_UU = g.form(u, u)
+    if not all_finite(g_UU):
+        raise PlaneError(f"frame is not finite: g(U,U) = {g_UU}")
+    if g_UU >= 0.0:
+        raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
+    return g_UU
+
+def _null(g: PointContext, u, g_UU: float, d) -> tuple:
+    """:func:`normalize_null` on flat components, with g_UU = g(u, u)."""
+    g_DU = g.form(d, u)
+    c = float(g_DU / g_UU)
+    d_perp = tuple(a - c * b for a, b in zip(d, u))
+    n2 = g.form(d_perp, d_perp)
+    if not all_finite(g_DU, n2):
+        raise PlaneError(f"direction is not finite: g(D,U) = {g_DU}, "
+                         f"g(D_perp,D_perp) = {n2}")
+    if n2 <= 1e-24:
+        raise ConstructionError(
+            "direction has no spacelike part; cannot complete to a null vector")
+    beta = float(-1.0 / g_UU)
+    gamma = math.sqrt(-1.0 / (g_UU * n2))
+    return tuple(beta * a + gamma * b for a, b in zip(u, d_perp))
+
+def _degenerate_plane(g: PointContext, L: TangentVector, l, s_cand,
+                      U: TangentVector, u, g_UU: float) -> NullPlane:
+    """:func:`make_degenerate_plane` on flat components; ``l`` holds L's."""
+    g_LL = g.form(l, l)
+    g_LU = g.form(l, u)
+    if not all_finite(g_LL, g_LU, g_UU):
+        raise PlaneError(f"L or the frame is not finite: g(L,L) = {g_LL}, "
+                         f"g(L,U) = {g_LU}, g(U,U) = {g_UU}")
+    scale = max(1.0, abs(g_UU))
     if abs(g_LL) > 1e-9 * scale:
         raise PlaneError(f"L is not null: g(L,L) = {g_LL:.3e}")
     if abs(g_LU) < 1e-12:
         raise PlaneError("frame is orthogonal to L; cannot project")
-    g_LS = g.inner(L, S_candidate)
-    S = S_candidate - (g_LS / g_LU) * U
-    g_SS = g.inner(S, S)
+    g_LS = g.form(l, s_cand)
+    c = float(g_LS / g_LU)
+    s = tuple(a - c * b for a, b in zip(s_cand, u))
+    g_SS = g.form(s, s)
+    if not all_finite(g_LS, g_SS):
+        raise PlaneError(f"S is not finite: g(L,S) = {g_LS}, g(S,S) = {g_SS}")
     if g_SS <= 1e-12 * scale:
         raise PlaneError(
             f"projected S is not spacelike (g(S,S) = {g_SS:.3e}); "
             "candidate was parallel to L or timelike")
     normalized = abs(g_LU + 1.0) <= 1e-9
-    plane = g.plane(L, S, frame_U=U if normalized else None)
+    return _plane(g, L, l, s, U if normalized else None, g_LL, g_SS, g_LU)
+
+def _plane(g: PointContext, L: TangentVector, l, s, U: TangentVector | None,
+           g_LL: float, g_SS: float, g_LU: float) -> NullPlane:
+    """The validated plane span(L, S) at g for S with flat components s;
+    its g-values are the ones :meth:`PointContext.plane` computes."""
+    plane = NullPlane(point=g.point, L=L, S=tangent(g.spec, s), frame_U=U,
+                      g_LL=g_LL, g_LS=g.form(l, s), g_SS=g_SS,
+                      g_LU=g_LU if U is not None else -1.0, context=g)
     plane.validate(tol=1e-9)
     return plane
 
-def _orthonormal_fiber_draw(g: PointContext, chol_t, rng,
-                            base_zero) -> TangentVector:
-    """Spatial direction drawn isotropically in the warped metric at g's point.
+def _fiber_draw(g: PointContext, rng) -> tuple:
+    """Spatial direction drawn isotropically in the warped metric at g's
+    point, as one component tuple per fiber.
 
     Per fiber, components are drawn on the unit sphere of the *warped*
     fiber block, so draw coefficients are invariant under rescaling the
     warpings; this keeps seeded scans comparable across base points.
-    ``chol_t`` holds C^T for the Cholesky factor C of each fiber metric;
-    ``base_zero`` is the spec's zero base part.
     """
     parts = []
-    for i, c_t in enumerate(chol_t):
+    warped = g.spec.kind != "SSST"  # SSST's one fiber is unwarped
+    for i, c_t in enumerate(g.chol_t):
         x = np.linalg.solve(c_t, rng.standard_normal(c_t.shape[0]))
-        if g.spec.kind != "SSST":  # SSST's one fiber is unwarped
+        if warped:
             x = x / g.warps[i]
         parts.append(tuple(x))
-    return TangentVector(base_zero, tuple(parts))
+    return tuple(parts)
 
 def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
                  frame_U: TangentVector | None = None,
                  base_free: bool = False) -> NullPlane:
     """One random degenerate plane in the congruence of the frame at p.
 
-    With ``base_free=True`` the spacelike leg S is kept purely spatial
-    (the degeneracy condition is then solved inside the fiber block), the
-    configuration the published base-free special cases assume.  The
-    plane carries the point's context.
+    Each of at most 32 tries draws a spatial direction and completes it to
+    a null L (:func:`normalize_null`), then draws a second spatial vector
+    W and builds S from it.  With ``base_free=True`` the spacelike leg S
+    is W made g-orthogonal to the spatial part of L, so it stays purely
+    spatial (the degeneracy condition is then solved inside the fiber
+    block), the configuration the published base-free special cases
+    assume; otherwise S is W plus a random multiple of the frame,
+    projected as in :func:`make_degenerate_plane`.  The draws use the
+    context's Cholesky factors of the fiber metrics
+    (:attr:`PointContext.chol_t`); the arithmetic runs on flat chart
+    components through :meth:`PointContext.form`, and the plane's tangent
+    vectors and g-values are built once.  The plane carries the point's
+    context.
     """
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
-    chol_t = [np.linalg.cholesky(G).T for G in g.fiber_metrics]
-    base_zero = TangentVector.zero(spec).base_part
+    U.validate(spec)
+    u = components(U)
+    g_UU = g.form(u, u)
+    zero = TangentVector.zero(spec)
+    zeros = components(zero)[:spec.base_dim]
     for _ in range(32):
-        direction = _orthonormal_fiber_draw(g, chol_t, rng, base_zero)
+        direction = TangentVector(zero.base_part, _fiber_draw(g, rng))
         try:
             L = normalize_null(spec, g, U, direction)
         except ConstructionError:
             continue
-        W = _orthonormal_fiber_draw(g, chol_t, rng, base_zero)
+        l = components(L)
+        w = sum(_fiber_draw(g, rng), zeros)
         if base_free:
-            v_spatial = L - (g.inner(L, U) / g.inner(U, U)) * U
-            g_vv = g.inner(v_spatial, v_spatial)
-            g_vw = g.inner(v_spatial, W)
-            S_cand = W - (g_vw / g_vv) * v_spatial
-            g_ss = g.inner(S_cand, S_cand)
-            if g_ss <= 1e-12:
+            g_LU = g.form(l, u)
+            c = float(g_LU / g_UU)
+            v = tuple(a - c * b for a, b in zip(l, u))
+            c = float(g.form(v, w) / g.form(v, v))
+            s = tuple(a - c * b for a, b in zip(w, v))
+            g_SS = g.form(s, s)
+            if g_SS <= 1e-12:
                 continue
-            plane = g.plane(L, S_cand, frame_U=U)
             try:
-                plane.validate(tol=1e-9)
+                return _plane(g, L, l, s, U, g.form(l, l), g_SS, g_LU)
             except PlaneError:
                 continue
-            return plane
-        w_norm = math.sqrt(max(g.inner(W, W), 0.0))
+        w_norm = math.sqrt(max(g.form(w, w), 0.0))
         h = 0.9 * rng.uniform(-1.0, 1.0) * w_norm
-        S_cand = h * U + W
+        s_cand = tuple(h * a + b for a, b in zip(u, w))
         try:
-            return make_degenerate_plane(spec, g, L, S_cand, frame_U=U)
+            return _degenerate_plane(g, L, l, s_cand, U, u, g_UU)
         except PlaneError:
             continue
     raise PlaneError("could not sample a valid degenerate plane in 32 tries")
@@ -283,8 +343,8 @@ class _TimeData:
     gWW: tuple
     rF: tuple      # g_F(R_F(V,W)W, V) per fiber
     h: float       # base coefficient of S
-    v: tuple       # fiber parts of L (base coefficient -1)
-    w: tuple       # fiber parts of S
+    v: tuple       # fiber parts of L (base coefficient -1), as tuples
+    w: tuple       # fiber parts of S, as tuples
     ps: tuple | None     # Kasner exponents
     phi: float | None    # Kasner scale phi(t)
 
@@ -315,8 +375,8 @@ def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
         gww.append(fib.inner(ctx, w, w))
         rcomp = fib.riemann(ctx, v, w, w)
         rf.append(float(np.asarray(rcomp) @ fib.metric(ctx) @ v))
-        vs.append(v)
-        ws.append(w)
+        vs.append(L.fiber_parts[i])
+        ws.append(S.fiber_parts[i])
     phi = None if spec.phi is None else value(spec.phi.fn(ctx.base_point[0]))
     return _TimeData(tuple(b), tuple(db), tuple(ddb), tuple(gvv), tuple(gvw),
                      tuple(gww), tuple(rf), float(S.base_part), tuple(vs),
@@ -527,27 +587,65 @@ def _type3_printed(d: _TimeData) -> NullCurvatureResult:
         phi ** (2.0 * ps[j]) * comps_w[j] ** 2 for j in idx)
     return NullCurvatureResult.unchecked(terms, denominator, 1e-300)
 
+@dataclass(frozen=True)
+class _StaticData:
+    """The scalars entering the static closed forms (see
+    :func:`ssst_null_curvature`)."""
+
+    f: float        # the potential
+    h: float        # base coefficient of S
+    hVV: float      # H(V,V), H(V,W), H(W,W): the potential's fiber Hessian
+    hVW: float
+    hWW: float
+    rF: float       # g_F(R_F(V,W)W, V)
+    grad_sq: float  # g_F(grad f, grad f)
+    g_SS: float
+
+def _static_data(ctx: PointContext, plane: NullPlane) -> _StaticData:
+    """The static closed forms' inputs on a plane with L = +-f^-1 d_t + V."""
+    f = ctx.warps[0]
+    L = plane.L
+    a = float(L.base_part)
+    if abs(abs(a) - 1.0 / f) > _SHAPE_TOL:
+        raise ShapeError(
+            f"L must have base coefficient +-1/f = {1.0 / f:.6g}, got {a:.6g}")
+    if a > 0:
+        L = -L
+    h = float(plane.S.base_part)
+    wd = ctx.warp_bundle[0]
+    v = np.asarray(L.fiber_parts[0], float)
+    w = np.asarray(plane.S.fiber_parts[0], float)
+    G = ctx.fiber_metrics[0]
+    return _StaticData(f, h, float(v @ wd.hess @ v), float(v @ wd.hess @ w),
+                       float(w @ wd.hess @ w),
+                       _spatial_curvature_quadratic(ctx, v, w, G), wd.grad_sq,
+                       -f * f * h * h + float(w @ G @ w))
+
 # the gradient-squared prefactor multiplies (g_I(Y, d_t)^2 + g_I(Y, Y))
 # = h^2 - h^2, identically zero for a time-directed base part
 _GRAD_BRACKET = 0.0
 
-def _ssst_derived(f, h, hvv, hvw, hww, rf, grad_sq) -> dict:
-    return {"grad_sq": _GRAD_BRACKET, "hess_VV": f * h * h * hvv,
-            "hess_VW": 2.0 * h * hvw, "hess_WW": hww / f, "fiber_curvature": rf}
+def _ssst_derived(d: _StaticData) -> NullCurvatureResult:
+    f, h = d.f, d.h
+    terms = {"grad_sq": _GRAD_BRACKET, "hess_VV": f * h * h * d.hVV,
+             "hess_VW": 2.0 * h * d.hVW, "hess_WW": d.hWW / f,
+             "fiber_curvature": d.rF}
+    return NullCurvatureResult.from_terms(terms, d.g_SS)
 
 def _ssst_printed(flip: float):
     """``flip`` is the display's H(W,W) sign."""
-    def terms(f, h, hvv, hvw, hww, rf, grad_sq) -> dict:
-        return {"grad_sq": -grad_sq * _GRAD_BRACKET, "hess_VV": f * h * h * hvv,
-                "hess_VW": 0.0, "hess_WW": flip * hww / f,
-                "fiber_curvature": -rf}
-    return terms
+    def form(d: _StaticData) -> NullCurvatureResult:
+        f, h = d.f, d.h
+        terms = {"grad_sq": -d.grad_sq * _GRAD_BRACKET,
+                 "hess_VV": f * h * h * d.hVV, "hess_VW": 0.0,
+                 "hess_WW": flip * d.hWW / f, "fiber_curvature": -d.rF}
+        return NullCurvatureResult.from_terms(terms, d.g_SS)
+    return form
 
 # display -> path -> term function.  The displays named after a model kind
 # are that kind's formula paths (``formula_paths``, ``compare``); the type
 # 1/2/3 displays and the remark are library-only.  The time-base term
-# functions take a _TimeData; the static ones the scalars of
-# ssst_null_curvature and return the terms alone.
+# functions take a _TimeData, the static ones a _StaticData.
 _FORMS = {
     "MGRW": {"derived": _multi_derived, "printed": _mgrw_printed,
              "printed_corollary": _mgrw_corollary},
@@ -680,25 +778,8 @@ def ssst_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
     if spec.kind != "SSST":
         raise ValidationError("ssst_null_curvature requires kind='SSST'")
     plane.validate(tol=1e-9)
-    ctx = PointContext.of(spec, p)
-    f = ctx.warps[0]
-    L = plane.L
-    a = float(L.base_part)
-    if abs(abs(a) - 1.0 / f) > _SHAPE_TOL:
-        raise ShapeError(
-            f"L must have base coefficient +-1/f = {1.0 / f:.6g}, got {a:.6g}")
-    if a > 0:
-        L = -L
-    h = float(plane.S.base_part)
-    wd = ctx.warp_bundle[0]
-    v = np.asarray(L.fiber_parts[0], float)
-    w = np.asarray(plane.S.fiber_parts[0], float)
-    G = ctx.fiber_metrics[0]
-    terms = _form("SSST", path)(
-        f, h, float(v @ wd.hess @ v), float(v @ wd.hess @ w),
-        float(w @ wd.hess @ w), _spatial_curvature_quadratic(ctx, v, w, G),
-        wd.grad_sq)
-    return NullCurvatureResult.from_terms(terms, -f * f * h * h + float(w @ G @ w))
+    form = _form("SSST", path)
+    return form(_static_data(PointContext.of(spec, p), plane))
 
 def _spatial_curvature_quadratic(ctx: PointContext, v, w, G) -> float:
     """g_F(R_F(V,W)W, V) on the static model's spatial factor."""
@@ -747,17 +828,26 @@ def formula_paths(spec: ManifoldSpec) -> tuple[str, ...]:
 
 def specialized_null_curvature(spec: ManifoldSpec, plane: NullPlane,
                                path: str = "derived") -> NullCurvatureResult:
-    """Route a plane to its model kind's display in the closed-form table."""
+    """Route a plane to its model kind's display in the closed-form table.
+
+    The display's inputs (a _TimeData, or the static scalars) are built
+    from the plane's context on first use and kept in the plane's
+    ``form_inputs`` slot, so every path of one plane shares them."""
     p = PointContext.of(spec, plane.context or plane.point)
-    if spec.kind == "SSST":
-        return ssst_null_curvature(spec, p, plane, path=path)
-    if spec.kind == "GRW":
-        return grw_null_curvature(spec, p, plane, path=path)
-    if spec.kind in _FORMS:
-        return _time_form(spec, p, plane.L, plane.S, spec.kind, path)
-    if path != "derived":
-        raise ValidationError(f"{spec.kind} has no printed closed form")
-    return null_curvature_generic(spec, plane)
+    if spec.kind not in _FORMS:
+        if path != "derived":
+            raise ValidationError(f"{spec.kind} has no printed closed form")
+        return null_curvature_generic(spec, plane)
+    form = _form(spec.kind, path)
+    data = plane.form_inputs
+    if data is None:
+        if spec.kind in ("SSST", "GRW"):  # as their public evaluators do
+            plane.validate(tol=1e-9)
+        data = (_static_data(p, plane) if spec.kind == "SSST"
+                else _time_data(spec, p, plane.L, plane.S))
+        if p is plane.context:  # the inputs belong to the plane's own context
+            object.__setattr__(plane, "form_inputs", data)
+    return form(data)
 
 def isotropy_summary(values) -> dict:
     """Mean K over a set of planes at one point and the largest deviation

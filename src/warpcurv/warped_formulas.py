@@ -563,6 +563,8 @@ def riemann_tensor(spec: ManifoldSpec,
             if fib.k is not None:
                 inner = (fib.k - grad_sq) * q
             else:
+                # one batched oracle call for the fiber at every point
+                PointContext.fill_fiber_tensors(contexts, i)
                 fts = [c.fiber_tensors(i) for c in contexts]
                 inner = _lowered(np.array([t.metric for t in fts]),
                                  np.array([t.riemann for t in fts]))

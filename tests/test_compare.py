@@ -1,6 +1,7 @@
 """`compare` in chunks: the batched run against the per-sample loop it
 replaced, the streamed ledger writer against ``json.dump``, and the
-batched fill of the contexts' base tensors against a fill of one."""
+batched fills of the contexts' base and fiber tensors against a fill of
+one."""
 
 import contextlib
 import functools
@@ -13,12 +14,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from warpcurv import (CoordinateChart, DomainError, Point, PointContext,
-                      ValidationError, assemble_chart, by_name, catalog,
-                      euclidean_fiber, flatten, formula_paths,
-                      generic_warped_spec, null_curvature_generic,
-                      sample_plane, specialized_null_curvature, sphere_fiber)
-from warpcurv import cli
+from warpcurv import (CoordinateChart, DomainError, Interval, Point,
+                      PointContext, ValidationError, WarpingFunction,
+                      assemble_chart, by_name, catalog, euclidean_fiber,
+                      flatten, formula_paths, generic_warped_spec, grw_spec,
+                      null_curvature_generic, sample_plane,
+                      schwarzschild_spatial_fiber, spec_to_json,
+                      specialized_null_curvature, sphere_fiber)
+from warpcurv import cli, core_types
 from warpcurv import hyperdual as hd
 from warpcurv.tensor_oracle import (lowered_riemann,
                                     null_sectional_from_tensors,
@@ -298,6 +301,50 @@ def test_batched_fill_equals_a_fill_of_one(spec, draw):
     assert all(ctx.base_tensors is t for ctx, t in zip(chunk, before))
 
 
+def grw_schwarzschild_spec():
+    """A time-base spec whose fiber has no constant curvature, so the
+    generic route reads the fiber's own oracle tensors."""
+    return grw_spec(Interval(0.5, 3.0),
+                    WarpingFunction.from_form("exp", {"c": 1.0, "k": 0.3}),
+                    schwarzschild_spatial_fiber(1.0), name="grw_schwarzschild")
+
+
+def test_batched_fiber_fill_equals_a_fill_of_one():
+    spec = grw_schwarzschild_spec()
+    entry = cli._fallback_entry(spec.name, spec)
+    rng = np.random.default_rng(12)
+    points = [entry.random_point(rng) for _ in range(cli.CHUNK)]
+    chunk = [PointContext(spec, p) for p in points]
+    PointContext.fill_fiber_tensors(chunk, 0)
+    for ctx, p in zip(chunk, points):
+        alone = PointContext(spec, p).fiber_tensors(0)
+        filled = ctx.fiber_tensors(0)
+        assert filled.point == alone.point
+        for field in TENSOR_FIELDS:
+            got, want = getattr(filled, field), getattr(alone, field)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert not got.flags.writeable and not want.flags.writeable
+    before = [ctx.fiber_tensors(0) for ctx in chunk]
+    PointContext.fill_fiber_tensors(chunk, 0)
+    assert all(ctx.fiber_tensors(0) is t for ctx, t in zip(chunk, before))
+
+
+def test_compare_fills_fiber_tensors_once_per_chunk(monkeypatch, tmp_path):
+    """compare on a spec file with a Schwarzschild spatial fiber: one
+    batched fiber oracle call per chunk (200 samples: 4 chunks)."""
+    calls = []
+    batch = core_types.riemann_oracle_batch
+
+    def counted(chart, points):
+        calls.append(len(points))
+        return batch(chart, points)
+    monkeypatch.setattr(core_types, "riemann_oracle_batch", counted)
+    path = tmp_path / "grw_schwarzschild.json"
+    path.write_text(spec_to_json(grw_schwarzschild_spec()))
+    code, out, _ = run_compare(str(path), "--samples", "200", "--seed", "3")
+    assert code == 0, out
+    assert calls == [64, 64, 64, 8]
 def test_fill_on_a_line_base_is_a_no_op():
     entry = CATALOG[0]
     ctx = PointContext(entry.spec, entry.default_point())

@@ -155,6 +155,91 @@ class TestMakeDegeneratePlane:
 
 
 # ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+class TestNonFinite:
+    """NaN passes every ``>`` and ``<=`` test, so non-finite inputs and
+    g-values are rejected explicitly."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_normalize_null_rejects_a_non_finite_direction(self, bad):
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        U = default_frame(spec, p)
+        for direction in (TangentVector(0.0, ((bad, 0.2, 0.1),)),
+                          TangentVector(bad, ((1.0, 0.0, 0.0),))):
+            with pytest.raises(PlaneError, match="not finite"):
+                normalize_null(spec, p, U, direction)
+
+    def test_normalize_null_rejects_a_non_finite_frame(self):
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        with pytest.raises(PlaneError, match="not finite"):
+            normalize_null(spec, p, TangentVector(math.nan, ((0.0,) * 3,)),
+                           TangentVector(0.0, ((1.0, 0.0, 0.0),)))
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_make_degenerate_plane_rejects_a_non_finite_candidate(self, bad):
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        L = TangentVector(-1.0, ((1.0, 0.0, 0.0),))
+        for S in (TangentVector(0.0, ((0.0, bad, 0.0),)),
+                  TangentVector(bad, ((0.0, 1.0, 0.0),))):
+            with pytest.raises(PlaneError, match="not finite"):
+                make_degenerate_plane(spec, p, L, S)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_make_degenerate_plane_rejects_a_non_finite_l(self, bad):
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        L = TangentVector(-1.0, ((bad, 0.0, 0.0),))
+        with pytest.raises(PlaneError, match="not finite"):
+            make_degenerate_plane(spec, p, L,
+                                  TangentVector(0.0, ((0.0, 1.0, 0.0),)))
+
+    @pytest.mark.parametrize("field", ("g_LL", "g_LS", "g_SS", "g_LU"))
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_a_plane_with_a_non_finite_g_value_fails_validation(self, field,
+                                                                 bad):
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        good = sample_plane(spec, p, np.random.default_rng(0))
+        fields = dict(point=good.point, L=good.L, S=good.S,
+                      frame_U=good.frame_U, g_LL=good.g_LL, g_LS=good.g_LS,
+                      g_SS=good.g_SS, g_LU=good.g_LU, context=good.context)
+        plane = NullPlane(**dict(fields, **{field: bad}))
+        with pytest.raises(PlaneError, match="non-finite"):
+            plane.validate(tol=1e-9)
+        with pytest.raises(PlaneError, match="non-finite"):
+            null_curvature_generic(spec, plane)
+        null_curvature_generic(spec, NullPlane(**fields))  # the finite one
+
+    def test_null_curvature_generic_rejects_a_plane_built_with_nan(self):
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        plane = NullPlane.build(spec, p, TangentVector(-1.0, ((1.0, 0.0, 0.0),)),
+                                TangentVector(0.0, ((0.0, math.nan, 0.0),)))
+        with pytest.raises(PlaneError, match="non-finite"):
+            null_curvature_generic(spec, plane)
+
+    def test_finite_inputs_keep_their_bits(self):
+        """The checks only raise: a finite plane equals one built from the
+        same vectors by PointContext.plane, g-value for g-value."""
+        spec = minkowski()
+        p = by_name("minkowski").default_point()
+        U = default_frame(spec, p)
+        L = normalize_null(spec, p, U, TangentVector(0.0, ((0.3, -0.4, 0.1),)))
+        plane = make_degenerate_plane(spec, p, L,
+                                      TangentVector(0.2, ((0.1, 0.5, -0.3),)))
+        again = NullPlane.build(spec, p, plane.L, plane.S, plane.frame_U)
+        assert plane == again
+
+
+# ---------------------------------------------------------------------------
 # evaluator equivalences
 # ---------------------------------------------------------------------------
 

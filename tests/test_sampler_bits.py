@@ -1,0 +1,277 @@
+"""The flat-component sampler draws the planes of the tangent-vector
+sampler it replaced, bit for bit.
+
+``reference_sample_plane`` below is that sampler (with its
+``normalize_null``, ``make_degenerate_plane`` and metric), kept verbatim
+as a test-only reference: it runs on tuple ``TangentVector`` arithmetic
+and validates through ``inner`` on every product.  The cases cover the 8
+catalog models at 50 seeds, ``base_free=True``, an explicit frame that is
+not the default one and a generic base chart.  Every component of L and
+S, every g-value, the frame and the generator's next draw must match.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+
+from test_compare import generic_point, generic_spec
+from warpcurv import (NullPlane, PointContext, TangentVector, catalog,
+                      default_frame, formula_paths, sample_plane,
+                      specialized_null_curvature)
+from warpcurv.core_types import components
+from warpcurv.errors import ConstructionError, PlaneError, ValidationError
+
+CATALOG = catalog()
+SEEDS = range(50)
+
+
+# ---------------------------------------------------------------------------
+# the reference: the tangent-vector sampler, verbatim
+# ---------------------------------------------------------------------------
+
+def _ref_fiber_inner(rows, v, w) -> float:
+    acc = 0.0
+    for i in range(len(rows)):
+        if v[i] == 0.0:
+            continue
+        for j in range(len(rows)):
+            if w[j] == 0.0:
+                continue
+            acc += v[i] * rows[i][j] * w[j]
+    return acc
+
+
+def ref_inner(g, X, Y):
+    spec = g.spec
+    X.validate(spec)
+    Y.validate(spec)
+    if spec.kind == "SSST":
+        acc = -(g.warps[0] ** 2) * X.base_part * Y.base_part
+        acc += _ref_fiber_inner(g.fiber_rows[0], X.fiber_parts[0],
+                                Y.fiber_parts[0])
+        return acc
+    if g.base_rows is not None:
+        acc = float(np.asarray(X.base_part) @ g.base_rows
+                    @ np.asarray(Y.base_part))
+    else:
+        acc = -X.base_part * Y.base_part
+    for b, rows, v, w in zip(g.warps, g.fiber_rows, X.fiber_parts,
+                             Y.fiber_parts):
+        acc += b * b * _ref_fiber_inner(rows, v, w)
+    return acc
+
+
+def ref_plane(g, L, S, frame_U=None):
+    return NullPlane(point=g.point, L=L, S=S, frame_U=frame_U,
+                     g_LL=ref_inner(g, L, L), g_LS=ref_inner(g, L, S),
+                     g_SS=ref_inner(g, S, S),
+                     g_LU=ref_inner(g, L, frame_U) if frame_U is not None
+                     else -1.0, context=g)
+
+
+def ref_normalize_null(spec, p, U, direction):
+    g = PointContext.of(spec, p)
+    g_UU = ref_inner(g, U, U)
+    if g_UU >= 0.0:
+        raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
+    g_DU = ref_inner(g, direction, U)
+    d_perp = direction - (g_DU / g_UU) * U
+    n2 = ref_inner(g, d_perp, d_perp)
+    if n2 <= 1e-24:
+        raise ConstructionError(
+            "direction has no spacelike part; cannot complete to a null vector")
+    beta = -1.0 / g_UU
+    gamma = math.sqrt(-1.0 / (g_UU * n2))
+    return beta * U + gamma * d_perp
+
+
+def ref_make_degenerate_plane(spec, p, L, S_candidate, frame_U=None):
+    g = PointContext.of(spec, p)
+    U = frame_U if frame_U is not None else default_frame(spec, g)
+    g_LL = ref_inner(g, L, L)
+    g_LU = ref_inner(g, L, U)
+    scale = max(1.0, abs(ref_inner(g, U, U)))
+    if abs(g_LL) > 1e-9 * scale:
+        raise PlaneError(f"L is not null: g(L,L) = {g_LL:.3e}")
+    if abs(g_LU) < 1e-12:
+        raise PlaneError("frame is orthogonal to L; cannot project")
+    g_LS = ref_inner(g, L, S_candidate)
+    S = S_candidate - (g_LS / g_LU) * U
+    g_SS = ref_inner(g, S, S)
+    if g_SS <= 1e-12 * scale:
+        raise PlaneError(
+            f"projected S is not spacelike (g(S,S) = {g_SS:.3e}); "
+            "candidate was parallel to L or timelike")
+    normalized = abs(g_LU + 1.0) <= 1e-9
+    plane = ref_plane(g, L, S, frame_U=U if normalized else None)
+    plane.validate(tol=1e-9)
+    return plane
+
+
+def _ref_orthonormal_fiber_draw(g, chol_t, rng, base_zero):
+    parts = []
+    for i, c_t in enumerate(chol_t):
+        x = np.linalg.solve(c_t, rng.standard_normal(c_t.shape[0]))
+        if g.spec.kind != "SSST":  # SSST's one fiber is unwarped
+            x = x / g.warps[i]
+        parts.append(tuple(x))
+    return TangentVector(base_zero, tuple(parts))
+
+
+def reference_sample_plane(spec, p, rng, frame_U=None, base_free=False):
+    g = PointContext.of(spec, p)
+    U = frame_U if frame_U is not None else default_frame(spec, g)
+    chol_t = [np.linalg.cholesky(G).T for G in g.fiber_metrics]
+    base_zero = TangentVector.zero(spec).base_part
+    for _ in range(32):
+        direction = _ref_orthonormal_fiber_draw(g, chol_t, rng, base_zero)
+        try:
+            L = ref_normalize_null(spec, g, U, direction)
+        except ConstructionError:
+            continue
+        W = _ref_orthonormal_fiber_draw(g, chol_t, rng, base_zero)
+        if base_free:
+            v_spatial = L - (ref_inner(g, L, U) / ref_inner(g, U, U)) * U
+            g_vv = ref_inner(g, v_spatial, v_spatial)
+            g_vw = ref_inner(g, v_spatial, W)
+            S_cand = W - (g_vw / g_vv) * v_spatial
+            g_ss = ref_inner(g, S_cand, S_cand)
+            if g_ss <= 1e-12:
+                continue
+            plane = ref_plane(g, L, S_cand, frame_U=U)
+            try:
+                plane.validate(tol=1e-9)
+            except PlaneError:
+                continue
+            return plane
+        w_norm = math.sqrt(max(ref_inner(g, W, W), 0.0))
+        h = 0.9 * rng.uniform(-1.0, 1.0) * w_norm
+        S_cand = h * U + W
+        try:
+            return ref_make_degenerate_plane(spec, g, L, S_cand, frame_U=U)
+        except PlaneError:
+            continue
+    raise PlaneError("could not sample a valid degenerate plane in 32 tries")
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit comparison
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    """A float's type and its 64 bits (the sign of a zero included)."""
+    return type(x), struct.pack("<d", x)
+
+
+def vector_bits(v):
+    return None if v is None else [bits(c) for c in components(v)]
+
+
+def plane_bits(plane):
+    return {"L": vector_bits(plane.L), "S": vector_bits(plane.S),
+            "frame_U": vector_bits(plane.frame_U),
+            **{k: bits(getattr(plane, k))
+               for k in ("g_LL", "g_LS", "g_SS", "g_LU")}}
+
+
+def assert_same_draw(spec, point, seed, **kwargs):
+    """The sampler and the reference, each at a fresh context and a
+    generator at ``seed`` that has drawn ``point``, give the same plane
+    and leave their generators in the same state."""
+    rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+    p_a, p_b = point(rng_a), point(rng_b)
+    ctx_a, ctx_b = PointContext(spec, p_a), PointContext(spec, p_b)
+    frame = kwargs.pop("frame", None)
+    got = sample_plane(spec, ctx_a, rng_a,
+                       frame_U=frame and frame(ctx_a), **kwargs)
+    want = reference_sample_plane(spec, ctx_b, rng_b,
+                                  frame_U=frame and frame(ctx_b), **kwargs)
+    assert plane_bits(got) == plane_bits(want)
+    assert got == want and got.context is ctx_a
+    assert bits(rng_a.random()) == bits(rng_b.random())
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_default_frame(entry):
+    for seed in SEEDS:
+        assert_same_draw(entry.spec, entry.random_point, seed)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_base_free(entry):
+    for seed in SEEDS:
+        assert_same_draw(entry.spec, entry.random_point, seed, base_free=True)
+
+
+def scaled_frame(ctx):
+    """The default frame scaled by 1.25: not normalized, still along the
+    base, as a base-free plane needs."""
+    return 1.25 * default_frame(ctx.spec, ctx)
+
+
+def tilted_frame(ctx):
+    """The scaled frame plus a small spatial part in every fiber."""
+    spec = ctx.spec
+    U = scaled_frame(ctx)
+    for i, f in enumerate(spec.fibers):
+        # each coefficient has g_F-length at most 0.1 in the warped metric
+        warp = ctx.warps[i] if spec.kind != "SSST" else 1.0
+        comps = [0.1 * (k + 1) / (f.dim * warp
+                                  * math.sqrt(ctx.fiber_metrics[i][k, k]))
+                 for k in range(f.dim)]
+        U = U + TangentVector.fiber_direction(spec, i, comps)
+    return U
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_explicit_frame(entry):
+    for seed in SEEDS:
+        assert_same_draw(entry.spec, entry.random_point, seed,
+                         frame=tilted_frame)
+        assert_same_draw(entry.spec, entry.random_point, seed,
+                         frame=scaled_frame, base_free=True)
+
+
+def test_generic_base_chart():
+    spec = generic_spec()
+    for seed in SEEDS:
+        assert_same_draw(spec, generic_point, seed)
+        assert_same_draw(spec, generic_point, seed, base_free=True)
+
+
+# ---------------------------------------------------------------------------
+# the plane's closed-form inputs, shared by its paths
+# ---------------------------------------------------------------------------
+
+def result_bits(res):
+    return ([bits(res.value), bits(res.numerator), bits(res.denominator)]
+            + [(k, bits(v)) for k, v in res.breakdown.items()])
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_paths_share_the_plane_inputs(entry):
+    """Each path on a plane whose inputs another path built has the bits
+    of that path on a fresh plane."""
+    spec = entry.spec
+    paths = formula_paths(spec)
+
+    def draw(seed):
+        rng = np.random.default_rng(seed)
+        return sample_plane(spec, PointContext(spec, entry.random_point(rng)),
+                            rng)
+
+    for seed in range(5):
+        fresh = {path: result_bits(specialized_null_curvature(
+            spec, draw(seed), path)) for path in paths}
+        for first in paths:
+            plane = draw(seed)
+            specialized_null_curvature(spec, plane, first)
+            filled = plane.form_inputs
+            assert (filled is None) == (spec.kind not in
+                                        ("MGRW", "GRW", "Kasner", "SSST"))
+            for path in paths:
+                got = specialized_null_curvature(spec, plane, path)
+                assert result_bits(got) == fresh[path]
+                assert plane.form_inputs is filled

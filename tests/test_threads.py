@@ -1,11 +1,16 @@
 """Evaluation from concurrent threads gives the single-threaded bits.
 
-Per-point data lives only in the PointContext the caller builds, so no
-evaluator shares mutable state with another call.  The threaded run also
-shares each context between several tasks while its lazy slots are still
-empty, so that filling them concurrently is exercised too.
+Per-point data lives only in the PointContext the caller builds and in
+the planes drawn at it, so no evaluator shares mutable state with another
+call.  The threaded runs also share each context between several tasks
+while its lazy slots are still empty, and one run draws its planes inside
+the pool (filling each context's Cholesky factors concurrently) and
+evaluates every plane from two tasks at once (filling its closed-form
+inputs concurrently), so that filling the slots concurrently is exercised
+too.
 """
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,6 +19,7 @@ import pytest
 from warpcurv import (PointContext, ValidationError, catalog, formula_paths,
                       null_curvature_generic, ricci_matrix, sample_plane,
                       specialized_null_curvature)
+from warpcurv.core_types import components
 
 CATALOG = catalog()
 PLANES_PER_POINT = 3
@@ -59,6 +65,57 @@ def test_threads_match_single_thread():
     for got, want in zip(threaded, serial):
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def draw_one(spec, ctx, seed):
+    """One plane drawn at ctx from its own generator, as a flat array of
+    L's and S's components and the plane's g-values next to the plane."""
+    plane = sample_plane(spec, ctx, np.random.default_rng(seed))
+    flat = (components(plane.L) + components(plane.S)
+            + (plane.g_LL, plane.g_LS, plane.g_SS, plane.g_LU))
+    return plane, np.array(flat, dtype=float)
+
+
+def draw_tasks():
+    """(spec, ctx, seed) per plane; each fresh context is shared by the
+    draws of several planes."""
+    out = []
+    for k, entry in enumerate(CATALOG):
+        for seed in (100 * k, 100 * k + 1):
+            ctx = PointContext(entry.spec,
+                               entry.random_point(np.random.default_rng(seed)))
+            out += [(entry.spec, ctx, (seed, j))
+                    for j in range(PLANES_PER_POINT)]
+    return out
+
+
+def test_threaded_draws_match_single_thread():
+    serial = []
+    for spec, ctx, seed in draw_tasks():
+        plane, flat = draw_one(spec, ctx, seed)
+        serial.append((flat, evaluate(spec, ctx, plane)))
+    fresh = draw_tasks()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            drawn = list(pool.map(lambda task: draw_one(*task), fresh,
+                                  timeout=120))
+            # every plane twice, so two tasks fill its inputs at once
+            jobs = [(spec, ctx, plane) for (spec, ctx, _), (plane, _)
+                    in zip(fresh, drawn) for _ in range(2)]
+            values = list(pool.map(lambda job: evaluate(*job), jobs,
+                                   timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == len(serial) == 2 * len(CATALOG) * PLANES_PER_POINT
+    for k, (want_flat, want) in enumerate(serial):
+        got_flat = drawn[k][1]
+        assert np.array_equal(got_flat, want_flat)
+        assert np.array_equal(np.signbit(got_flat), np.signbit(want_flat))
+        for got in values[2 * k:2 * k + 2]:
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_context_of_rejects_another_spec():
