@@ -13,16 +13,23 @@ Exit codes: 0 success; 1 only from ``compare``, when a derived closed form
 disagrees with the oracle; 2 input, validation or file error; 3 domain
 error or degenerate metric; 4 internal error (traceback on stderr).
 The default seed comes from the ``WARPCURV_SEED`` environment variable.
-Output is byte-identical for identical (arguments, seed) on one platform.
+Output is byte-identical for identical (arguments, seed) on one platform;
+``compare`` spreads its chunks over forked workers, one per CPU the
+process may run on, and its output does not depend on how many.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import math
 import os
+import pickle
+import signal
 import sys
+import threading
 import traceback
 
 import numpy as np
@@ -256,6 +263,20 @@ def _csv(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_compare(args) -> int:
+    """Compare every closed form with the chart oracle at ``--samples``
+    seeded (point, plane) draws; write the ledger, print one summary line.
+
+    Each sample's ``plane_seed`` is drawn from the root generator up front,
+    in sample order, and the samples are evaluated ``CHUNK`` at a time by
+    :func:`_compare_chunks`.  The chunks are cut into contiguous blocks,
+    one per CPU this process may run on (:func:`_blocks`): the process
+    evaluates the first block and a forked worker each of the others.  A
+    block returns its rows already spelled as ledger text, and a sample's
+    rows never straddle two blocks, so the joined ledger has the bytes of
+    a run in one process.  The ledger is written only once every block
+    has succeeded; an error in a block is raised here as it would be in
+    one process, the first block's before any worker's.
+    """
     name, spec, entry = _resolve_model(args.model)
     if entry is None:
         entry = _fallback_entry(name, spec)
@@ -265,14 +286,46 @@ def cmd_compare(args) -> int:
         if args.path == "as-printed" else []
 
     root = np.random.default_rng(np.uint64(seed))
-    ledger = []
+    plane_seeds = [int(root.integers(0, 2 ** 63))
+                   for _ in range(args.samples)]
+    chunks = [plane_seeds[start:start + CHUNK]
+              for start in range(0, args.samples, CHUNK)]
+    job = functools.partial(_compare_chunks, name, spec, entry, chart,
+                            printed_paths)
+    with _blocks(job, chunks) as results:
+        entries = sum(rows for _, rows, _ in results)
+        derived_ok = all(ok for _, _, ok in results)
+        with open(args.ledger, "w") as fh:
+            _write_framed(fh, _fragments(results))
+    print(f"{name}: {args.samples} samples, {entries} ledger entries "
+          f"-> {args.ledger}; derived-vs-oracle "
+          f"{'OK' if derived_ok else 'DISAGREES'}")
+    return 0 if derived_ok else 1
+
+
+def _fragments(results: list):
+    """The blocks' fragments in block order.  Each block is let go once it
+    is written, so this process's own text is freed before a worker's is
+    read."""
+    while results:
+        yield from results.pop(0)[0]
+
+
+def _compare_chunks(name, spec, entry, chart, printed_paths,
+                    chunks) -> tuple[list[str], int, bool]:
+    """Evaluate chunks of plane seeds: (a fragment of ledger text per
+    chunk with rows, its rows' texts joined by ``",\\n"``; the number of
+    rows; whether the derived closed forms agree with the oracle at every
+    sample)."""
+    fragments = []
+    entries = 0
     derived_ok = True
-    for start in range(0, args.samples, CHUNK):
+    for plane_seeds in chunks:
+        ledger = []
         # each sample draws its point and plane from its own seed, so
         # drawing a chunk at a time leaves every draw as it was
         draws = []
-        for _ in range(min(CHUNK, args.samples - start)):
-            plane_seed = int(root.integers(0, 2 ** 63))
+        for plane_seed in plane_seeds:
             rng = np.random.default_rng(np.uint64(plane_seed))
             ctx = PointContext(spec, entry.random_point(rng))
             draws.append((plane_seed, sample_plane(spec, ctx, rng)))
@@ -311,21 +364,18 @@ def cmd_compare(args) -> int:
                 for key in keys:
                     va = printed.breakdown.get(key, 0.0)
                     vb = derived.breakdown.get(key, 0.0)
-                    if not np.isfinite(va) or abs(va - vb) > tol:
+                    if not math.isfinite(va) or abs(va - vb) > tol:
                         ledger.append(_ledger_row(coords, key, label,
                                                   "as-derived", va, vb))
-                if not np.isfinite(printed.value) \
+                if not math.isfinite(printed.value) \
                         or abs(printed.value - k_oracle) > tol:
                     ledger.append(_ledger_row(coords, "value", label,
                                               "oracle", printed.value,
                                               k_oracle))
-
-    with open(args.ledger, "w") as fh:
-        write_ledger(fh, ledger)
-    print(f"{name}: {args.samples} samples, {len(ledger)} ledger entries "
-          f"-> {args.ledger}; derived-vs-oracle "
-          f"{'OK' if derived_ok else 'DISAGREES'}")
-    return 0 if derived_ok else 1
+        if ledger:
+            fragments.append(",\n".join(_ledger_texts(ledger)))
+            entries += len(ledger)
+    return fragments, entries, derived_ok
 
 
 def _ledger_row(coords: dict, term: str, path_a: str, path_b: str,
@@ -336,9 +386,25 @@ def _ledger_row(coords: dict, term: str, path_a: str, path_b: str,
 
 def write_ledger(fh, rows) -> None:
     """Write ledger rows, one at a time from a fixed template; the bytes
-    are those of ``json.dump(rows, fh, indent=2)`` and a newline.  The
-    head of a row (model, point, plane_seed) is formatted once for a run
-    of rows of one sample, and each distinct string is spelled once."""
+    are those of ``json.dump(rows, fh, indent=2)`` and a newline."""
+    _write_framed(fh, _ledger_texts(rows))
+
+
+def _write_framed(fh, texts) -> None:
+    """Write texts of ledger rows, or of runs of rows joined by
+    ``",\\n"``, inside the list's brackets as ``json.dump`` frames them."""
+    sep = "[\n"
+    for text in texts:
+        fh.write(sep + text)
+        sep = ",\n"
+    fh.write("[]\n" if sep == "[\n" else "\n]\n")
+
+
+def _ledger_texts(rows):
+    """Each row's text as ``json.dump(rows, indent=2)`` spells it inside
+    the list.  The head of a row (model, point, plane_seed) is formatted
+    once for a run of rows of one sample, and each distinct string is
+    spelled once."""
     spelled: dict[str, str] = {}
 
     def spell(text: str) -> str:
@@ -346,7 +412,6 @@ def write_ledger(fh, rows) -> None:
             spelled[text] = json.dumps(text)
         return spelled[text]
 
-    sep = "[\n"
     sample = head = None
     for row in rows:
         model, point, plane_seed = row["model"], row["point"], row["plane_seed"]
@@ -360,17 +425,14 @@ def write_ledger(fh, rows) -> None:
                     f'    "point": {listed},\n'
                     f'    "plane_seed": {_json_number(plane_seed)},\n')
             sample = (model, point, plane_seed)
-        fh.write(
-            f'{sep}{head}'
-            f'    "term": {spell(row["term"])},\n'
-            f'    "path_a": {spell(row["path_a"])},\n'
-            f'    "path_b": {spell(row["path_b"])},\n'
-            f'    "value_a": {_json_number(row["value_a"])},\n'
-            f'    "value_b": {_json_number(row["value_b"])},\n'
-            f'    "abs_diff": {_json_number(row["abs_diff"])}\n'
-            f'  }}')
-        sep = ",\n"
-    fh.write("[]\n" if sep == "[\n" else "\n]\n")
+        yield (f'{head}'
+               f'    "term": {spell(row["term"])},\n'
+               f'    "path_a": {spell(row["path_a"])},\n'
+               f'    "path_b": {spell(row["path_b"])},\n'
+               f'    "value_a": {_json_number(row["value_a"])},\n'
+               f'    "value_b": {_json_number(row["value_b"])},\n'
+               f'    "abs_diff": {_json_number(row["abs_diff"])}\n'
+               f'  }}')
 
 
 def _json_number(x) -> str:
@@ -383,6 +445,114 @@ def _json_number(x) -> str:
     if x in (math.inf, -math.inf):
         return "Infinity" if x > 0 else "-Infinity"
     return float.__repr__(x)
+
+
+# ---------------------------------------------------------------------------
+# blocks of chunks in forked workers
+# ---------------------------------------------------------------------------
+
+class WorkerTraceback(Exception):
+    """The formatted traceback of an exception a worker raised; chained as
+    the cause of that exception where it is raised again."""
+
+
+@contextlib.contextmanager
+def _blocks(job, chunks: list):
+    """Yield ``job(block)``, ``(fragments, rows, derived_ok)``, for each of
+    contiguous blocks of ``chunks``, in order.
+
+    There is one block per CPU this process may run on
+    (``os.sched_getaffinity``), at most one per chunk, and at least one.
+    The process evaluates the first block itself and forks a worker for
+    each other one.  Where a worker cannot be forked safely (no
+    ``os.fork`` or ``os.sched_getaffinity``, or other threads running),
+    the first block holds every chunk.  A worker sends back its block's
+    row count and verdict once its block is done, then its fragments
+    one at a time as the caller reads them, so no process holds more
+    than its own block's text; or it sends the exception it raised,
+    which is raised here.  The exceptions come in block order, so the
+    first block's comes before any worker's.  Every worker is reaped
+    before this ends, and killed first if a block or the caller raised.
+    """
+    n = 1
+    if len(chunks) > 1 and hasattr(os, "fork") \
+            and hasattr(os, "sched_getaffinity") \
+            and threading.active_count() == 1:
+        n = min(len(chunks), len(os.sched_getaffinity(0)))
+    cuts = [len(chunks) * i // n for i in range(n + 1)]
+    workers = []  # (pid, the read end of its pipe)
+    done = False
+    try:
+        for lo, hi in zip(cuts[1:-1], cuts[2:]):
+            workers.append(_fork_worker(job, chunks[lo:hi]))
+        results = [job(chunks[:cuts[1]])]
+        results += [_worker_result(pid, fh) for pid, fh in workers]
+        yield results
+        done = True
+    finally:
+        for pid, fh in workers:
+            fh.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork_worker(job, block) -> tuple:
+    """Fork a worker that evaluates ``job(block)``, sends the result or
+    the exception through a pipe and leaves with ``os._exit``; (its pid,
+    the read end of the pipe)."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as fh:
+                try:
+                    fragments, rows, ok = job(block)
+                except BaseException as exc:
+                    pickle.dump(_raised(exc), fh)
+                else:
+                    pickle.dump(("result", (rows, ok), len(fragments)), fh)
+                    for fragment in fragments:
+                        pickle.dump(fragment, fh)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _raised(exc: BaseException) -> tuple:
+    """A worker's message for an exception: the exception, or where it
+    cannot be sent as it is a RuntimeError that names it; and the
+    formatted traceback."""
+    text = "".join(traceback.format_exception(type(exc), exc,
+                                              exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"a compare worker raised "
+                           f"{type(exc).__name__}: {exc}")
+    return "raised", exc, "\n" + text
+
+
+def _worker_result(pid: int, fh) -> tuple:
+    """A worker's (fragments, rows, derived_ok), the fragments read from
+    its pipe as they are iterated; or raise the exception it sent."""
+    try:
+        kind, value, extra = pickle.load(fh)
+    except EOFError:
+        raise RuntimeError(f"compare worker {pid} ended without sending "
+                           f"a result") from None
+    if kind == "raised":
+        raise value from WorkerTraceback(extra)
+    return ((pickle.load(fh) for _ in range(extra)), *value)
 
 
 # ---------------------------------------------------------------------------

@@ -246,8 +246,11 @@ def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
     spatial (the degeneracy condition is then solved inside the fiber
     block), the configuration the published base-free special cases
     assume; otherwise S is W plus a random multiple of the frame,
-    projected as in :func:`make_degenerate_plane`.  The draws use the
-    context's Cholesky factors of the fiber metrics
+    projected as in :func:`make_degenerate_plane`.  A base-free S is
+    g-orthogonal to L only where it is to the frame, so with
+    ``base_free=True`` a ``frame_U`` that has a fiber (spatial) part is
+    refused with a :class:`ValidationError`, before any draw.  The draws
+    use the context's Cholesky factors of the fiber metrics
     (:attr:`PointContext.chol_t`); the arithmetic runs on flat chart
     components through :meth:`PointContext.form`, and the plane's tangent
     vectors and g-values are built once.  The plane carries the point's
@@ -256,6 +259,11 @@ def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
     U.validate(spec)
+    if base_free and any(c != 0.0 for part in U.fiber_parts for c in part):
+        raise ValidationError(
+            "base_free=True needs a frame_U along the base, but frame_U "
+            f"has the fiber part {U.fiber_parts}: no base-free S is then "
+            "orthogonal to L")
     u = components(U)
     g_UU = g.form(u, u)
     zero = TangentVector.zero(spec)

@@ -8,6 +8,7 @@ import functools
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -161,25 +162,50 @@ class TestAgainstScalarLoop:
         assert {r["plane_seed"] for r in full} <= set(seeds)
 
 
+def recorded_calls(log):
+    """{pid: [line, ...]} of a call log, each process's lines in order."""
+    calls = {}
+    for line in log.read_text().splitlines():
+        pid, _, what = line.partition(" ")
+        calls.setdefault(int(pid), []).append(what)
+    return calls
+
+
+def record_call(log, what) -> None:
+    """Append one line for a call, from whichever process makes it (the
+    chunks after the first block run in forked workers)."""
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {what}\n")
+
+
 @pytest.mark.parametrize("target", ["riemann_oracle_batch",
                                     "null_curvature_generic"])
-def test_domain_error_in_a_chunk_writes_no_ledger(monkeypatch, target):
-    """A DomainError in the second chunk (the oracle) or in the first
-    chunk's last sample (the generic expansion) exits 3, no ledger."""
+def test_domain_error_in_a_chunk_writes_no_ledger(monkeypatch, tmp_path,
+                                                  target):
+    """A DomainError in the second chunk (the oracle, on its one point)
+    or in the first chunk's last sample (the generic expansion) exits 3,
+    no ledger.  Calls are recorded in a file, so a worker's count too."""
     real = getattr(cli, target)
-    calls = {"n": 0}
-    fail_at = 2 if target == "riemann_oracle_batch" else cli.CHUNK
+    log = tmp_path / "calls"
+    calls = {"n": 0}  # this process's calls; a worker counts its own
 
     def failing(*args, **kwargs):
         calls["n"] += 1
-        if calls["n"] == fail_at:
+        record_call(log, target)
+        if (len(args[1]) == 1 if target == "riemann_oracle_batch"
+                else calls["n"] == cli.CHUNK):
             raise DomainError("outside the chart")
         return real(*args, **kwargs)
 
     monkeypatch.setattr(cli, target, failing)
     code, stdout, text = run_compare("kasner_vacuum", "--samples",
                                      str(SAMPLES), "--path", "as-printed")
-    assert calls["n"] == fail_at
+    recorded = recorded_calls(log)
+    if target == "riemann_oracle_batch":
+        assert sum(map(len, recorded.values())) == 2
+    else:
+        # the first chunk runs here; a worker may have started the second
+        assert len(recorded[os.getpid()]) == cli.CHUNK
     assert (code, stdout, text) == (3, "", None)
 
 
@@ -332,19 +358,26 @@ def test_batched_fiber_fill_equals_a_fill_of_one():
 
 def test_compare_fills_fiber_tensors_once_per_chunk(monkeypatch, tmp_path):
     """compare on a spec file with a Schwarzschild spatial fiber: one
-    batched fiber oracle call per chunk (200 samples: 4 chunks)."""
-    calls = []
+    batched fiber oracle call per chunk (200 samples: 4 chunks).  Calls
+    are recorded in a file, from every process; this process's come
+    first, then each worker's (forked in block order, so by pid)."""
+    log = tmp_path / "calls"
     batch = core_types.riemann_oracle_batch
 
     def counted(chart, points):
-        calls.append(len(points))
+        record_call(log, len(points))
         return batch(chart, points)
     monkeypatch.setattr(core_types, "riemann_oracle_batch", counted)
     path = tmp_path / "grw_schwarzschild.json"
     path.write_text(spec_to_json(grw_schwarzschild_spec()))
     code, out, _ = run_compare(str(path), "--samples", "200", "--seed", "3")
     assert code == 0, out
+    recorded = recorded_calls(log)
+    order = sorted(recorded, key=lambda pid: (pid != os.getpid(), pid))
+    calls = [int(n) for pid in order for n in recorded[pid]]
     assert calls == [64, 64, 64, 8]
+
+
 def test_fill_on_a_line_base_is_a_no_op():
     entry = CATALOG[0]
     ctx = PointContext(entry.spec, entry.default_point())

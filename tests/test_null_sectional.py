@@ -7,8 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from warpcurv import (Interval, NullPlane, PlaneError, Point, ShapeError,
-                      TangentVector, ValidationError, WarpingFunction,
+from test_sampler_bits import tilted_frame
+from warpcurv import (Interval, NullPlane, PlaneError, Point, PointContext,
+                      ShapeError, TangentVector, ValidationError,
+                      WarpingFunction,
                       assemble_chart, by_name, catalog, default_frame,
                       euclidean_fiber, flatten, formula_paths,
                       grw_null_curvature, grw_remark_value, grw_spec,
@@ -152,6 +154,25 @@ class TestMakeDegeneratePlane:
         L = TangentVector(-1.0, ((1.0, 0.0, 0.0),))
         with pytest.raises(PlaneError):
             make_degenerate_plane(spec, p, L, 2.0 * L)
+
+
+@pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
+def test_base_free_refuses_a_frame_with_a_fiber_part(entry):
+    """A base-free S is g-orthogonal to L only where it is to the frame,
+    so a frame with a fiber part is refused up front, naming the frame,
+    before the generator draws; without base_free the frame is drawn
+    from."""
+    spec = entry.spec
+    rng = np.random.default_rng(5)
+    ctx = PointContext(spec, entry.random_point(rng))
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError,
+                       match="base_free=True needs a frame_U along the base"):
+        sample_plane(spec, ctx, rng, frame_U=tilted_frame(ctx),
+                     base_free=True)
+    assert rng.bit_generator.state == state
+    plane = sample_plane(spec, ctx, rng, frame_U=tilted_frame(ctx))
+    assert plane.frame_U == tilted_frame(ctx)
 
 
 # ---------------------------------------------------------------------------
