@@ -137,8 +137,14 @@ def _count(minimum: int):
 
 
 def _seed_from(args) -> int:
-    seed = args.seed if args.seed is not None \
-        else int(os.environ.get("WARPCURV_SEED", "0"))
+    seed = args.seed
+    if seed is None:
+        text = os.environ.get("WARPCURV_SEED", "0")
+        try:
+            seed = int(text)
+        except ValueError:
+            raise ValidationError(
+                f"WARPCURV_SEED must be an integer, got {text!r}") from None
     return seed & (2 ** 64 - 1)
 
 

@@ -539,15 +539,25 @@ class Point:
     fiber_coords: tuple
 
     def validate(self, spec: ManifoldSpec) -> None:
-        if spec.base_chart is None:
-            spec.base.require(float(self.t))
         if len(self.fiber_coords) != spec.m:
             raise ShapeError(f"expected {spec.m} fiber coordinate tuples")
         for f, x in zip(spec.fibers, self.fiber_coords):
             if len(x) != f.dim:
                 raise ShapeError(f"fiber {f.model} expects {f.dim} coordinates")
+        self._require_finite(spec)
+        if spec.base_chart is None:
+            spec.base.require(float(self.t))
+        for f, x in zip(spec.fibers, self.fiber_coords):
             if f.domain is not None and not f.domain(list(map(float, x))):
                 raise DomainError(f"fiber point {tuple(x)} outside {f.model} chart")
+
+    def _require_finite(self, spec: ManifoldSpec) -> None:
+        """Refuse a NaN or infinite coordinate, naming it."""
+        coords = self.flat(spec)
+        if not all(map(math.isfinite, coords)):
+            name, c = next((n, c) for n, c in zip(spec.flat_coord_names(), coords)
+                           if not math.isfinite(c))
+            raise ValidationError(f"point coordinate {name!r} is not finite: {c}")
 
     def flat(self, spec: ManifoldSpec) -> tuple[float, ...]:
         base = tuple(self.t) if isinstance(self.t, tuple) else (float(self.t),)
@@ -770,12 +780,14 @@ class PointContext:
         sharing what does not depend on t: the fiber metrics, their
         Cholesky factors and tensors, and for a static model every slot
         this context has filled (its curvature tensor included)."""
+        p = Point(t, self.point.fiber_coords)
+        p._require_finite(self.spec)
         if self.spec.base_chart is None:
             self.spec.base.require(float(t))
         ctx = object.__new__(PointContext)
         for name in PointContext.__slots__:
             setattr(ctx, name, getattr(self, name))
-        ctx._set_base(Point(t, self.point.fiber_coords))
+        ctx._set_base(p)
         return ctx
 
     @classmethod

@@ -10,9 +10,15 @@ fields, without ever assembling the product chart.  The case formulas:
   ``nab^F_V W - (g(V,W)/b_i) grad_B b_i``
 * nine Riemann patterns (two base-ish, the mixed zeros, the cross-fiber
   gradient products, and the in-fiber case carrying ``R_F`` plus a
-  ``|grad b|^2 / b^2`` correction), summed by multilinearity for general
-  vectors
-* four Ricci patterns
+  ``|grad b|^2 / b^2`` correction), stated once as the blocks of
+  :func:`riemann_tensor`
+* four Ricci patterns, stated once as the blocks of :func:`ricci_matrix`
+
+:func:`riemann_general` and :func:`ricci_general` contract those two
+tensors on general tangent vectors, and :func:`riemann_mwp` and
+:func:`ricci_mwp` on lifted fields.  The lift-by-lift expansion they
+replaced is kept verbatim in ``tests/reference_lifts.py``, as an
+independent reference for the tensors.
 
 Structural orientation: for time-base kinds (MGRW / GRW / Kasner) the
 warped-product base is the interval with metric -dt^2 and the fibers are
@@ -20,7 +26,7 @@ the spatial factors.  For a standard static spacetime the roles invert:
 the base is the *spatial* Riemannian factor carrying the potential f, and
 the single warped fiber is the time axis with metric -dt^2.  Lifted-field
 origins in this module always refer to that structural decomposition;
-:func:`to_structural` / :func:`from_structural` translate user-facing
+:func:`from_structural` translates them to user-facing
 :class:`~warpcurv.core_types.TangentVector` data.
 
 On the one-dimensional base -dt^2 every base-level object reduces to
@@ -44,8 +50,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core_types import ManifoldSpec, Point, PointContext, TangentVector
-from .errors import ValidationError
+from .core_types import (ManifoldSpec, Point, PointContext, TangentVector,
+                         flatten, split)
 from .hyperdual import jet, scalar_derivatives
 from .tensor_oracle import laplacian_oracle, riemann_apply
 
@@ -54,7 +60,6 @@ __all__ = [
     "base_lift",
     "fiber_lift",
     "WarpedGeometry",
-    "to_structural",
     "from_structural",
     "covariant_derivative",
     "gradient_lift",
@@ -65,7 +70,6 @@ __all__ = [
     "ricci_general",
     "ricci_matrix",
     "riemann_tensor",
-    "classify_triple",
 ]
 
 
@@ -117,12 +121,6 @@ class LineBase:
         """g_B^{-1}(a, b) for covectors a, b."""
         return self.sign * a[0] * b[0]
 
-    def riemann(self, ctx, x, y, z) -> np.ndarray:
-        return np.zeros(1)
-
-    def ricci(self, ctx, x, y) -> float:
-        return 0.0
-
     def ricci_matrix(self, ctx) -> np.ndarray:
         return np.zeros((1, 1))
 
@@ -145,12 +143,6 @@ class ChartBase:
 
     def cometric(self, ctx, a, b) -> float:
         return float(a @ ctx.base_tensors.metric_inv @ b)
-
-    def riemann(self, ctx, x, y, z) -> np.ndarray:
-        return riemann_apply(ctx.base_tensors, x, y, z)
-
-    def ricci(self, ctx, x, y) -> float:
-        return float(np.asarray(x) @ ctx.base_tensors.ricci @ np.asarray(y))
 
     def ricci_matrix(self, ctx) -> np.ndarray:
         return ctx.base_tensors.ricci
@@ -198,16 +190,8 @@ class _StructFiber:
             return self.k * (float(w @ g @ u) * v - float(v @ g @ u) * w)
         return riemann_apply(ctx.fiber_tensors(self.index), v, w, u)
 
-    def ricci(self, ctx, v, w) -> float:
-        if self.dim == 1:
-            return 0.0
-        if self.k is not None:
-            return self.k * (self.dim - 1) * self.inner(ctx, v, w)
-        r = ctx.fiber_tensors(self.index).ricci
-        return float(np.asarray(v) @ r @ np.asarray(w))
-
     def ricci_matrix(self, ctx) -> np.ndarray:
-        """Ric_F in fiber coordinates, entry for entry as :meth:`ricci`."""
+        """Ric_F in fiber coordinates."""
         if self.dim == 1:
             return np.zeros((1, 1))
         if self.k is not None:
@@ -255,18 +239,6 @@ class WarpedGeometry:
 
     def zero_vec(self):
         return (np.zeros(self.base.dim), [np.zeros(f.dim) for f in self.fibers])
-
-
-def to_structural(spec: ManifoldSpec, v: TangentVector):
-    """User-facing tangent vector -> structural (base_comps, fiber_comps)."""
-    if spec.kind == "SSST":
-        return (np.asarray(v.fiber_parts[0], float),
-                [np.array([float(v.base_part)])])
-    if spec.base_chart is not None:
-        return (np.asarray(v.base_part, float),
-                [np.asarray(part, float) for part in v.fiber_parts])
-    return (np.array([float(v.base_part)]),
-            [np.asarray(part, float) for part in v.fiber_parts])
 
 
 def from_structural(spec: ManifoldSpec, base_comps, fiber_comps) -> TangentVector:
@@ -366,140 +338,6 @@ def laplacian_lift(spec: ManifoldSpec, p: Point | PointContext, fn,
 # Riemann curvature (nine cases)
 # ---------------------------------------------------------------------------
 
-def classify_triple(oa, ob, oc) -> str:
-    """Name the curvature case a lifted-field origin triple dispatches to."""
-    if oa == "base" and ob == "base":
-        return "base_curvature" if oc == "base" else "zero_base_pair_on_fiber"
-    if oa == "base" or ob == "base":
-        if oc == "base":
-            return "fiber_base_base"
-        other = ob if oa == "base" else oa
-        return "base_fiber_fiber" if other == oc else "zero_mixed_fibers"
-    # two fiber arguments
-    if oc == "base":
-        return "zero_fibers_on_base"
-    if oa == ob:
-        return "in_fiber" if oc == oa else "zero_same_pair_other_fiber"
-    if oc == oa or oc == ob:
-        return "cross_fiber_gradient"
-    return "zero_three_distinct_fibers"
-
-
-def riemann_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
-                B: LiftedField, C: LiftedField) -> TangentVector:
-    """R(A, B) C for lifted fields, dispatching to exactly one case."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    base_out, fiber_out = _riemann_struct(
-        geom, ctx,
-        (A.origin, np.asarray(A.components, float)),
-        (B.origin, np.asarray(B.components, float)),
-        (C.origin, np.asarray(C.components, float)))
-    return from_structural(spec, base_out, fiber_out)
-
-
-def _riemann_struct(geom: WarpedGeometry, ctx: PointContext, A, B, C):
-    oa, a = A
-    ob, b = B
-    oc, c = C
-    wds = ctx.warp_bundle
-    base_out, fiber_out = geom.zero_vec()
-
-    case = classify_triple(oa, ob, oc)
-    if case.startswith("zero"):
-        return base_out, fiber_out
-
-    if case == "base_curvature":
-        base_out = geom.base.riemann(ctx, a, b, c)
-        return base_out, fiber_out
-
-    if case == "fiber_base_base":
-        # R(V, X) Y = -(H_B^b(X,Y)/b) V, antisymmetric when V sits second
-        if oa == "base":
-            i, v, x, y, sgn = int(ob), b, a, c, -1.0
-        else:
-            i, v, x, y, sgn = int(oa), a, b, c, 1.0
-        h = float(np.asarray(x) @ wds[i].hess @ np.asarray(y))
-        fiber_out[i] = sgn * (-h / wds[i].value) * v
-        return base_out, fiber_out
-
-    if case == "base_fiber_fiber":
-        # R(X, V) W = -(g(V,W)/b) nab^B_X grad_B b, same fiber only
-        if oa == "base":
-            x, v, sgn = a, b, 1.0
-        else:
-            x, v, sgn = b, a, -1.0
-        i = int(oc)
-        bi = wds[i].value
-        gvw = bi * bi * geom.fibers[i].inner(ctx, v, c)
-        # nab^B_X grad_B b_i: the (1,1) Hessian on X
-        nab = geom.base.metric_inv(ctx) @ wds[i].hess @ np.asarray(x)
-        base_out = sgn * (-gvw / bi) * nab
-        return base_out, fiber_out
-
-    if case == "cross_fiber_gradient":
-        # R(U, V) W = -g(V,W) g_B(grad b_i, grad b_k)/(b_i b_k) U
-        # for V, W in fiber i and U in fiber k != i
-        if oc == ob:
-            k, u, i, sgn = int(oa), a, int(ob), 1.0
-            v, w = b, c
-        else:
-            k, u, i, sgn = int(ob), b, int(oa), -1.0
-            v, w = a, c
-        bi, bk = wds[i].value, wds[k].value
-        gvw = bi * bi * geom.fibers[i].inner(ctx, v, w)
-        coeff = -gvw * geom.inner_grads(ctx, i, k) / (bi * bk)
-        fiber_out[k] = sgn * coeff * u
-        return base_out, fiber_out
-
-    if case == "in_fiber":
-        i = int(oa)
-        fib = geom.fibers[i]
-        bi = wds[i].value
-        rf = fib.riemann(ctx, a, b, c)
-        gac = bi * bi * fib.inner(ctx, a, c)
-        gbc = bi * bi * fib.inner(ctx, b, c)
-        ratio = wds[i].grad_sq / (bi * bi)
-        fiber_out[i] = rf + ratio * (gac * b - gbc * a)
-        return base_out, fiber_out
-
-    raise ValidationError(f"unhandled case {case}")  # pragma: no cover
-
-
-def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
-                    X: TangentVector, Y: TangentVector,
-                    Z: TangentVector) -> TangentVector:
-    """R(X, Y) Z for arbitrary vectors via multilinear expansion over lifts."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    pieces_x = _split_struct(geom, to_structural(spec, X))
-    pieces_y = _split_struct(geom, to_structural(spec, Y))
-    pieces_z = _split_struct(geom, to_structural(spec, Z))
-    base_acc, fiber_acc = geom.zero_vec()
-    for Ax in pieces_x:
-        for By in pieces_y:
-            for Cz in pieces_z:
-                # a vanishing case adds +0.0 to accumulators that start at
-                # +0.0 and only ever add, so skipping it changes no bit
-                if classify_triple(Ax[0], By[0], Cz[0]).startswith("zero"):
-                    continue
-                b_out, f_out = _riemann_struct(geom, ctx, Ax, By, Cz)
-                base_acc = base_acc + b_out
-                for i in range(geom.m):
-                    fiber_acc[i] = fiber_acc[i] + f_out[i]
-    return from_structural(spec, base_acc, fiber_acc)
-
-
-def _split_struct(geom: WarpedGeometry, sv):
-    base, fibers = sv
-    pieces = []
-    if np.any(base != 0.0):
-        pieces.append(("base", np.asarray(base, float)))
-    for i, comp in enumerate(fibers):
-        comp = np.asarray(comp, float)
-        if np.any(comp != 0.0):
-            pieces.append((i, comp))
-    return pieces
-
-
 def riemann_tensor(spec: ManifoldSpec,
                    contexts: Sequence[PointContext]) -> np.ndarray:
     """g(R(d_a, d_b) d_c, d_d) at each context's point, ``(N, n, n, n, n)``
@@ -519,9 +357,10 @@ def riemann_tensor(spec: ManifoldSpec,
 
     Every other block is zero; a static model's structural blocks are
     permuted back to chart order (time first), as in
-    :func:`ricci_matrix`.  The inputs are those :func:`riemann_general`
-    reads: the warp bundles, the fiber metrics and curvatures and the
-    base tensors, never the assembled chart's oracle.  Every product runs
+    :func:`ricci_matrix`.  The inputs are those the lift-by-lift expansion
+    in ``tests/reference_lifts.py`` reads: the warp bundles, the fiber
+    metrics and curvatures and the base tensors, never the assembled
+    chart's oracle.  Every product runs
     elementwise on arrays stacked over the points, in a fixed order, so
     each point's bits do not depend on the other points in the batch.
     """
@@ -587,6 +426,43 @@ def riemann_tensor(spec: ManifoldSpec,
     return out
 
 
+def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
+                    X: TangentVector, Y: TangentVector,
+                    Z: TangentVector) -> TangentVector:
+    """R(X, Y) Z: the point's
+    :attr:`~warpcurv.core_types.PointContext.riemann_tensor` contracted on
+    X, Y and Z, its last index raised with the metric at the point."""
+    ctx = PointContext.of(spec, p)
+    x, y, z = (_flat(spec, v) for v in (X, Y, Z))
+    lowered = np.einsum("abcd,a,b,c->d", ctx.riemann_tensor, x, y, z)
+    basis = np.eye(spec.dim)
+    g = np.array([[ctx.form(a, b) for b in basis] for a in basis])
+    return split(np.linalg.solve(g, lowered), spec)
+
+
+def riemann_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
+                B: LiftedField, C: LiftedField) -> TangentVector:
+    """R(A, B) C for lifted fields."""
+    return riemann_general(spec, p, *(_lifted(spec, F) for F in (A, B, C)))
+
+
+def _flat(spec: ManifoldSpec, v: TangentVector) -> np.ndarray:
+    """v's flat chart components, once v is validated against spec."""
+    v.validate(spec)
+    return np.array(flatten(v))
+
+
+def _lifted(spec: ManifoldSpec, F: LiftedField) -> TangentVector:
+    """The tangent vector of a lift: F's components on its factor, zero
+    elsewhere."""
+    base, fibers = WarpedGeometry(spec).zero_vec()
+    if F.origin == "base":
+        base = np.asarray(F.components, float)
+    else:
+        fibers[int(F.origin)] = np.asarray(F.components, float)
+    return from_structural(spec, base, fibers)
+
+
 def _col(a: np.ndarray, extra: int) -> np.ndarray:
     """``a`` of shape (N,) with ``extra`` trailing unit axes."""
     return a.reshape(a.shape + (1,) * extra)
@@ -615,36 +491,6 @@ def _lowered(g: np.ndarray, r: np.ndarray) -> np.ndarray:
 # Ricci curvature (four cases)
 # ---------------------------------------------------------------------------
 
-def ricci_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
-              B: LiftedField) -> float:
-    """Ric(A, B) on lifted fields."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    return _ricci_struct(geom, ctx,
-                         (A.origin, np.asarray(A.components, float)),
-                         (B.origin, np.asarray(B.components, float)))
-
-
-def _ricci_struct(geom: WarpedGeometry, ctx: PointContext, A, B) -> float:
-    oa, a = A
-    ob, b = B
-    wds = ctx.warp_bundle
-    if oa == "base" and ob == "base":
-        acc = geom.base.ricci(ctx, a, b)
-        for i, fib in enumerate(geom.fibers):
-            h = float(np.asarray(a) @ wds[i].hess @ np.asarray(b))
-            acc -= fib.dim * h / wds[i].value
-        return float(acc)
-    if oa == "base" or ob == "base":
-        return 0.0
-    i, j = int(oa), int(ob)
-    if i != j:
-        return 0.0
-    fib = geom.fibers[i]
-    bi = wds[i].value
-    gvw = bi * bi * fib.inner(ctx, a, b)
-    return float(fib.ricci(ctx, a, b) - _fiber_bracket(geom, ctx, i) * gvw)
-
-
 def _fiber_bracket(geom: WarpedGeometry, ctx: PointContext, i: int) -> float:
     """The factor of g(V, W) in Ric(V, W) for V, W in fiber i."""
     wds = ctx.warp_bundle
@@ -659,13 +505,15 @@ def _fiber_bracket(geom: WarpedGeometry, ctx: PointContext, i: int) -> float:
 
 def ricci_general(spec: ManifoldSpec, p: Point | PointContext,
                   X: TangentVector, Y: TangentVector) -> float:
-    """Ric(X, Y) for arbitrary vectors via bilinear expansion over lifts."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    acc = 0.0
-    for Ax in _split_struct(geom, to_structural(spec, X)):
-        for By in _split_struct(geom, to_structural(spec, Y)):
-            acc += _ricci_struct(geom, ctx, Ax, By)
-    return acc
+    """Ric(X, Y): :func:`ricci_matrix` at the point contracted on X and Y."""
+    x, y = _flat(spec, X), _flat(spec, Y)
+    return float(x @ ricci_matrix(spec, p) @ y)
+
+
+def ricci_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
+              B: LiftedField) -> float:
+    """Ric(A, B) on lifted fields."""
+    return ricci_general(spec, p, _lifted(spec, A), _lifted(spec, B))
 
 
 def ricci_matrix(spec: ManifoldSpec, p: Point | PointContext) -> np.ndarray:
@@ -674,8 +522,9 @@ def ricci_matrix(spec: ManifoldSpec, p: Point | PointContext) -> np.ndarray:
     The base block is ``Ric_B - sum_i dim_i H^{b_i} / b_i``, fiber block i
     is ``Ric_{F_i} - bracket_i b_i^2 g_{F_i}`` and mixed blocks vanish; for
     a static model the structural blocks are permuted back to chart order
-    (time first).  Every entry equals :func:`ricci_general` on the
-    coordinate basis exactly.
+    (time first).  Every entry equals the lift-by-lift expansion's
+    ``ricci_general`` (``tests/reference_lifts.py``) on the coordinate
+    basis exactly.
     """
     ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
     wds = ctx.warp_bundle
@@ -697,5 +546,5 @@ def ricci_matrix(spec: ManifoldSpec, p: Point | PointContext) -> np.ndarray:
     if spec.kind == "SSST":
         order = np.roll(np.arange(n), 1)  # chart (t, x...) <- structural (x..., t)
         ric = ric[np.ix_(order, order)]
-    # + 0.0 turns -0.0 into 0.0, as ricci_general's accumulator does
+    # + 0.0 turns -0.0 into 0.0, as the lift expansion's accumulator does
     return ric + 0.0

@@ -223,6 +223,23 @@ class TestInputErrors:
         assert out.stderr.splitlines() == [
             "error: --point: coordinate 't' is not a number: 'abc'"]
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("model,coord", [("kasner_flat", "x"),
+                                             ("einstein_static", "t")])
+    def test_non_finite_point_is_2(self, model, coord, bad):
+        out = run_cli("report", model, "--point", f"{coord}={bad}")
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            f"error: point coordinate {coord!r} is not finite: {float(bad)}"]
+
+    @pytest.mark.parametrize("text", ["abc", "1.5", ""])
+    def test_bad_seed_variable_is_2(self, monkeypatch, capsys, text):
+        from warpcurv import cli
+        monkeypatch.setenv("WARPCURV_SEED", text)
+        assert cli.main(["report", "minkowski", "--planes", "1"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: WARPCURV_SEED must be an integer, got {text!r}"]
+
     def test_negative_power_base_is_3(self, tmp_path):
         spec = {"kind": "GRW", "base": {"t1": -5.0, "t2": 5.0},
                 "fibers": [{"dim": 1, "model": "euclidean"}],

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from warpcurv import (DomainError, Interval, ManifoldSpec, NullPlane, Point,
-                      ShapeError, StaticPotential, TangentVector,
+                      PointContext, ShapeError, StaticPotential, TangentVector,
                       ValidationError, WarpingFunction, assemble_chart,
                       euclidean_fiber, flatten, grw_spec, hyperbolic_fiber,
                       kasner_spec, metric_eval, mgrw_spec, point_from_flat,
@@ -121,6 +121,27 @@ class TestMetricEval:
         spec = make_grw("power", {"c": 1, "q": 1}, lo=0.0, hi=math.inf)
         with pytest.raises(DomainError):
             Point(-1.0, ((0.0, 0.0, 0.0),)).validate(spec)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model,flat_index,name", [
+        ("minkowski", 0, "t"), ("kasner_flat", 1, "x"),
+        ("einstein_static", 0, "t"), ("schwarzschild_exterior", 1, "r")])
+    def test_non_finite_coordinate_refused(self, model, flat_index, name, bad):
+        """An infinite interval endpoint accepts any t, and fibers have no
+        finiteness check of their own: the point refuses it first."""
+        entry = by_name(model)
+        coords = list(entry.default_point().flat(entry.spec))
+        coords[flat_index] = bad
+        p = point_from_flat(entry.spec, coords)
+        with pytest.raises(ValidationError,
+                           match=f"point coordinate '{name}' is not finite"):
+            p.validate(entry.spec)
+        with pytest.raises(ValidationError):
+            PointContext(entry.spec, p)
+        if flat_index == 0:
+            ctx = PointContext(entry.spec, entry.default_point())
+            with pytest.raises(ValidationError, match="'t' is not finite"):
+                ctx.at_base(bad)
 
 
 # ---------------------------------------------------------------------------

@@ -1,24 +1,26 @@
 """Point-invariant work done once: the per-point context and its metric,
 the report's isotropy block built from its own planes, and the zero-case
-skip in the multilinear Riemann expansion."""
+skip in the reference multilinear Riemann expansion
+(``reference_lifts.riemann_general``)."""
 
 import json
 
 import numpy as np
 import pytest
 
+from reference_lifts import (WarpedGeometry as ReferenceGeometry,
+                             _riemann_struct, _split_struct, riemann_general,
+                             to_structural)
 from warpcurv import (CoordinateChart, Interval, Point, PointContext,
                       TangentVector, WarpingFunction, assemble_chart, catalog,
                       euclidean_fiber, flatten, generic_warped_spec,
-                      isotropy_scan, metric_eval, mgrw_spec, riemann_general,
-                      sample_plane, sphere_fiber, split)
+                      isotropy_scan, metric_eval, mgrw_spec, sample_plane,
+                      sphere_fiber, split)
 from warpcurv import hyperdual as hd
 from warpcurv.cli import main as cli_main
 from warpcurv.errors import ShapeError, ValidationError
 from warpcurv.hyperdual import value
-from warpcurv.warped_formulas import (WarpedGeometry, _riemann_struct,
-                                      _split_struct, from_structural,
-                                      to_structural)
+from warpcurv.warped_formulas import WarpedGeometry, from_structural
 
 CATALOG = catalog()
 
@@ -137,12 +139,12 @@ def test_report_isotropy_equals_isotropy_scan(entry, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# riemann_general against the expansion over every lift triple
+# the reference riemann_general against the expansion over every lift triple
 # ---------------------------------------------------------------------------
 
 def full_expansion(spec, p, X, Y, Z):
     """R(X, Y) Z summed over every lift triple, vanishing cases included."""
-    geom, ctx = WarpedGeometry(spec), PointContext(spec, p)
+    geom, ctx = ReferenceGeometry(spec), PointContext(spec, p)
     pieces = [_split_struct(geom, to_structural(spec, v)) for v in (X, Y, Z)]
     base_acc, fiber_acc = geom.zero_vec()
     for Ax in pieces[0]:

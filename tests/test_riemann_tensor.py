@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from reference_lifts import (WarpedGeometry, _riemann_struct, _split_struct,
+                             riemann_general, to_structural)
 from warpcurv import (CoordinateChart, Interval, NullPlane, Point,
                       PointContext, PlaneError, ValidationError,
                       WarpingFunction, assemble_chart, catalog,
                       euclidean_fiber, flatten, generic_warped_spec,
                       grw_spec, isotropy_scan, metric_eval, mgrw_spec,
-                      null_curvature_generic, riemann_general,
-                      riemann_oracle_batch, sample_plane,
+                      null_curvature_generic, riemann_oracle_batch, sample_plane,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
 from warpcurv import cli, core_types
 from warpcurv import hyperdual as hd
@@ -25,9 +26,7 @@ from warpcurv.cli import CHUNK
 from warpcurv.tensor_oracle import (lowered_riemann, lowered_riemann_batch,
                                     null_sectional_batch,
                                     null_sectional_from_tensors)
-from warpcurv.warped_formulas import (WarpedGeometry, _riemann_struct,
-                                      _split_struct, from_structural,
-                                      riemann_tensor, to_structural)
+from warpcurv.warped_formulas import from_structural, riemann_tensor
 
 # each relative to the scale named beside it
 TENSOR_TOL = 1e-14    # of max(1, max |R|): tensor vs the lowered case formulas

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from reference_lifts import classify_triple
 from warpcurv import (Interval, Point, TangentVector, WarpingFunction,
                       assemble_chart, base_lift, by_name, catalog,
                       covariant_derivative, euclidean_fiber, fiber_lift,
@@ -19,7 +20,6 @@ from warpcurv import (Interval, Point, TangentVector, WarpingFunction,
                       riemann_oracle, split, sphere_fiber)
 from warpcurv import CoordinateChart
 from warpcurv import hyperdual as hd
-from warpcurv.warped_formulas import classify_triple
 
 
 def two_fiber_spec(q1=1.0, q2=1.0):
