@@ -44,8 +44,8 @@ from .null_sectional import (formula_paths, isotropy_summary,
                              null_curvature_generic, sample_plane,
                              specialized_null_curvature)
 from .tensor_oracle import (lowered_riemann, lowered_riemann_batch,
-                            null_sectional_batch, null_sectional_from_tensors,
-                            riemann_oracle, riemann_oracle_batch)
+                            null_sectional_batch, riemann_oracle,
+                            riemann_oracle_batch)
 from .warped_formulas import ricci_matrix
 
 COMPARE_ABS_TOL = 1e-10
@@ -588,27 +588,33 @@ def cmd_scan(args) -> int:
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
-        for p, tensors in zip(chunk, batch):
+        values, planes = [], []
+        for p in chunk:
             # only t moves along the sweep; each step's context shares the
             # work that does not depend on it with the step before
             ctx = PointContext(spec, p) if ctx is None else ctx.at_base(p.t)
             if args.quantity == "ricci":
-                val = float(np.max(np.abs(ricci_matrix(spec, ctx))))
-                oval = float(np.max(np.abs(tensors.ricci)))
+                values.append(float(np.max(np.abs(ricci_matrix(spec, ctx)))))
             else:
                 rng = np.random.default_rng(np.uint64(seed))
                 plane = sample_plane(spec, ctx, rng)
                 res = specialized_null_curvature(spec, plane, "derived")
-                k_oracle = null_sectional_from_tensors(
-                    tensors, flatten(plane.L), flatten(plane.S))
-                if args.quantity == "numerator":
-                    val = res.numerator
-                    oval = k_oracle * plane.g_SS
-                else:
-                    val, oval = res.value, k_oracle
+                values.append(res.numerator if args.quantity == "numerator"
+                              else res.value)
+                planes.append(plane)
+        if args.quantity == "ricci":
+            ovals = [float(np.max(np.abs(t.ricci))) for t in batch]
+        else:
+            # the chunk's oracle side is one batched contraction
+            k_oracles = null_sectional_batch(
+                batch, [flatten(plane.L) for plane in planes],
+                [flatten(plane.S) for plane in planes]).tolist()
+            ovals = ([k * plane.g_SS for k, plane in zip(k_oracles, planes)]
+                     if args.quantity == "numerator" else k_oracles)
+        del batch  # before the next chunk's batch is built
+        for p, val, oval in zip(chunk, values, ovals):
             rows.append(f"{_csv(p.t)},{args.quantity},{_csv(val)},"
                         f"{_csv(oval)},{_csv(abs(val - oval))}\r\n")
-        del batch  # before the next chunk's batch is built
 
     out = open(args.out, "w") if args.out else sys.stdout
     try:

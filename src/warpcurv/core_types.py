@@ -29,7 +29,8 @@ from . import hyperdual as hd
 from .errors import DomainError, PlaneError, ShapeError, ValidationError
 from .hyperdual import value
 from .tensor_oracle import (MAX_CHART_DIM, CoordinateChart, CurvatureTensors,
-                            riemann_oracle_batch, sectional_curvature_oracle)
+                            chart_hessian, riemann_oracle_batch,
+                            sectional_curvature_oracle)
 
 __all__ = [
     "Interval",
@@ -1000,10 +1001,9 @@ def _chart_data(t: CurvatureTensors, val: float, dphi: np.ndarray,
                 ddphi: np.ndarray) -> WarpData:
     """A scalar's bundle on a chart base, from its jet at the point and the
     base's oracle tensors there."""
-    hess = ddphi - np.einsum("kij,k->ij", t.gamma, dphi)
+    hess, lap = chart_hessian(t, dphi, ddphi)
     return WarpData(value=val, dcomps=dphi, grad=t.metric_inv @ dphi,
-                    hess=hess,
-                    lap=float(np.einsum("ij,ij->", t.metric_inv, hess)),
+                    hess=hess, lap=lap,
                     grad_sq=float(dphi @ t.metric_inv @ dphi))
 
 

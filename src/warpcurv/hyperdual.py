@@ -11,9 +11,11 @@ A :class:`Jet` carries the same data for many points and all coordinate
 directions at once: value ``(N,)``, gradient ``(N, n)`` and Hessian
 ``(N, n, n)``, the multi-directional second-order forward mode of
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13.  One
-evaluation of ``f`` on the coordinate jets of :func:`seed` replaces the
-n(n+1)/2 hyper-dual evaluations per point; :func:`jet` is the one seeding
-helper for scalar functions.
+evaluation of ``f`` on the coordinate jets of :func:`seed` replaces
+n(n+1)/2 hyper-dual evaluations per point; charts and batches are seeded
+there only, scalar functions through :func:`jet`.  A :class:`HyperDual`
+is seeded only by :func:`scalar_derivatives`, for functions of the base
+coordinate t, where it costs an order of magnitude less than a jet.
 
 Metric evaluators in this package are written against the generic math
 helpers at the bottom of this module (``sin``, ``cosh``, ...) so the same

@@ -4,8 +4,13 @@ Ground truth for every specialized warped-product formula in this package:
 Christoffel symbols, Riemann and Ricci tensors, scalar-field gradients,
 Hessians and Laplacians, and null sectional curvature, all computed
 directly from an arbitrary coordinate metric with no product-structure
-shortcuts.  Metric partials come from hyper-dual evaluation, so the only
-error budget is floating-point conditioning.
+shortcuts.  Metric partials come from one evaluation of the metric on the
+second-order jets of :func:`~warpcurv.hyperdual.seed`, so the only error
+budget is floating-point conditioning.
+
+The oracle is computed one way: :func:`riemann_oracle_batch` and
+:func:`null_sectional_batch` work on a batch of points, and each per-point
+function is that path at a batch of one.
 
 Index conventions, fixed once for the whole package:
 
@@ -18,13 +23,15 @@ Index conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateMetricError, DomainError, PlaneError, ShapeError
-from .hyperdual import HyperDual, Jet, jet, mirror_upper, seed
+from .errors import (DegenerateMetricError, DomainError, PlaneError,
+                     ShapeError, ValidationError)
+from .hyperdual import Jet, jet, mirror_upper, seed
 
 __all__ = [
     "CoordinateChart",
@@ -52,10 +59,9 @@ MAX_CHART_DIM = 8  # largest chart, and largest spec-file fiber, supported
 
 @dataclass(frozen=True)
 class CoordinateChart:
-    """A coordinate metric ``x -> g_ij(x)`` evaluable on hyper-dual coordinates.
+    """A coordinate metric ``x -> g_ij(x)`` evaluable on jet coordinates.
 
-    ``metric_at`` must accept a sequence of ``dim`` scalars (floats,
-    :class:`~warpcurv.hyperdual.HyperDual` or
+    ``metric_at`` must accept a sequence of ``dim`` scalars (floats or
     :class:`~warpcurv.hyperdual.Jet`) and return a ``dim x dim`` nested
     sequence of scalars.  ``domain`` optionally rejects points
     outside the chart.
@@ -75,6 +81,10 @@ class CoordinateChart:
         if len(x) != self.dim:
             raise ShapeError(
                 f"{self.name}: expected {self.dim} coordinates, got {len(x)}")
+        for i, c in enumerate(x):
+            if not math.isfinite(c):
+                raise ValidationError(
+                    f"{self.name}: coordinate {i} is not finite: {c}")
         if self.domain is not None and not self.domain(list(map(float, x))):
             raise DomainError(f"{self.name}: point {tuple(x)} outside chart domain")
 
@@ -92,88 +102,27 @@ class CurvatureTensors:
     dmetric: np.ndarray = field(repr=False, default=None)  # (n, n, n), d_k g_ij
 
 
-def _entry_components(entry):
-    if isinstance(entry, HyperDual):
-        return entry.re, entry.e1, entry.e2, entry.e12
-    v = float(entry)
-    return v, 0.0, 0.0, 0.0
-
-
 def metric_partials(chart: CoordinateChart, x: Sequence[float]):
     """Return (g, dg, d2g) with dg[k,i,j] = d_k g_ij, d2g[k,l,i,j] = d_k d_l g_ij."""
     chart.check_point(x)
-    n = chart.dim
-    g = np.zeros((n, n))
-    dg = np.zeros((n, n, n))
-    d2g = np.zeros((n, n, n, n))
-    for k in range(n):
-        for l in range(k, n):
-            coords = [
-                HyperDual(x[m], 1.0 if m == k else 0.0, 1.0 if m == l else 0.0)
-                for m in range(n)
-            ]
-            rows = chart.metric_at(coords)
-            for i in range(n):
-                for j in range(n):
-                    re, e1, e2, e12 = _entry_components(rows[i][j])
-                    if k == 0 and l == 0:
-                        g[i, j] = re
-                    dg[k, i, j] = e1
-                    dg[l, i, j] = e2
-                    d2g[k, l, i, j] = e12
-                    d2g[l, k, i, j] = e12
-    return g, dg, d2g
-
-
-def _inverse(g: np.ndarray, name: str) -> np.ndarray:
-    det = np.linalg.det(g)
-    if abs(det) <= _DET_TOL:
-        raise DegenerateMetricError(f"{name}: metric singular, |det| = {abs(det):.3e}")
-    return np.linalg.inv(g)
+    g, dg, d2g = _metric_partials_batch(chart, np.array([x], dtype=float))
+    return g[0], dg[0], d2g[0]
 
 
 def christoffel(chart: CoordinateChart, x: Sequence[float]) -> np.ndarray:
     """Levi-Civita coefficients Gamma^k_ij at x."""
-    g, dg, _ = metric_partials(chart, x)
-    ginv = _inverse(g, chart.name)
-    return _christoffel_from_partials(ginv, dg)
-
-
-def _christoffel_from_partials(ginv, dg):
-    # S[i,j,l] = d_i g_jl + d_j g_il - d_l g_ij
-    s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, s)
+    return riemann_oracle(chart, x).gamma
 
 
 def riemann_oracle(chart: CoordinateChart, x: Sequence[float]) -> CurvatureTensors:
-    """Full curvature data at x, assembled from exact metric partials."""
-    g, dg, d2g = metric_partials(chart, x)
-    ginv = _inverse(g, chart.name)
-    gamma = _christoffel_from_partials(ginv, dg)
-
-    # d_m Gamma^k_ij, via product rule on (1/2) g^{kl} S_ijl
-    dginv = -np.einsum("ka,mab,bl->mkl", ginv, dg, ginv)
-    s = dg + np.transpose(dg, (1, 0, 2)) - np.transpose(dg, (1, 2, 0))
-    ds = (d2g + np.transpose(d2g, (0, 2, 1, 3))
-          - np.transpose(d2g, (0, 2, 3, 1)))  # ds[m,i,j,l] = d_m S_ijl
-    dgamma = 0.5 * (np.einsum("mkl,ijl->mkij", dginv, s)
-                    + np.einsum("kl,mijl->mkij", ginv, ds))
-
-    riemann = (np.einsum("iljk->lijk", dgamma)
-               - np.einsum("jlik->lijk", dgamma)
-               + np.einsum("lim,mjk->lijk", gamma, gamma)
-               - np.einsum("ljm,mik->lijk", gamma, gamma))
-    ricci = np.einsum("iijk->jk", riemann)
-    return CurvatureTensors(
-        point=tuple(float(c) for c in x),
-        metric=g, metric_inv=ginv, gamma=gamma,
-        riemann=riemann, ricci=ricci, dmetric=dg,
-    )
+    """Full curvature data at x: :func:`riemann_oracle_batch` at a batch
+    of one."""
+    return riemann_oracle_batch(chart, [x])[0]
 
 
 def _metric_partials_batch(chart: CoordinateChart, X: np.ndarray):
-    """Batched (g, dg, d2g), axes as in metric_partials after a leading
-    point axis, from one jet evaluation of the metric."""
+    """Batched (g, dg, d2g), axes as in :func:`metric_partials` after a
+    leading point axis, from one jet evaluation of the metric."""
     count, n = X.shape
     rows = chart.metric_at(seed(X))
     g = np.zeros((count, n, n))
@@ -188,19 +137,17 @@ def _metric_partials_batch(chart: CoordinateChart, X: np.ndarray):
                 d2g[:, :, :, i, j] = entry.hess
             else:
                 g[:, i, j] = float(entry)
-    # metric_partials evaluates d_k d_l g_ij for k <= l and mirrors it
+    # d_k d_l g_ij and d_l d_k g_ij can round differently; keep k <= l
     mirror_upper(np.moveaxis(d2g, (1, 2), (3, 4)))
     return g, dg, d2g
 
 
 def riemann_oracle_batch(chart: CoordinateChart,
                          X: Sequence[Sequence[float]]) -> list[CurvatureTensors]:
-    """:func:`riemann_oracle` at each point of X, from one metric evaluation.
+    """Full curvature data at each point of X, from one metric evaluation.
 
     Every point passes ``check_point`` before the metric is evaluated; a
-    singular metric raises for the first such point, with the scalar
-    oracle's error and message.  Results agree with the scalar oracle to
-    roundoff (the batched contractions sum in another order).
+    singular metric raises DegenerateMetricError for the first such point.
     """
     points = [[float(c) for c in x] for x in X]
     for x in points:
@@ -215,8 +162,9 @@ def riemann_oracle_batch(chart: CoordinateChart,
             f"{chart.name}: metric singular, |det| = {dets[singular[0]]:.3e}")
     ginv = np.linalg.inv(g)
 
-    # the scalar oracle's formulas with a leading point axis; in-place
-    # updates keep the batch's peak memory down
+    # Gamma^k_ij = (1/2) g^kl S_ijl, S_ijl = d_i g_jl + d_j g_il - d_l g_ij,
+    # and d_m Gamma^k_ij by the product rule; in-place updates keep the
+    # batch's peak memory down
     s = dg + dg.transpose(0, 2, 1, 3)
     s -= dg.transpose(0, 2, 3, 1)
     gamma = 0.5 * np.einsum("nkl,nijl->nkij", ginv, s)
@@ -254,31 +202,22 @@ def _inner(g, a, b):
 
 def null_sectional_from_tensors(tensors: CurvatureTensors, L, S,
                                 tol: float = 1e-9) -> float:
-    """Null sectional curvature from precomputed chart tensors."""
-    g = tensors.metric
-    gLL = _inner(g, L, L)
-    gSS = _inner(g, S, S)
-    gLS = _inner(g, L, S)
-    scale = max(1.0, abs(gSS))
-    if gSS <= tol * scale:
-        raise PlaneError(f"S is not spacelike: g(S,S) = {gSS:.3e}")
-    if abs(gLL) > tol * scale:
-        raise PlaneError(f"L is not null: g(L,L) = {gLL:.3e}")
-    if abs(gLS) > tol * scale:
-        raise PlaneError(f"plane not degenerate: g(L,S) = {gLS:.3e}")
-    rss = riemann_apply(tensors, L, S, S)
-    return _inner(g, rss, L) / gSS
+    """Null sectional curvature from precomputed chart tensors:
+    :func:`null_sectional_batch` at a batch of one."""
+    return float(null_sectional_batch([tensors], [L], [S], tol)[0])
 
 
 def null_sectional_batch(batch: Sequence[CurvatureTensors], L, S,
                          tol: float = 1e-9) -> np.ndarray:
-    """:func:`null_sectional_from_tensors` at each point of a batch, with
-    the planes' components stacked as ``(N, n)`` arrays.
+    """g(R(L,S)S, L) / g(S,S) at each point of a batch, with the planes'
+    components stacked as ``(N, n)`` arrays.
 
-    Each contraction runs in the scalar function's order, ``(a @ g) @ b``,
-    so every value has its bits.  The plane checks run over the whole
-    batch first; the first sample that fails one raises the scalar
-    function's PlaneError.
+    Each contraction runs in the order ``(a @ g) @ b`` at its own point, so
+    a value's bits do not depend on the batch.  The plane checks run over
+    the whole batch first, and the first sample that fails one raises its
+    PlaneError: non-finite g(L,L), g(S,S) or g(L,S), then S not spacelike,
+    then L not null, then the plane not degenerate, each within ``tol``
+    relative to max(1, |g(S,S)|).
     """
     if not len(batch):
         return np.zeros(0)
@@ -288,13 +227,24 @@ def null_sectional_batch(batch: Sequence[CurvatureTensors], L, S,
     def inner(a, b):
         return ((a[:, None] @ g) @ b[:, :, None])[:, 0, 0]
 
-    gLL, gSS, gLS = inner(L, L), inner(S, S), inner(L, S)
+    with np.errstate(invalid="ignore"):  # named by the first check below
+        gLL, gSS, gLS = inner(L, L), inner(S, S), inner(L, S)
     scale = np.maximum(1.0, np.abs(gSS))
-    bad = ((gSS <= tol * scale) | (np.abs(gLL) > tol * scale)
-           | (np.abs(gLS) > tol * scale))
+    checks = [
+        (~(np.isfinite(gLL) & np.isfinite(gSS) & np.isfinite(gLS)),
+         lambda k: (f"non-finite plane data: g(L,L) = {float(gLL[k])}, "
+                    f"g(S,S) = {float(gSS[k])}, g(L,S) = {float(gLS[k])}")),
+        (gSS <= tol * scale,
+         lambda k: f"S is not spacelike: g(S,S) = {gSS[k]:.3e}"),
+        (np.abs(gLL) > tol * scale,
+         lambda k: f"L is not null: g(L,L) = {gLL[k]:.3e}"),
+        (np.abs(gLS) > tol * scale,
+         lambda k: f"plane not degenerate: g(L,S) = {gLS[k]:.3e}"),
+    ]
+    bad = np.logical_or.reduce([fails for fails, _ in checks])
     if bad.any():
         k = int(np.flatnonzero(bad)[0])
-        null_sectional_from_tensors(batch[k], L[k], S[k], tol)  # raises
+        raise PlaneError(next(msg(k) for fails, msg in checks if fails[k]))
     rss = np.einsum("nlijk,ni,nj,nk->nl",
                     np.stack([t.riemann for t in batch]), L, S, S)
     return inner(rss, L) / gSS
@@ -324,43 +274,49 @@ def sectional_curvature_oracle(chart: CoordinateChart, x: Sequence[float],
 
 # -- scalar-field calculus ---------------------------------------------------
 
+def chart_hessian(tensors: CurvatureTensors, dphi: np.ndarray,
+                  ddphi: np.ndarray) -> tuple[np.ndarray, float]:
+    """The covariant Hessian H_ij = d_i d_j phi - Gamma^k_ij d_k phi of a
+    scalar with partials dphi and ddphi at the tensors' point, and its
+    metric trace (the geometer's Laplacian, tr H)."""
+    hess = ddphi - np.einsum("kij,k->ij", tensors.gamma, dphi)
+    return hess, float(np.einsum("ij,ij->", tensors.metric_inv, hess))
+
+
 def gradient_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> np.ndarray:
     """Contravariant components of grad phi at x."""
-    chart.check_point(x)
-    g, _, _ = metric_partials(chart, x)
-    ginv = _inverse(g, chart.name)
     _, dphi, _ = jet(phi, x)
-    return ginv @ dphi
+    return riemann_oracle(chart, x).metric_inv @ dphi
 
 
 def hessian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> np.ndarray:
     """Covariant Hessian H(phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
-    gamma = christoffel(chart, x)
-    _, dphi, ddphi = jet(phi, x)
-    return ddphi - np.einsum("kij,k->ij", gamma, dphi)
+    return chart_hessian(riemann_oracle(chart, x), *jet(phi, x)[1:])[0]
 
 
 def laplacian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> float:
     """Metric trace of the Hessian (the geometer's Laplacian, tr H)."""
-    g, dg, d2g = metric_partials(chart, x)
-    ginv = _inverse(g, chart.name)
-    gamma = _christoffel_from_partials(ginv, dg)
-    _, dphi, ddphi = jet(phi, x)
-    hess = ddphi - np.einsum("kij,k->ij", gamma, dphi)
-    return float(np.einsum("ij,ij->", ginv, hess))
+    return chart_hessian(riemann_oracle(chart, x), *jet(phi, x)[1:])[1]
 
 
 # -- identity residuals (used by the verification suite) ---------------------
 
 def lowered_riemann(tensors: CurvatureTensors) -> np.ndarray:
-    """R4[i,j,k,l] = g(R(d_i, d_j) d_k, d_l)."""
-    return np.einsum("lm,mijk->ijkl", tensors.metric, tensors.riemann)
+    """R4[i,j,k,l] = g(R(d_i, d_j) d_k, d_l): :func:`lowered_riemann_batch`
+    at a batch of one."""
+    return lowered_riemann_batch([tensors])[0]
 
 
 def lowered_riemann_batch(batch: Sequence[CurvatureTensors]) -> np.ndarray:
-    """:func:`lowered_riemann` at each point of a batch, ``(N, n, n, n, n)``."""
-    return np.einsum("nlm,nmijk->nijkl", np.stack([t.metric for t in batch]),
-                     np.stack([t.riemann for t in batch]))
+    """R4 at each point of a batch, ``(N, n, n, n, n)``:
+    ``[N, i, j, k, l] = sum_m g[N, l, m] R[N, m, i, j, k]``, summed in order
+    of m, so each point's bits do not depend on the batch."""
+    g = np.stack([t.metric for t in batch])
+    r = np.stack([t.riemann for t in batch])
+    acc = r[:, 0, :, :, :, None] * g[:, None, None, None, :, 0]
+    for m in range(1, g.shape[-1]):
+        acc = acc + r[:, m, :, :, :, None] * g[:, None, None, None, :, m]
+    return acc
 
 
 def curvature_residuals(tensors: CurvatureTensors) -> dict:

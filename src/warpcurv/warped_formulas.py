@@ -53,7 +53,7 @@ import numpy as np
 from .core_types import (ManifoldSpec, Point, PointContext, TangentVector,
                          flatten, split)
 from .hyperdual import jet, scalar_derivatives
-from .tensor_oracle import laplacian_oracle, riemann_apply
+from .tensor_oracle import chart_hessian, lowered_riemann_batch, riemann_apply
 
 __all__ = [
     "LiftedField",
@@ -329,7 +329,7 @@ def laplacian_lift(spec: ManifoldSpec, p: Point | PointContext, fn,
         _, _, dd = scalar_derivatives(lambda t: fn([t]), x[0])
         lap_f = -dd
     else:
-        lap_f = laplacian_oracle(spec.fibers[i].chart(), list(x), fn)
+        _, lap_f = chart_hessian(ctx.fiber_tensors(i), *jet(fn, x)[1:])
     b = wds[i].value
     return float(lap_f / (b * b))
 
@@ -377,9 +377,7 @@ def riemann_tensor(spec: ManifoldSpec,
     else:
         base = [c.base_tensors for c in contexts]
         ginv = np.array([t.metric_inv for t in base])
-        out[:, :nb, :nb, :nb, :nb] = _lowered(
-            np.array([t.metric for t in base]),
-            np.array([t.riemann for t in base]))
+        out[:, :nb, :nb, :nb, :nb] = lowered_riemann_batch(base)
     b = [np.array([w[i].value for w in wds]) for i in range(geom.m)]
     dcomps = [np.array([w[i].dcomps for w in wds]) for i in range(geom.m)]
     metrics = [np.array([fib.metric(c) for c in contexts])
@@ -404,10 +402,8 @@ def riemann_tensor(spec: ManifoldSpec,
             else:
                 # one batched oracle call for the fiber at every point
                 PointContext.fill_fiber_tensors(contexts, i)
-                fts = [c.fiber_tensors(i) for c in contexts]
-                inner = _lowered(np.array([t.metric for t in fts]),
-                                 np.array([t.riemann for t in fts]))
-                inner = inner - grad_sq * q
+                inner = lowered_riemann_batch(
+                    [c.fiber_tensors(i) for c in contexts]) - grad_sq * q
             out[:, V, V, V, V] = _col(b[i] * b[i], 4) * inner
         for k in range(geom.m):
             if k == i:
@@ -474,16 +470,6 @@ def _pairing(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     for p in range(m.shape[1]):
         for q in range(m.shape[2]):
             acc = acc + u[:, p] * m[:, p, q] * v[:, q]
-    return acc
-
-
-def _lowered(g: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``[n, i, j, k, l] = sum_m g[n, l, m] r[n, m, i, j, k]`` for stacked
-    oracle tensors, summed in order of m (the lowering of
-    :func:`~warpcurv.tensor_oracle.lowered_riemann`)."""
-    acc = r[:, 0, :, :, :, None] * g[:, None, None, None, :, 0]
-    for m in range(1, g.shape[-1]):
-        acc = acc + r[:, m, :, :, :, None] * g[:, None, None, None, :, m]
     return acc
 
 

@@ -1,6 +1,7 @@
 """Batched jets, the batched chart oracle and the block-form Ricci matrix,
 each checked against the scalar path it stands in for: the scalar
-HyperDual arithmetic and the per-point oracle are the references."""
+HyperDual arithmetic and the per-point oracle of
+``tests/reference_oracle.py`` are the references."""
 
 import math
 import subprocess
@@ -10,11 +11,11 @@ import numpy as np
 import pytest
 
 from reference_lifts import ricci_general
+from reference_oracle import metric_partials, riemann_oracle
 from warpcurv import (CoordinateChart, DegenerateMetricError, DomainError,
                       Interval, Point, WarpingFunction, assemble_chart,
                       catalog, euclidean_fiber, generic_warped_spec, grw_spec,
-                      hyperbolic_fiber, metric_partials, ricci_matrix,
-                      riemann_oracle, riemann_oracle_batch,
+                      hyperbolic_fiber, ricci_matrix, riemann_oracle_batch,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
 from warpcurv import hyperdual as hd
 from warpcurv.cli import CHUNK

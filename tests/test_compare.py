@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from reference_oracle import (lowered_riemann, null_sectional_from_tensors,
+                              riemann_oracle)
 from warpcurv import (CoordinateChart, DomainError, Interval, Point,
                       PointContext, ValidationError, WarpingFunction,
                       assemble_chart, by_name, catalog, euclidean_fiber,
@@ -24,9 +26,6 @@ from warpcurv import (CoordinateChart, DomainError, Interval, Point,
                       specialized_null_curvature, sphere_fiber)
 from warpcurv import cli, core_types
 from warpcurv import hyperdual as hd
-from warpcurv.tensor_oracle import (lowered_riemann,
-                                    null_sectional_from_tensors,
-                                    riemann_oracle)
 
 CATALOG = catalog()
 NAMES = [e.name for e in CATALOG]

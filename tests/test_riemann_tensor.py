@@ -13,25 +13,26 @@ import pytest
 
 from reference_lifts import (WarpedGeometry, _riemann_struct, _split_struct,
                              riemann_general, to_structural)
+from reference_oracle import lowered_riemann, null_sectional_from_tensors
 from warpcurv import (CoordinateChart, Interval, NullPlane, Point,
                       PointContext, PlaneError, ValidationError,
                       WarpingFunction, assemble_chart, catalog,
                       euclidean_fiber, flatten, generic_warped_spec,
                       grw_spec, isotropy_scan, metric_eval, mgrw_spec,
-                      null_curvature_generic, riemann_oracle_batch, sample_plane,
+                      null_curvature_generic, ricci_matrix,
+                      riemann_oracle_batch, sample_plane,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
 from warpcurv import cli, core_types
 from warpcurv import hyperdual as hd
 from warpcurv.cli import CHUNK
-from warpcurv.tensor_oracle import (lowered_riemann, lowered_riemann_batch,
-                                    null_sectional_batch,
-                                    null_sectional_from_tensors)
+from warpcurv.tensor_oracle import lowered_riemann_batch, null_sectional_batch
 from warpcurv.warped_formulas import from_structural, riemann_tensor
 
 # each relative to the scale named beside it
 TENSOR_TOL = 1e-14    # of max(1, max |R|): tensor vs the lowered case formulas
 GENERIC_TOL = 1e-13   # of max(1, |numerator|): contraction vs lift expansion
 SYMMETRY_TOL = 1e-14  # of max(1, max |R|): curvature symmetries and Bianchi
+TRACE_TOL = 1e-13     # of max(1, max |R|): metric trace vs ricci_matrix
 
 CATALOG = catalog()
 
@@ -168,6 +169,19 @@ def test_curvature_symmetries_and_first_bianchi(spec, draw):
         assert np.max(np.abs(r - r.transpose(2, 3, 0, 1))) <= tol
         assert np.max(np.abs(r + r.transpose(1, 2, 0, 3)
                              + r.transpose(2, 0, 1, 3))) <= tol
+
+
+@pytest.mark.parametrize("spec,draw", CASES)
+def test_tensor_traces_to_the_ricci_matrix(spec, draw):
+    """Ric_jk = g^il R_ijkl ties the two production curvature routes
+    together with no oracle: the metric comes from PointContext.form."""
+    basis = np.eye(spec.dim)
+    for ctx in contexts(spec, draw, 20):
+        r = ctx.riemann_tensor
+        g = np.array([[ctx.form(a, b) for b in basis] for a in basis])
+        trace = np.einsum("il,ijkl->jk", np.linalg.inv(g), r)
+        tol = TRACE_TOL * max(1.0, float(np.max(np.abs(r))))
+        assert np.max(np.abs(trace - ricci_matrix(spec, ctx))) <= tol
 
 
 @pytest.mark.parametrize("spec,draw", CASES)

@@ -9,13 +9,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from warpcurv import (CoordinateChart, DegenerateMetricError, Interval,
-                      PlaneError, ShapeError, WarpingFunction,
-                      assemble_chart, by_name, catalog, christoffel,
-                      curvature_residuals, euclidean_fiber, gradient_oracle,
-                      grw_spec, hessian_oracle, laplacian_oracle,
-                      null_sectional_oracle, riemann_apply, riemann_oracle,
+                      PlaneError, ShapeError, ValidationError,
+                      WarpingFunction, assemble_chart, by_name, catalog,
+                      christoffel, curvature_residuals, euclidean_fiber,
+                      gradient_oracle, grw_spec, hessian_oracle,
+                      laplacian_oracle, null_sectional_oracle, riemann_apply,
+                      riemann_oracle, riemann_oracle_batch,
                       sectional_curvature_oracle)
 from warpcurv import hyperdual as hd
+from warpcurv.tensor_oracle import (null_sectional_batch,
+                                    null_sectional_from_tensors)
 
 MINKOWSKI = CoordinateChart(
     dim=4, metric_at=lambda c: [[-1.0, 0, 0, 0], [0, 1.0, 0, 0],
@@ -66,6 +69,20 @@ class TestChristoffel:
     def test_dimension_guard(self):
         with pytest.raises(ShapeError):
             CoordinateChart(dim=9, metric_at=lambda c: c)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_coordinate_named(self, bad):
+        """A NaN or infinite coordinate is refused by name before the
+        metric is evaluated, one point or a batch alike."""
+        chart = assemble_chart(by_name("minkowski").spec)
+        x = [0.0, 1.0, bad, 3.0]
+        want = f"coordinate 2 is not finite: {bad}"
+        with pytest.raises(ValidationError, match=want):
+            riemann_oracle(chart, x)
+        with pytest.raises(ValidationError, match=want):
+            riemann_oracle_batch(chart, [[0.0, 1.0, 2.0, 3.0], x])
+        with pytest.raises(ValidationError, match=want):
+            christoffel(chart, x)
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +186,45 @@ class TestNullSectionalOracle:
         with pytest.raises(PlaneError):
             null_sectional_oracle(MINKOWSKI, [0.0] * 4,
                                   [-1.0, 1.0, 0.0, 0.0], [-2.0, 0.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_plane_rejected(self, bad):
+        """NaN compares false against every plane tolerance; the check
+        names the non-finite inner products instead of returning NaN."""
+        x = [0.0, 0.0, 0.0, 0.0]
+        L, S = [bad, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]
+        tensors = riemann_oracle(MINKOWSKI, x)
+        good_L = [-1.0, 1.0, 0.0, 0.0]
+        calls = [
+            lambda: null_sectional_from_tensors(tensors, L, S),
+            lambda: null_sectional_batch([tensors] * 2, [good_L, L], [S, S]),
+            lambda: null_sectional_oracle(MINKOWSKI, x, L, S),
+            lambda: null_sectional_oracle(MINKOWSKI, x, S, L),
+        ]
+        for call in calls:
+            with pytest.raises(PlaneError, match="non-finite plane data: "
+                               r"g\(L,L\) = .*g\(S,S\) = .*g\(L,S\) = "):
+                call()
+
+    def test_plane_checks_keep_their_order(self):
+        """S spacelike is checked before L null, and L null before the
+        plane's degeneracy; in a batch the first failing sample raises."""
+        tensors = riemann_oracle(MINKOWSKI, [0.0] * 4)
+        L, S = [-1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]
+        for bad_L, bad_S, want in [
+                ([-1.0, 0.5, 0.0, 0.0], [-2.0, 0.0, 1.0, 0.0],
+                 "S is not spacelike: g(S,S) = -3.000e+00"),
+                ([-1.0, 0.5, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0],
+                 "L is not null: g(L,L) = -7.500e-01"),
+                (L, [0.0, 1.0, 1.0, 0.0],
+                 "plane not degenerate: g(L,S) = 1.000e+00")]:
+            with pytest.raises(PlaneError) as one:
+                null_sectional_from_tensors(tensors, bad_L, bad_S)
+            assert str(one.value) == want
+            with pytest.raises(PlaneError) as batch:
+                null_sectional_batch([tensors] * 4, [L, bad_L, L, L],
+                                     [S, bad_S, [0.0, 0.0, 0.0, 1.0], S])
+            assert str(batch.value) == want
 
     def test_gauge_freedom_in_spacelike_leg(self):
         """S -> S + alpha L leaves the oracle value unchanged."""
