@@ -24,7 +24,8 @@ from .null_sectional import (NullCurvatureResult, default_frame, formula_paths,
                              isotropy_scan, kasner_null_curvature,
                              make_degenerate_plane, mgrw_null_curvature,
                              normalize_null, null_curvature_generic,
-                             sample_plane, specialized_null_curvature,
+                             sample_plane, sample_planes,
+                             specialized_null_curvature,
                              ssst_null_curvature, type1_null_curvature,
                              type2_null_curvature, type3_null_curvature)
 from .tensor_oracle import (CoordinateChart, CurvatureTensors, christoffel,

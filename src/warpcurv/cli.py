@@ -41,7 +41,7 @@ from .errors import (DegenerateMetricError, DomainError, GeometryError,
                      ValidationError)
 from .models import CatalogEntry, by_name
 from .null_sectional import (formula_paths, isotropy_summary,
-                             null_curvature_generic, sample_plane,
+                             null_curvature_generic, sample_planes,
                              specialized_null_curvature)
 from .tensor_oracle import (lowered_riemann, lowered_riemann_batch,
                             null_sectional_batch, riemann_oracle,
@@ -209,11 +209,12 @@ def cmd_report(args) -> int:
 
 def _report_planes(spec, ctx, tensors, rng, count):
     """(index, plane, K_oracle) for ``count`` planes drawn at ctx, a chunk
-    at a time: every plane is at the one point, so each chunk's oracle
-    side is one batched contraction of the point's tensors."""
+    at a time: every plane is at the one point and comes from the one
+    generator, so each chunk is one batched draw and its oracle side one
+    batched contraction of the point's tensors."""
     for start in range(0, count, CHUNK):
-        drawn = [sample_plane(spec, ctx, rng)
-                 for _ in range(min(CHUNK, count - start))]
+        size = min(CHUNK, count - start)
+        drawn = sample_planes(spec, [ctx] * size, [rng] * size)
         k_oracles = null_sectional_batch(
             [tensors] * len(drawn), [flatten(plane.L) for plane in drawn],
             [flatten(plane.S) for plane in drawn])
@@ -224,8 +225,8 @@ def _emit_report(doc, args) -> None:
     out = open(args.out, "w") if args.out else sys.stdout
     try:
         if args.format == "json":
-            json.dump(doc, out, indent=2)
-            out.write("\n")
+            for text in _report_texts(doc):
+                out.write(text)
         elif args.format == "csv":
             out.write("quantity,path,value\r\n")
             out.write(f"ricci_max_abs_diff,both,{_csv(doc['ricci']['max_abs_diff'])}\r\n")
@@ -258,6 +259,82 @@ def _emit_report(doc, args) -> None:
     finally:
         if args.out:
             out.close()
+
+
+def _report_texts(doc: dict):
+    """The report as ``json.dump(doc, indent=2)`` spells it, and a newline,
+    in pieces: the head, each plane's row, and the tail.  The pieces come
+    from a fixed template of the report's fields, as :func:`_ledger_texts`
+    spells ledger rows; each distinct key is spelled once."""
+    point, ricci, iso = doc["point"], doc["ricci"], doc["isotropy"]
+    spelled: dict[str, str] = {}
+
+    def field(pad: str, name: str, text: str) -> str:
+        if name not in spelled:
+            spelled[name] = json.dumps(name)
+        return f"{pad}{spelled[name]}: {text}"
+
+    def numbers(values, pad: str) -> str:
+        return _json_block([f"{pad}  {_json_number(v)}" for v in values],
+                           "[]", pad)
+
+    def matrix(rows) -> str:
+        return _json_block([f"      {numbers(r, '      ')}" for r in rows],
+                           "[]", "    ")
+
+    def plane(row: dict) -> str:
+        fields = []
+        for name, val in row.items():
+            if name == "breakdown":
+                val = _json_block([field("        ", k, _json_number(v))
+                                   for k, v in val.items()], "{}", "      ")
+            else:
+                val = _json_number(val)
+            fields.append(field("      ", name, val))
+        return _json_block(fields, "{}", "    ")
+
+    names = _json_block([f"      {json.dumps(n)}" for n in point["names"]],
+                        "[]", "    ")
+    yield ("{\n"
+           f'  "tool": {json.dumps(doc["tool"])},\n'
+           f'  "version": {json.dumps(doc["version"])},\n'
+           f'  "model": {json.dumps(doc["model"])},\n'
+           f'  "spec_sha256": {json.dumps(doc["spec_sha256"])},\n'
+           f'  "seed": {_json_number(doc["seed"])},\n'
+           '  "point": {\n'
+           f'    "names": {names},\n'
+           f'    "coords": {numbers(point["coords"], "    ")}\n'
+           '  },\n'
+           '  "ricci": {\n'
+           f'    "specialized": {matrix(ricci["specialized"])},\n'
+           f'    "oracle": {matrix(ricci["oracle"])},\n'
+           f'    "max_abs_diff": {_json_number(ricci["max_abs_diff"])}\n'
+           '  },\n'
+           '  "isotropy": {\n'
+           f'    "mean": {_json_number(iso["mean"])},\n'
+           f'    "max_deviation": {_json_number(iso["max_deviation"])},\n'
+           f'    "n_planes": {_json_number(iso["n_planes"])}\n'
+           '  },\n'
+           '  "planes": ')
+    sep = "[\n"
+    for row in doc["planes"]:
+        yield f"{sep}    {plane(row)}"
+        sep = ",\n"
+    close = "[]" if sep == "[\n" else "\n  ]"
+    flags = _json_block([f"    {json.dumps(f)}"
+                         for f in doc["discrepancy_flags"]], "[]", "  ")
+    yield (f"{close},\n"
+           f'  "discrepancy_flags": {flags}\n'
+           "}\n")
+
+
+def _json_block(lines: list[str], brackets: str, pad: str) -> str:
+    """Lines, each already indented, inside ``brackets`` as ``json.dump``
+    with ``indent=2`` frames them, the closing bracket indented by
+    ``pad``."""
+    if not lines:
+        return brackets
+    return f"{brackets[0]}\n" + ",\n".join(lines) + f"\n{pad}{brackets[1]}"
 
 
 def _csv(x: float) -> str:
@@ -330,15 +407,13 @@ def _compare_chunks(name, spec, entry, chart, printed_paths,
         ledger = []
         # each sample draws its point and plane from its own seed, so
         # drawing a chunk at a time leaves every draw as it was
-        draws = []
-        for plane_seed in plane_seeds:
-            rng = np.random.default_rng(np.uint64(plane_seed))
-            ctx = PointContext(spec, entry.random_point(rng))
-            draws.append((plane_seed, sample_plane(spec, ctx, rng)))
+        rngs = [np.random.default_rng(np.uint64(s)) for s in plane_seeds]
+        contexts = [PointContext(spec, entry.random_point(rng))
+                    for rng in rngs]
+        draws = list(zip(plane_seeds, sample_planes(spec, contexts, rngs)))
         # the evaluators reuse the context each plane was drawn at; the
         # chunk's curvature tensors are built in one batch, and with them
         # the base tensors and warp bundles they are built from
-        contexts = [plane.context for _, plane in draws]
         PointContext.fill_riemann_tensors(contexts)
         batch = riemann_oracle_batch(chart, [c.point.flat(spec)
                                              for c in contexts])
@@ -446,11 +521,11 @@ def _json_number(x) -> str:
     the infinities spelled NaN, Infinity and -Infinity."""
     if not isinstance(x, float):
         return int.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
     if x != x:
         return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+    return "Infinity" if x > 0 else "-Infinity"
 
 
 # ---------------------------------------------------------------------------
@@ -588,24 +663,27 @@ def cmd_scan(args) -> int:
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
-        values, planes = [], []
+        values, contexts = [], []
         for p in chunk:
             # only t moves along the sweep; each step's context shares the
             # work that does not depend on it with the step before
             ctx = PointContext(spec, p) if ctx is None else ctx.at_base(p.t)
+            contexts.append(ctx)
             if args.quantity == "ricci":
                 values.append(float(np.max(np.abs(ricci_matrix(spec, ctx)))))
-            else:
-                rng = np.random.default_rng(np.uint64(seed))
-                plane = sample_plane(spec, ctx, rng)
-                res = specialized_null_curvature(spec, plane, "derived")
-                values.append(res.numerator if args.quantity == "numerator"
-                              else res.value)
-                planes.append(plane)
         if args.quantity == "ricci":
             ovals = [float(np.max(np.abs(t.ricci))) for t in batch]
         else:
-            # the chunk's oracle side is one batched contraction
+            # every step draws its plane from a generator seeded afresh;
+            # the chunk's planes are one batched draw, and its oracle side
+            # one batched contraction
+            planes = sample_planes(
+                spec, contexts,
+                [np.random.default_rng(np.uint64(seed)) for _ in contexts])
+            for plane in planes:
+                res = specialized_null_curvature(spec, plane, "derived")
+                values.append(res.numerator if args.quantity == "numerator"
+                              else res.value)
             k_oracles = null_sectional_batch(
                 batch, [flatten(plane.L) for plane in planes],
                 [flatten(plane.S) for plane in planes]).tolist()

@@ -725,7 +725,8 @@ class PointContext:
     fill their base tensors, fiber tensors, warp bundles and curvature
     tensors in one batched call each first (:meth:`fill_base_tensors`,
     :meth:`fill_fiber_tensors`, :meth:`fill_warp_bundles`,
-    :meth:`fill_riemann_tensors`); a lone fill is a batch of one, so a
+    :meth:`fill_riemann_tensors`, and the Cholesky factors
+    :meth:`fill_chol_t`); a lone fill is a batch of one, so a
     slot holds the same bits whoever filled it.  A filled slot keeps its
     value (two threads filling it at once compute the same bits), so a
     context may be shared between threads.
@@ -915,10 +916,27 @@ class PointContext:
     def chol_t(self) -> tuple[np.ndarray, ...]:
         """C^T for the Cholesky factor C of each fiber metric (read-only)."""
         if self._chol_t is None:
-            chol = tuple(np.linalg.cholesky(G).T for G in self.fiber_metrics)
-            _read_only(*chol)
-            self._chol_t = chol
+            PointContext.fill_chol_t([self])
         return self._chol_t
+
+    @staticmethod
+    def fill_chol_t(contexts: Sequence["PointContext"]) -> None:
+        """Fill :attr:`chol_t` of every context that has none yet, from one
+        stacked ``cholesky`` per fiber.
+
+        All contexts must belong to one spec.  This is the only way the
+        slot is filled, and a stacked factor has the bits of a lone one, so
+        the slot holds the same bits whoever filled it."""
+        empty = PointContext._unfilled(contexts, lambda c: c._chol_t)
+        if not empty:
+            return
+        factors = [np.linalg.cholesky(np.array([c.fiber_metrics[i]
+                                                for c in empty]))
+                   .swapaxes(-1, -2) for i in range(empty[0].spec.m)]
+        _read_only(*factors)
+        for k, c in enumerate(empty):
+            if c._chol_t is None:
+                c._chol_t = tuple(f[k] for f in factors)
 
     @property
     def warp_bundle(self) -> tuple[WarpData, ...]:

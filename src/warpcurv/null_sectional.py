@@ -56,6 +56,7 @@ __all__ = [
     "normalize_null",
     "make_degenerate_plane",
     "sample_plane",
+    "sample_planes",
     "null_curvature_generic",
     "mgrw_null_curvature",
     "grw_null_curvature",
@@ -205,14 +206,16 @@ def _degenerate_plane(g: PointContext, L: TangentVector, l, s_cand,
             f"projected S is not spacelike (g(S,S) = {g_SS:.3e}); "
             "candidate was parallel to L or timelike")
     normalized = abs(g_LU + 1.0) <= 1e-9
-    return _plane(g, L, l, s, U if normalized else None, g_LL, g_SS, g_LU)
+    return _plane(g, L, tangent(g.spec, s), U if normalized else None,
+                  g_LL, g.form(l, s), g_SS, g_LU)
 
-def _plane(g: PointContext, L: TangentVector, l, s, U: TangentVector | None,
-           g_LL: float, g_SS: float, g_LU: float) -> NullPlane:
-    """The validated plane span(L, S) at g for S with flat components s;
-    its g-values are the ones :meth:`PointContext.plane` computes."""
-    plane = NullPlane(point=g.point, L=L, S=tangent(g.spec, s), frame_U=U,
-                      g_LL=g_LL, g_LS=g.form(l, s), g_SS=g_SS,
+def _plane(g: PointContext, L: TangentVector, S: TangentVector,
+           U: TangentVector | None, g_LL: float, g_LS: float, g_SS: float,
+           g_LU: float) -> NullPlane:
+    """The validated plane span(L, S) at g with the g-values
+    :meth:`PointContext.plane` computes; g(L,U) is kept only with a frame."""
+    plane = NullPlane(point=g.point, L=L, S=S, frame_U=U, g_LL=g_LL,
+                      g_LS=g_LS, g_SS=g_SS,
                       g_LU=g_LU if U is not None else -1.0, context=g)
     plane.validate(tol=1e-9)
     return plane
@@ -237,44 +240,98 @@ def _fiber_draw(g: PointContext, rng) -> tuple:
 def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
                  frame_U: TangentVector | None = None,
                  base_free: bool = False) -> NullPlane:
-    """One random degenerate plane in the congruence of the frame at p.
+    """One random degenerate plane in the congruence of the frame at p:
+    :func:`sample_planes` at a batch of one."""
+    return sample_planes(spec, [p], [rng], frame_U, base_free)[0]
 
-    Each of at most 32 tries draws a spatial direction and completes it to
-    a null L (:func:`normalize_null`), then draws a second spatial vector
-    W and builds S from it.  With ``base_free=True`` the spacelike leg S
-    is W made g-orthogonal to the spatial part of L, so it stays purely
-    spatial (the degeneracy condition is then solved inside the fiber
-    block), the configuration the published base-free special cases
-    assume; otherwise S is W plus a random multiple of the frame,
-    projected as in :func:`make_degenerate_plane`.  A base-free S is
-    g-orthogonal to L only where it is to the frame, so with
-    ``base_free=True`` a ``frame_U`` that has a fiber (spatial) part is
-    refused with a :class:`ValidationError`, before any draw.  The draws
-    use the context's Cholesky factors of the fiber metrics
-    (:attr:`PointContext.chol_t`); the arithmetic runs on flat chart
-    components through :meth:`PointContext.form`, and the plane's tangent
-    vectors and g-values are built once.  The plane carries the point's
-    context.
+def sample_planes(spec: ManifoldSpec, contexts, rngs,
+                  frame_U: TangentVector | None = None,
+                  base_free: bool = False) -> list[NullPlane]:
+    """A random degenerate plane at each of ``contexts`` (contexts or
+    points), drawn from the generator at the same position of ``rngs``.
+
+    A plane lies in the congruence of ``frame_U``, else of the default
+    frame at its point.  Each of at most 32 tries draws a spatial direction
+    and completes it to a null L (as :func:`normalize_null` does), then
+    draws a second spatial vector W and builds S from it.  With
+    ``base_free=True`` the spacelike leg S is W made g-orthogonal to the
+    spatial part of L, so it stays purely spatial (the degeneracy
+    condition is then solved inside the fiber block), the configuration
+    the published base-free special cases assume; otherwise S is W plus a
+    random multiple of the frame, projected as in
+    :func:`make_degenerate_plane`.  A base-free S is g-orthogonal to L only
+    where it is to the frame, so with ``base_free=True`` a ``frame_U``
+    that has a fiber (spatial) part is refused with a
+    :class:`ValidationError`, before any draw; so is a spacetime of
+    dimension 2, which has no degenerate plane.  The draws use the
+    Cholesky factors of the fiber metrics (:attr:`PointContext.chol_t`).
+    A plane carries its point's context.
+
+    The planes are those of one plane drawn at a time, in order, bit for
+    bit, and each generator ends where it would: a generator may feed
+    several planes (one generator for a chunk of planes at one point),
+    and then draws for them in order.  The first try of every plane runs
+    over the whole batch as arrays (:func:`_first_tries`); a plane whose
+    first try is rejected, or could not be run that way, is drawn again by
+    the scalar loop (:func:`_sample_loop`) from its generator's state
+    before the batch, together with every other plane that generator
+    feeds.
     """
-    g = PointContext.of(spec, p)
-    U = frame_U if frame_U is not None else default_frame(spec, g)
-    U.validate(spec)
-    if base_free and any(c != 0.0 for part in U.fiber_parts for c in part):
+    if spec.dim < 3:
+        label = repr(spec.name) if spec.name else f"this {spec.kind} spacetime"
         raise ValidationError(
-            "base_free=True needs a frame_U along the base, but frame_U "
-            f"has the fiber part {U.fiber_parts}: no base-free S is then "
-            "orthogonal to L")
+            f"a degenerate plane needs a spacetime of dimension at least 3, "
+            f"but {label} has dimension {spec.dim}")
+    gs = [PointContext.of(spec, p) for p in contexts]
+    rngs = list(rngs)
+    if len(rngs) != len(gs):
+        raise ValidationError(f"{len(gs)} points but {len(rngs)} generators")
+    if frame_U is not None:
+        frame_U.validate(spec)
+        if base_free and any(c != 0.0 for part in frame_U.fiber_parts
+                             for c in part):
+            raise ValidationError(
+                "base_free=True needs a frame_U along the base, but frame_U "
+                f"has the fiber part {frame_U.fiber_parts}: no base-free S "
+                "is then orthogonal to L")
+    if not gs:
+        return []
+    frame_at = {key: frame_U if frame_U is not None
+                else default_frame(spec, g)
+                for key, g in {id(g): g for g in gs}.items()}
+    frames = [frame_at[id(g)] for g in gs]
+    saved = {id(rng): (rng, rng.bit_generator.state) for rng in rngs}
+    planes = [None] * len(gs)
+    # a default frame's components are Python floats, as the batch needs
+    if frame_U is None or all(type(c) is float for c in components(frame_U)):
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                planes = _first_tries(spec, gs, frames, rngs, base_free)
+        except FloatingPointError:  # the scalar loop meets it as it would
+            pass
+    redo = {id(rng) for rng, plane in zip(rngs, planes) if plane is None}
+    for key in redo:
+        rng, state = saved[key]
+        rng.bit_generator.state = state
+    for k, (g, U, rng) in enumerate(zip(gs, frames, rngs)):
+        if id(rng) in redo:
+            planes[k] = _sample_loop(g, U, rng, base_free)
+    return planes
+
+def _sample_loop(g: PointContext, U: TangentVector, rng,
+                 base_free: bool) -> NullPlane:
+    """One plane drawn try by try on flat chart components: the rejection
+    fallback of :func:`sample_planes`, whose arguments it takes checked."""
+    spec = g.spec
     u = components(U)
     g_UU = g.form(u, u)
-    zero = TangentVector.zero(spec)
-    zeros = components(zero)[:spec.base_dim]
+    zeros = components(TangentVector.zero(spec))[:spec.base_dim]
     for _ in range(32):
-        direction = TangentVector(zero.base_part, _fiber_draw(g, rng))
         try:
-            L = normalize_null(spec, g, U, direction)
+            l = _null(g, u, _frame_norm(g, u), sum(_fiber_draw(g, rng), zeros))
         except ConstructionError:
             continue
-        l = components(L)
+        L = tangent(spec, l)
         w = sum(_fiber_draw(g, rng), zeros)
         if base_free:
             g_LU = g.form(l, u)
@@ -286,7 +343,8 @@ def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
             if g_SS <= 1e-12:
                 continue
             try:
-                return _plane(g, L, l, s, U, g.form(l, l), g_SS, g_LU)
+                return _plane(g, L, tangent(spec, s), U, g.form(l, l),
+                              g.form(l, s), g_SS, g_LU)
             except PlaneError:
                 continue
         w_norm = math.sqrt(max(g.form(w, w), 0.0))
@@ -297,6 +355,240 @@ def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
         except PlaneError:
             continue
     raise PlaneError("could not sample a valid degenerate plane in 32 tries")
+
+# The batched first try.  Each scalar of the scalar loop becomes a _Lanes:
+# its float64 value in every plane of the batch, and whether the scalar
+# loop would hold it as a numpy float64 or as a Python float.  Every
+# operation is the scalar loop's, elementwise and in the same order, so
+# each value has the same bits; a rejection or an error becomes a plane
+# left to the scalar loop, which then meets it as it always did.
+
+class _Lanes:
+    """One scalar of :func:`_sample_loop` across a batch of planes: its
+    values ``v`` (float64, one per plane) and ``np``, a bool or a bool per
+    plane: whether the scalar loop holds it as a numpy float64 rather than
+    a Python float.  An operation with a numpy operand gives a numpy
+    result, as in Python."""
+
+    __slots__ = ("v", "np", "_zero")
+
+    def __init__(self, v, isnp=False):
+        self.v, self.np, self._zero = v, isnp, None
+
+    def _op(self, other, fn):
+        if isinstance(other, _Lanes):
+            return _Lanes(fn(self.v, other.v), self.np | other.np)
+        return _Lanes(fn(self.v, other), self.np)
+
+    def __add__(self, other):
+        return self._op(other, np.add)
+
+    def __sub__(self, other):
+        return self._op(other, np.subtract)
+
+    def __mul__(self, other):
+        return self._op(other, np.multiply)
+
+    def __truediv__(self, other):
+        return self._op(other, np.true_divide)
+
+    def __rmul__(self, other):
+        return _Lanes(other * self.v, self.np)
+
+    def __rtruediv__(self, other):
+        return _Lanes(other / self.v, self.np)
+
+    def __neg__(self):
+        return _Lanes(-self.v, self.np)
+
+    def py(self) -> "_Lanes":
+        """``float(x)``."""
+        return _Lanes(self.v)
+
+    def sqrt(self) -> "_Lanes":
+        """``math.sqrt(x)``."""
+        return _Lanes(np.sqrt(self.v))
+
+    def zero(self):
+        """Where the value is 0.0: True in every plane, False in none,
+        else a bool per plane."""
+        if self._zero is None:
+            z = self.v == 0.0
+            self._zero = bool(z.all()) or (z if z.any() else False)
+        return self._zero
+
+    def items(self) -> list:
+        """The value in each plane, typed as the scalar loop types it."""
+        if self.np is True:
+            return list(self.v)
+        if self.np is False:
+            return self.v.tolist()
+        return [np.float64(x) if t else x
+                for x, t in zip(self.v.tolist(), self.np.tolist())]
+
+class _Metric:
+    """:meth:`PointContext.form` at each plane's point of a batch, on
+    :class:`_Lanes`: the same operations in the same order, the same zero
+    skipping (``x + 0.0`` would turn -0.0 into +0.0, and ``inf * 0.0`` is
+    NaN), and the same types.  ``warps`` holds each plane's warping
+    values, one column per fiber."""
+
+    def __init__(self, spec: ManifoldSpec, uniq: list, inv: np.ndarray):
+        self.ssst = spec.kind == "SSST"
+        self.base_rows = ([uniq[i].base_rows for i in inv]
+                          if spec.base_chart is not None else None)
+        self.warps = warps = np.array([g.warps for g in uniq])[inv]
+        self.b2 = [_Lanes(warps[:, i] * warps[:, i]) for i in range(spec.m)]
+        if self.ssst:
+            self.neg_f2 = _Lanes(np.array([-(g.warps[0] ** 2)
+                                           for g in uniq])[inv])
+        self.rows = [np.array([g.fiber_rows[i] for g in uniq])[inv]
+                     for i in range(spec.m)]
+
+    def __call__(self, x: list, y: list) -> _Lanes:
+        if self.ssst:
+            acc = self.neg_f2 * x[0] * y[0]
+            return acc + self._fiber(self.rows[0], x, y, 1)
+        if self.base_rows is not None:
+            nb = len(self.base_rows[0])
+            acc = _Lanes(np.array([
+                float(np.asarray([a.v[k] for a in x[:nb]]) @ rows
+                      @ np.asarray([b.v[k] for b in y[:nb]]))
+                for k, rows in enumerate(self.base_rows)]))
+        else:
+            nb = 1
+            acc = -x[0] * y[0]
+        for b2, rows in zip(self.b2, self.rows):
+            acc = acc + b2 * self._fiber(rows, x, y, nb)
+            nb += rows.shape[1]
+        return acc
+
+    @staticmethod
+    def _fiber(rows: np.ndarray, x: list, y: list, ofs: int) -> _Lanes:
+        """``_fiber_inner`` over the batch; ``rows`` is (planes, k, k)."""
+        acc = _Lanes(np.zeros(len(rows)))
+        k = rows.shape[1]
+        for i in range(k):
+            zi = x[ofs + i].zero()
+            if zi is True:
+                continue
+            for j in range(k):
+                zj = y[ofs + j].zero()
+                if zj is True:
+                    continue
+                term = acc + x[ofs + i] * _Lanes(rows[:, i, j]) * y[ofs + j]
+                skip = zi | zj
+                if skip is not False:
+                    term = _Lanes(np.where(skip, acc.v, term.v),
+                                  np.where(skip, acc.np, term.np))
+                acc = term
+        return acc
+
+def _first_tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
+                 base_free: bool) -> list:
+    """The first try of :func:`_sample_loop` for every plane at once: the
+    plane where it is accepted, else None.
+
+    Each generator draws what the first try draws, in the same order: one
+    ``standard_normal`` call for the direction's and W's components of
+    every fiber (the same numbers as one call per fiber), then the
+    uniform.  The fibers' Cholesky factors come from one stacked fill, and
+    the triangular solves from one stacked ``solve`` per fiber dimension.
+    Every frame component must be a Python float, as every warping value
+    and fiber metric entry of a context is (``hyperdual.value``)."""
+    n = len(gs)
+    index: dict = {}
+    inv = np.array([index.setdefault(id(g), len(index)) for g in gs])
+    uniq, uframes = zip(*{id(g): (g, U) for g, U in zip(gs, frames)}
+                        .values())
+    PointContext.fill_chol_t(uniq)
+    form = _Metric(spec, uniq, inv)
+    dims = [f.dim for f in spec.fibers]
+    total = sum(dims)
+    normals = np.empty((n, 2 * total))
+    uniform = np.empty(n)
+    for k, rng in enumerate(rngs):
+        normals[k] = rng.standard_normal(2 * total)
+        if not base_free:
+            uniform[k] = rng.uniform(-1.0, 1.0)
+
+    # parts[h][i]: fiber i's components of the direction (h = 0) or of W
+    parts = [[None] * spec.m, [None] * spec.m]
+    starts = np.cumsum([0] + dims)
+    for dim in sorted(set(dims)):
+        fibers = [i for i in range(spec.m) if dims[i] == dim]
+        chol = [np.array([g.chol_t[i] for g in uniq])[inv] for i in fibers]
+        b = [normals[:, h * total + starts[i]:h * total + starts[i] + dim]
+             for h in (0, 1) for i in fibers]
+        x = np.linalg.solve(np.concatenate(chol * 2),
+                            np.concatenate(b)[..., None])[..., 0]
+        for q, (h, i) in enumerate((h, i) for h in (0, 1) for i in fibers):
+            parts[h][i] = x[q * n:(q + 1) * n]
+    if spec.kind != "SSST":  # SSST's one fiber is unwarped
+        parts = [[p / form.warps[:, i:i + 1] for i, p in enumerate(ps)]
+                 for ps in parts]
+    zero = _Lanes(np.zeros(n))
+    d, w = ([zero] * spec.base_dim
+            + [_Lanes(p[:, j], True) for p in ps for j in range(p.shape[1])]
+            for ps in parts)
+    u = [_Lanes(c) for c in np.array([components(U)
+                                      for U in uframes])[inv].T]
+
+    # _frame_norm, then _null
+    g_UU = form(u, u)
+    ok = np.isfinite(g_UU.v) & (g_UU.v < 0.0)
+    g_DU = form(d, u)
+    c = (g_DU / g_UU).py()
+    d_perp = [a - c * b for a, b in zip(d, u)]
+    n2 = form(d_perp, d_perp)
+    ok &= np.isfinite(g_DU.v) & np.isfinite(n2.v) & ~(n2.v <= 1e-24)
+    n2 = _Lanes(np.where(ok, n2.v, 1.0), n2.np)  # spare the rejected lanes
+    beta = (-1.0 / g_UU).py()
+    gamma = (-1.0 / (g_UU * n2)).sqrt()
+    l = [beta * a + gamma * b for a, b in zip(u, d_perp)]
+    g_LL = form(l, l)
+    if base_free:
+        g_LU = form(l, u)
+        c = (g_LU / g_UU).py()
+        v = [a - c * b for a, b in zip(l, u)]
+        c = (form(v, w) / form(v, v)).py()
+        s = [a - c * b for a, b in zip(w, v)]
+        g_SS = form(s, s)
+        ok &= ~(g_SS.v <= 1e-12)
+        normalized = np.ones(n, dtype=bool)
+    else:
+        g_ww = form(w, w)
+        w_norm = _Lanes(np.where(0.0 > g_ww.v, 0.0, g_ww.v)).sqrt()
+        h = 0.9 * _Lanes(uniform) * w_norm
+        s_cand = [h * a + b for a, b in zip(u, w)]
+        # _degenerate_plane
+        g_LU = form(l, u)
+        ok &= np.isfinite(g_LL.v) & np.isfinite(g_LU.v)
+        scale = np.where(np.abs(g_UU.v) > 1.0, np.abs(g_UU.v), 1.0)
+        ok &= ~(np.abs(g_LL.v) > 1e-9 * scale) & ~(np.abs(g_LU.v) < 1e-12)
+        g_LS = form(l, s_cand)
+        c = (g_LS / _Lanes(np.where(ok, g_LU.v, 1.0), g_LU.np)).py()
+        s = [a - c * b for a, b in zip(s_cand, u)]
+        g_SS = form(s, s)
+        ok &= np.isfinite(g_LS.v) & np.isfinite(g_SS.v) \
+            & ~(g_SS.v <= 1e-12 * scale)
+        normalized = np.abs(g_LU.v + 1.0) <= 1e-9
+    g_LS = form(l, s)
+
+    ls = list(zip(*(a.items() for a in l)))
+    ss = list(zip(*(a.items() for a in s)))
+    g_values = zip(g_LL.items(), g_LS.items(), g_SS.items(), g_LU.items())
+    planes = []
+    for k, (g, U, values) in enumerate(zip(gs, frames, g_values)):
+        plane = None
+        if ok[k]:
+            try:
+                plane = _plane(g, tangent(spec, ls[k]), tangent(spec, ss[k]),
+                               U if normalized[k] else None, *values)
+            except PlaneError:
+                pass
+        planes.append(plane)
+    return planes
 
 # ---------------------------------------------------------------------------
 # reference evaluator (the case formulas' curvature tensor, contracted)
@@ -876,8 +1168,7 @@ def isotropy_scan(spec: ManifoldSpec, p: Point | PointContext,
     rng = np.random.default_rng(np.uint64(seed))
     ctx = PointContext.of(spec, p)
     frame = U if U is not None else default_frame(spec, ctx)
-    values = []
-    for _ in range(int(n_planes)):
-        plane = sample_plane(spec, ctx, rng, frame_U=frame)
-        values.append(null_curvature_generic(spec, plane).value)
-    return isotropy_summary(values)
+    n = int(n_planes)
+    return isotropy_summary(
+        [null_curvature_generic(spec, plane).value
+         for plane in sample_planes(spec, [ctx] * n, [rng] * n, frame)])

@@ -357,6 +357,129 @@ class TestInputErrors:
         assert len(out.stderr.splitlines()) == 1
 
 
+def _two_dimensional(kind: str) -> dict:
+    """A spec of ``kind`` with one 1-D euclidean fiber."""
+    d = {"kind": kind, "base": {"t1": 0.5, "t2": 2.0},
+         "fibers": [{"dim": 1, "model": "euclidean"}],
+         "warpings": [{"form": "exp", "params": {"c": 1.0, "k": 0.5}}]}
+    if kind == "Kasner":
+        d["kasner_exponents"] = [1.0]
+    return d
+
+
+class TestTwoDimensionalSpacetime:
+    """A base line and one 1-D fiber make a 2-D spacetime, which has no
+    degenerate plane: the sampler refuses it before any draw, with a
+    message naming the dimension, and the CLI exits 2."""
+
+    SPECS = {kind: _two_dimensional(kind)
+             for kind in ("GRW", "MGRW", "Kasner", "SSST")}
+    MESSAGE = ("a degenerate plane needs a spacetime of dimension at least "
+               "3, but this {} spacetime has dimension 2")
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_sampler_refuses(self, kind):
+        import numpy as np
+
+        from warpcurv import PointContext, spec_from_dict
+        from warpcurv.cli import _fallback_entry
+        from warpcurv.errors import ValidationError
+        from warpcurv.null_sectional import sample_plane, sample_planes
+
+        spec = spec_from_dict(self.SPECS[kind])
+        assert spec.dim == 2
+        ctx = PointContext(spec, _fallback_entry(kind, spec).default_point())
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for draw in (lambda: sample_plane(spec, ctx, rng),
+                     lambda: sample_planes(spec, [ctx] * 3, [rng] * 3)):
+            with pytest.raises(ValidationError) as err:
+                draw()
+            assert str(err.value) == self.MESSAGE.format(kind)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("command", [
+        ("report",), ("compare", "--samples", "3"),
+        ("scan", "--from", "0.6", "--to", "1.5", "--steps", "3"),
+    ], ids=["report", "compare", "scan"])
+    def test_cli_exits_2(self, tmp_path, capsys, kind, command):
+        from warpcurv import cli
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.SPECS[kind]))
+        out = tmp_path / "out"
+        flag = "--ledger" if command[0] == "compare" else "--out"
+        assert cli.main([command[0], str(path), *command[1:],
+                         flag, str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: " + self.MESSAGE.format(kind)]
+        assert not out.exists()
+
+
+class TestReportWriter:
+    """``report --format json`` spells its document from a template, byte
+    for byte as ``json.dump(doc, indent=2)`` and a newline do."""
+
+    MODELS = ("minkowski", "einstein_static", "anti_de_sitter_cover",
+              "schwarzschild_exterior", "kasner_vacuum", "kasner_flat",
+              "grw_exponential", "generalized_reissner_nordstrom_demo")
+
+    @staticmethod
+    def reference(doc) -> str:
+        return json.dumps(doc, indent=2) + "\n"
+
+    @pytest.mark.parametrize("model", MODELS)
+    @pytest.mark.parametrize("path", ["derived", "all"])
+    def test_catalog_reports(self, tmp_path, monkeypatch, model, path):
+        from warpcurv import cli
+
+        docs = []
+        spell = cli._report_texts
+
+        def recorded(doc):
+            docs.append(doc)
+            return spell(doc)
+        monkeypatch.setattr(cli, "_report_texts", recorded)
+        out = tmp_path / "report.json"
+        assert cli.main(["report", model, "--planes", "70", "--path", path,
+                         "--seed", "3", "--out", str(out)]) == 0
+        assert len(docs) == 1
+        assert out.read_text() == self.reference(docs[0])
+
+    def test_special_values_and_flags(self):
+        """NaN and the infinities, strings that need escapes, an empty
+        breakdown and flags, and empty lists."""
+        from warpcurv import cli
+
+        doc = {
+            "tool": "warpcurv", "version": "0.1.0", "model": 'a "b" \u00e9',
+            "spec_sha256": "0" * 64, "seed": 2 ** 64 - 1,
+            "point": {"names": ["t", "x"], "coords": [-0.0, 1e-320]},
+            "ricci": {"specialized": [[math.nan, 1.0], [math.inf, -2.5]],
+                      "oracle": [[0.0, 1.0], [-math.inf, -2.5]],
+                      "max_abs_diff": math.nan},
+            "isotropy": {"mean": math.inf, "max_deviation": 0.1,
+                         "n_planes": 2},
+            "planes": [
+                {"index": 0, "K_oracle": 1.5, "K_derived": math.nan,
+                 "breakdown": {"numerator": math.nan, "denominator": -math.inf,
+                               "value": math.inf, "tab\tkey": 3.0},
+                 "K_printed": 2.0},
+                {"index": 1, "K_oracle": -1.0, "K_derived": -1.0,
+                 "breakdown": {}},
+            ],
+            "discrepancy_flags": ["plane 0: derived K deviates from oracle",
+                                  "plane 0: printed K deviates from oracle",
+                                  "quote \" and \u2603"],
+        }
+        assert "".join(cli._report_texts(doc)) == self.reference(doc)
+        empty = {**doc, "point": {"names": [], "coords": []},
+                 "ricci": {**doc["ricci"], "specialized": [], "oracle": [[]]},
+                 "planes": [], "discrepancy_flags": []}
+        assert "".join(cli._report_texts(empty)) == self.reference(empty)
+
+
 class TestInternalError:
     def test_unexpected_exception_is_4(self, monkeypatch, capsys):
         """Exit 1 stays compare's finding; a crash prints its traceback

@@ -1,0 +1,113 @@
+"""One plane sampler: ``null_sectional.sample_planes`` draws every plane.
+
+Only the sampler's functions draw normals (``.standard_normal``) or solve
+with the fiber metrics' Cholesky factors (``np.linalg.solve``), and
+``cli.py`` draws its planes a batch at a time, never one plane per
+iteration of a loop.  A second draw loop grown back elsewhere fails here.
+The source is read with ``ast``; nothing is patched."""
+
+import ast
+from pathlib import Path
+
+import warpcurv
+
+SRC = Path(warpcurv.__file__).parent
+MODULES = sorted(SRC.glob("*.py"))
+
+# the sampler: its scalar draw (the rejection fallback's) and its batch
+SAMPLER = {("null_sectional.py", "_fiber_draw"),
+           ("null_sectional.py", "_first_tries")}
+# the other calls, which draw no plane
+ELSEWHERE = {
+    # the random vectors of a fiber's constant-curvature check
+    ("core_types.py", "check_curvature_tag"),
+    # the random vectors of a catalog fact's Ricci check
+    ("models.py", "_check_ricci_zero"),
+    # raises the last index of R(X, Y) Z with the metric
+    ("warped_formulas.py", "riemann_general"),
+}
+
+
+def _is_draw(call: ast.Call) -> bool:
+    """``<anything>.standard_normal(...)`` or ``<...>.linalg.solve(...)``."""
+    f = call.func
+    if not isinstance(f, ast.Attribute):
+        return False
+    return f.attr == "standard_normal" or (
+        f.attr == "solve" and isinstance(f.value, ast.Attribute)
+        and f.value.attr == "linalg")
+
+
+def _calls(tree, wanted) -> list[tuple[str, int, bool]]:
+    """(enclosing function, line, inside a loop) of each call that
+    ``wanted`` accepts; the function is the innermost one, ``<module>`` at
+    the top level, and a loop is a ``for``, a ``while`` or a
+    comprehension inside that function."""
+    found = []
+    loops = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+             ast.DictComp, ast.GeneratorExp)
+
+    def visit(node, function, looped):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            function = getattr(node, "name", "<lambda>")
+            looped = False
+        elif isinstance(node, loops):
+            looped = True
+        if isinstance(node, ast.Call) and wanted(node):
+            found.append((function, node.lineno, looped))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, looped)
+
+    visit(tree, "<module>", False)
+    return found
+
+
+def _names(name):
+    """A test for calls of ``name`` or ``<module>.name``."""
+    def wanted(call: ast.Call) -> bool:
+        f = call.func
+        return (isinstance(f, ast.Name) and f.id == name) or (
+            isinstance(f, ast.Attribute) and f.attr == name)
+    return wanted
+
+
+def _tree(name: str):
+    return ast.parse((SRC / name).read_text())
+
+
+def test_modules_found():
+    assert {"null_sectional.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+def test_only_the_sampler_draws():
+    drawing = {(path.name, function)
+               for path in MODULES
+               for function, _, _ in _calls(ast.parse(path.read_text()),
+                                            _is_draw)}
+    assert drawing - ELSEWHERE == SAMPLER
+
+
+def test_cli_draws_a_batch_at_a_time():
+    tree = _tree("cli.py")
+    assert [c for c in _calls(tree, _names("sample_plane"))
+            if c[2]] == []
+    assert {function for function, _, _ in
+            _calls(tree, _names("sample_planes"))} == {
+        "_report_planes", "_compare_chunks", "cmd_scan"}
+
+
+def test_the_guard_sees_a_draw_loop():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "def draw(rng, cs):\n"
+        "    z = rng.standard_normal(3)\n"
+        "    return [np.linalg.solve(c, z) for c in cs]\n"
+        "def report(spec, ctx, rng, n):\n"
+        "    planes = [sample_plane(spec, ctx, rng) for _ in range(n)]\n"
+        "    for _ in range(n):\n"
+        "        ns.sample_plane(spec, ctx, rng)\n"
+        "    return sample_plane(spec, ctx, rng)\n")
+    assert _calls(tree, _is_draw) == [("draw", 3, False), ("draw", 4, True)]
+    assert _calls(tree, _names("sample_plane")) == [
+        ("report", 6, True), ("report", 8, True), ("report", 9, False)]

@@ -8,6 +8,13 @@ and validates through ``inner`` on every product.  The cases cover the 8
 catalog models at 50 seeds, ``base_free=True``, an explicit frame that is
 not the default one and a generic base chart.  Every component of L and
 S, every g-value, the frame and the generator's next draw must match.
+
+The batched sampler, ``sample_planes``, must draw the planes of the
+reference drawing one plane at a time: in batches of 1, 7 and 64 as
+``report`` (one context and one generator), ``compare`` (a context and a
+generator per sample) and ``scan`` (a context per step, each with a
+generator seeded afresh) pass them, and when a first try is rejected in
+the middle of a batch.
 """
 
 import math
@@ -19,7 +26,7 @@ import pytest
 from test_compare import generic_point, generic_spec
 from warpcurv import (NullPlane, PointContext, TangentVector, catalog,
                       default_frame, formula_paths, sample_plane,
-                      specialized_null_curvature)
+                      sample_planes, specialized_null_curvature)
 from warpcurv.core_types import components
 from warpcurv.errors import ConstructionError, PlaneError, ValidationError
 
@@ -275,3 +282,177 @@ def test_paths_share_the_plane_inputs(entry):
                 got = specialized_null_curvature(spec, plane, path)
                 assert result_bits(got) == fresh[path]
                 assert plane.form_inputs is filled
+
+
+# ---------------------------------------------------------------------------
+# batches: the planes of one plane drawn at a time
+# ---------------------------------------------------------------------------
+
+CHUNKS = [1, 7, 64]
+
+
+def first_seen(items):
+    """The distinct objects of ``items`` in the order they first appear."""
+    return list({id(x): x for x in items}.values())
+
+
+def as_report(entry, n, rng_at):
+    """One context at the default point and one generator for the batch."""
+    rng = rng_at(0)
+    return [PointContext(entry.spec, entry.default_point())] * n, [rng] * n
+
+
+def as_compare(entry, n, rng_at):
+    """A generator per sample, which draws the sample's point first."""
+    rngs = [rng_at(k) for k in range(n)]
+    return [PointContext(entry.spec, entry.random_point(rng))
+            for rng in rngs], rngs
+
+
+def as_scan(entry, n, rng_at):
+    """A context per step along the base window, each sharing with the
+    step before what does not depend on t, and a generator per step, all
+    seeded alike."""
+    lo, hi = entry.base_window
+    ctx = PointContext(entry.spec, entry.default_point())
+    contexts = [ctx.at_base(float(t)) for t in np.linspace(lo, hi, n)]
+    return contexts, [rng_at(0) for _ in contexts]
+
+
+def assert_same_batch(spec, side, rng_at, n, **kwargs):
+    """``sample_planes`` on one copy of a batch and the reference, a plane
+    at a time, on another give the same planes, and every generator's
+    next draw is the same."""
+    contexts_a, rngs_a = side(n, rng_at)
+    contexts_b, rngs_b = side(n, rng_at)
+    got = sample_planes(spec, contexts_a, rngs_a, **kwargs)
+    want = [reference_sample_plane(spec, g, rng, **kwargs)
+            for g, rng in zip(contexts_b, rngs_b)]
+    assert [plane_bits(p) for p in got] == [plane_bits(p) for p in want]
+    assert got == want
+    assert all(p.context is g for p, g in zip(got, contexts_a))
+    for a, b in zip(first_seen(rngs_a), first_seen(rngs_b)):
+        assert bits(a.random()) == bits(b.random())
+    return rngs_a, rngs_b
+
+
+SIDES = {"report": as_report, "compare": as_compare, "scan": as_scan}
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("side", sorted(SIDES))
+@pytest.mark.parametrize("base_free", [False, True])
+def test_batches(entry, side, base_free):
+    for n in CHUNKS:
+        assert_same_batch(
+            entry.spec, lambda n, rng_at: SIDES[side](entry, n, rng_at),
+            lambda k: np.random.default_rng(1000 * n + k), n,
+            base_free=base_free)
+
+
+def test_batch_with_a_numpy_frame():
+    """A frame whose components are numpy floats gives numpy-typed
+    results where the scalar arithmetic does."""
+    entry = CATALOG[0]
+
+    def frame(ctx):
+        U = scaled_frame(ctx)
+        return TangentVector(np.float64(U.base_part), U.fiber_parts)
+
+    for n in CHUNKS:
+        contexts, _ = as_report(entry, n, np.random.default_rng)
+        U = frame(contexts[0])
+        assert_same_batch(entry.spec,
+                          lambda n, rng_at: as_report(entry, n, rng_at),
+                          np.random.default_rng, n, frame_U=U)
+
+
+class ShrunkDraws:
+    """A generator whose normals numbered ``start`` to ``start + count - 1``
+    (counted over all its ``standard_normal`` calls) come out multiplied
+    by ``factor``.  With the default 1e-13, a direction drawn from them
+    has no spacelike part the sampler accepts, so that try is rejected.
+    The count is part of its ``bit_generator.state``, so a sampler that
+    restores the state draws the same numbers again."""
+
+    def __init__(self, seed, start, count, factor=1e-13):
+        self._gen = np.random.default_rng(seed)
+        self._shrunk = range(start, start + count)
+        self._factor = factor
+        self.drawn = 0
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self._gen.bit_generator.state, self.drawn
+
+    @state.setter
+    def state(self, value):
+        self._gen.bit_generator.state, self.drawn = value
+
+    def standard_normal(self, size):
+        z = self._gen.standard_normal(size)
+        first, self.drawn = self.drawn, self.drawn + size
+        return np.array([x * self._factor if first + i in self._shrunk
+                         else x for i, x in enumerate(z)])
+
+    def uniform(self, low, high):
+        return self._gen.uniform(low, high)
+
+    def random(self):
+        return self._gen.random()
+
+
+REJECTED = 3  # the plane whose first try is rejected, mid-batch
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("base_free", [False, True])
+def test_rejection_restarts_the_shared_generator(entry, base_free):
+    """``report``: one generator feeds the batch, so a rejected first try
+    of plane 3 restarts the whole batch from the generator's state before
+    it; plane 3 then takes a second try and every later plane draws
+    later numbers.  The rejected try drew its direction and no W."""
+    dims = sum(f.dim for f in entry.spec.fibers)
+    start = REJECTED * 2 * dims  # plane 3's first direction
+    n = 7
+    rngs_a, rngs_b = assert_same_batch(
+        entry.spec, lambda n, rng_at: as_report(entry, n, rng_at),
+        lambda k: ShrunkDraws(5, start, dims), n, base_free=base_free)
+    assert rngs_a[0].drawn == rngs_b[0].drawn == (2 * n + 1) * dims
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("base_free", [False, True])
+def test_rejection_restarts_its_sample(entry, base_free):
+    """``compare``: sample 3's generator rejects its first try, so sample
+    3 alone is drawn again from its generator's state before the batch."""
+    dims = sum(f.dim for f in entry.spec.fibers)
+    n = 7
+
+    def rng_at(k):
+        return ShrunkDraws(100 + k, 0, dims if k == REJECTED else 0)
+
+    rngs_a, rngs_b = assert_same_batch(
+        entry.spec, lambda n, rng_at: as_compare(entry, n, rng_at), rng_at,
+        n, base_free=base_free)
+    for k, (a, b) in enumerate(zip(rngs_a, rngs_b)):
+        assert a.drawn == b.drawn == (3 if k == REJECTED else 2) * dims
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("base_free", [False, True])
+def test_exact_zero_in_one_plane(entry, base_free):
+    """Sample 3 draws 0.0 as the last normal of its direction; the
+    triangular solve keeps that component exactly zero, and so do the
+    null L and its spatial part.  The batch skips the zero in plane 3
+    alone, as the scalar form does, and accepts every first try."""
+    dims = sum(f.dim for f in entry.spec.fibers)
+
+    def rng_at(k):
+        return ShrunkDraws(200 + k, dims - 1, 1 if k == REJECTED else 0, 0.0)
+
+    rngs_a, _ = assert_same_batch(
+        entry.spec, lambda n, rng_at: as_compare(entry, n, rng_at), rng_at,
+        7, base_free=base_free)
+    assert [a.drawn for a in rngs_a] == [2 * dims] * 7
