@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Three subcommands:
+Three subcommands, whose sampled planes, a chunk at a time, are all
+evaluated in :func:`_evaluate_planes`; two values agree there only if
+|a - b| <= tol, which a NaN or an infinity never is:
 
 * ``report``  : curvature report (Ricci, isotropy scan, sampled planes)
   at one point, through the closed forms and the chart oracle.
@@ -43,9 +45,8 @@ from .models import CatalogEntry, by_name
 from .null_sectional import (formula_paths, isotropy_summary,
                              null_curvature_generic, sample_planes,
                              specialized_null_curvature)
-from .tensor_oracle import (lowered_riemann, lowered_riemann_batch,
-                            null_sectional_batch, riemann_oracle,
-                            riemann_oracle_batch)
+from .tensor_oracle import (lowered_riemann_batch, null_sectional_batch,
+                            riemann_oracle, riemann_oracle_batch)
 from .warped_formulas import ricci_matrix
 
 COMPARE_ABS_TOL = 1e-10
@@ -60,25 +61,23 @@ CHUNK = 64
 # model/point resolution
 # ---------------------------------------------------------------------------
 
-def _resolve_model(token: str) -> tuple[str, ManifoldSpec, CatalogEntry | None]:
-    if os.path.exists(token):
-        return _read_spec_file(token)
-    entry = by_name(token)
-    return entry.name, entry.spec, entry
-
-
-def _read_spec_file(path: str) -> tuple[str, ManifoldSpec, None]:
-    if not os.path.isfile(path):
-        raise ValidationError(f"spec file {path!r} is not a regular file")
+def _resolve_model(token: str) -> tuple[str, ManifoldSpec, CatalogEntry]:
+    """A catalog model, or a spec file's with :func:`_fallback_entry`."""
+    if not os.path.exists(token):
+        entry = by_name(token)
+        return entry.name, entry.spec, entry
+    if not os.path.isfile(token):
+        raise ValidationError(f"spec file {token!r} is not a regular file")
     try:
-        with open(path) as fh:
+        with open(token) as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         reason = exc.strerror if isinstance(exc, OSError) else exc.reason
-        raise ValidationError(f"cannot read spec file {path!r}: {reason}") \
+        raise ValidationError(f"cannot read spec file {token!r}: {reason}") \
             from None
     spec = spec_from_json(text)
-    return spec.name or os.path.basename(path), spec, None
+    name = spec.name or os.path.basename(token)
+    return name, spec, _fallback_entry(name, spec)
 
 
 def _fallback_entry(name: str, spec: ManifoldSpec) -> CatalogEntry:
@@ -149,13 +148,43 @@ def _seed_from(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# the plane evaluator
+# ---------------------------------------------------------------------------
+
+def _evaluate_planes(spec, planes, tensors, paths, generic: bool):
+    """Evaluate drawn planes at the chart tensors of each one's point: per
+    plane (the plane, K_oracle, tolerance, {path: result} for the
+    closed-form ``paths``, the generic route's result or None), with one
+    :func:`null_sectional_batch` (which checks every plane first) and one
+    :func:`lowered_riemann_batch` for the tolerance's scale max(1, |R|).
+    The routes run as the caller iterates; every caller runs it to the
+    end (``compare`` zips strictly), so none of the chunk outlives it."""
+    k_oracles = null_sectional_batch(tensors,
+                                     [flatten(plane.L) for plane in planes],
+                                     [flatten(plane.S) for plane in planes])
+    distinct = {id(t): t for t in tensors}  # a report's planes share one
+    peaks = dict(zip(distinct, np.abs(lowered_riemann_batch(
+        list(distinct.values()))).max(axis=(1, 2, 3, 4)).tolist()))
+    tols = [max(COMPARE_ABS_TOL, COMPARE_REL_TOL * max(1.0, peaks[id(t)]))
+            for t in tensors]
+    return ((plane, k_oracle, tol,
+             {path: specialized_null_curvature(spec, plane, path)
+              for path in paths},
+             null_curvature_generic(spec, plane) if generic else None)
+            for plane, k_oracle, tol in zip(planes, k_oracles.tolist(), tols))
+
+
+def _disagree(a: float, b: float, tol: float) -> bool:
+    """Whether a and b differ by more than tol, as a NaN or an inf does."""
+    return not abs(a - b) <= tol
+
+
+# ---------------------------------------------------------------------------
 # report
 # ---------------------------------------------------------------------------
 
 def cmd_report(args) -> int:
     name, spec, entry = _resolve_model(args.model)
-    if entry is None:
-        entry = _fallback_entry(name, spec)
     seed = _seed_from(args)
     default = entry.default_point()
     p = _parse_point(spec, args.point, default) if args.point else default
@@ -171,21 +200,23 @@ def cmd_report(args) -> int:
     planes = []
     flags = []
     generic_values = []
-    scale = max(1.0, float(np.max(np.abs(lowered_riemann(tensors)))))
-    tol = max(COMPARE_ABS_TOL, COMPARE_REL_TOL * scale)
-    for i, plane, k_oracle in _report_planes(spec, ctx, tensors, rng,
-                                             args.planes):
-        generic_values.append(null_curvature_generic(spec, plane).value)
-        row = {"index": i, "K_oracle": k_oracle}
-        for path in paths:
-            res = specialized_null_curvature(spec, plane, path)
-            key = "K_derived" if path == "derived" else f"K_{path}"
-            row[key] = res.value
-            if path == "derived":
-                row["breakdown"] = res.breakdown
-            if abs(res.value - k_oracle) > tol:
-                flags.append(f"plane {i}: {path} K deviates from oracle")
-        planes.append(row)
+    # every plane is at the one point and comes from the one generator, so
+    # each chunk is one batched draw
+    for start in range(0, args.planes, CHUNK):
+        size = min(CHUNK, args.planes - start)
+        drawn = sample_planes(spec, [ctx] * size, [rng] * size)
+        evaluations = _evaluate_planes(spec, drawn, [tensors] * size, paths,
+                                       generic=True)
+        for i, (_, k_oracle, tol, forms, gen) in enumerate(evaluations, start):
+            generic_values.append(gen.value)
+            row = {"index": i, "K_oracle": k_oracle}
+            for path, res in forms.items():
+                row[f"K_{path}"] = res.value
+                if path == "derived":
+                    row["breakdown"] = res.breakdown
+                if _disagree(res.value, k_oracle, tol):
+                    flags.append(f"plane {i}: {path} K deviates from oracle")
+            planes.append(row)
 
     doc = {
         "tool": "warpcurv",
@@ -205,20 +236,6 @@ def cmd_report(args) -> int:
     }
     _emit_report(doc, args)
     return 0
-
-
-def _report_planes(spec, ctx, tensors, rng, count):
-    """(index, plane, K_oracle) for ``count`` planes drawn at ctx, a chunk
-    at a time: every plane is at the one point and comes from the one
-    generator, so each chunk is one batched draw and its oracle side one
-    batched contraction of the point's tensors."""
-    for start in range(0, count, CHUNK):
-        size = min(CHUNK, count - start)
-        drawn = sample_planes(spec, [ctx] * size, [rng] * size)
-        k_oracles = null_sectional_batch(
-            [tensors] * len(drawn), [flatten(plane.L) for plane in drawn],
-            [flatten(plane.S) for plane in drawn])
-        yield from zip(range(start, count), drawn, k_oracles.tolist())
 
 
 def _emit_report(doc, args) -> None:
@@ -361,20 +378,16 @@ def cmd_compare(args) -> int:
     one process, the first block's before any worker's.
     """
     name, spec, entry = _resolve_model(args.model)
-    if entry is None:
-        entry = _fallback_entry(name, spec)
     seed = _seed_from(args)
     chart = assemble_chart(spec)
-    printed_paths = [p for p in formula_paths(spec) if p != "derived"] \
-        if args.path == "as-printed" else []
+    paths = formula_paths(spec) if args.path == "as-printed" else ("derived",)
 
     root = np.random.default_rng(np.uint64(seed))
     plane_seeds = [int(root.integers(0, 2 ** 63))
                    for _ in range(args.samples)]
     chunks = [plane_seeds[start:start + CHUNK]
               for start in range(0, args.samples, CHUNK)]
-    job = functools.partial(_compare_chunks, name, spec, entry, chart,
-                            printed_paths)
+    job = functools.partial(_compare_chunks, name, spec, entry, chart, paths)
     with _blocks(job, chunks) as results:
         entries = sum(rows for _, rows, _ in results)
         derived_ok = all(ok for _, _, ok in results)
@@ -394,12 +407,13 @@ def _fragments(results: list):
         yield from results.pop(0)[0]
 
 
-def _compare_chunks(name, spec, entry, chart, printed_paths,
+def _compare_chunks(name, spec, entry, chart, paths,
                     chunks) -> tuple[list[str], int, bool]:
-    """Evaluate chunks of plane seeds: (a fragment of ledger text per
-    chunk with rows, its rows' texts joined by ``",\\n"``; the number of
-    rows; whether the derived closed forms agree with the oracle at every
-    sample)."""
+    """Evaluate chunks of plane seeds on the generic route and the
+    closed-form ``paths``, the derived one first: (a fragment of ledger
+    text per chunk with rows, its rows' texts joined by ``",\\n"``; the
+    number of rows; whether the derived closed forms agree with the
+    oracle at every sample)."""
     fragments = []
     entries = 0
     derived_ok = True
@@ -410,46 +424,38 @@ def _compare_chunks(name, spec, entry, chart, printed_paths,
         rngs = [np.random.default_rng(np.uint64(s)) for s in plane_seeds]
         contexts = [PointContext(spec, entry.random_point(rng))
                     for rng in rngs]
-        draws = list(zip(plane_seeds, sample_planes(spec, contexts, rngs)))
+        planes = sample_planes(spec, contexts, rngs)
         # the evaluators reuse the context each plane was drawn at; the
         # chunk's curvature tensors are built in one batch, and with them
         # the base tensors and warp bundles they are built from
         PointContext.fill_riemann_tensors(contexts)
         batch = riemann_oracle_batch(chart, [c.point.flat(spec)
                                              for c in contexts])
-        k_oracles = null_sectional_batch(
-            batch, [flatten(plane.L) for _, plane in draws],
-            [flatten(plane.S) for _, plane in draws])
-        peaks = np.abs(lowered_riemann_batch(batch)).max(axis=(1, 2, 3, 4))
+        evaluations = _evaluate_planes(spec, planes, batch, paths,
+                                       generic=True)
         del batch  # before the next chunk's batch is built
-        for (plane_seed, plane), k_oracle, peak in zip(
-                draws, k_oracles.tolist(), peaks.tolist()):
+        for plane_seed, (plane, k_oracle, tol, forms, gen) in zip(
+                plane_seeds, evaluations, strict=True):
             x = list(plane.context.point.flat(spec))
-            scale = max(1.0, peak)
-            tol = max(COMPARE_ABS_TOL, COMPARE_REL_TOL * scale)
             coords = {"model": name, "point": x, "plane_seed": plane_seed}
-
-            derived = specialized_null_curvature(spec, plane, "derived")
-            gen = null_curvature_generic(spec, plane)
+            derived = forms["derived"]
             for label, res in (("as-derived", derived), ("generic", gen)):
-                if abs(res.value - k_oracle) > tol:
+                if _disagree(res.value, k_oracle, tol):
                     derived_ok = False
                     ledger.append(_ledger_row(coords, "value", label,
                                               "oracle", res.value, k_oracle))
-
-            for path in printed_paths:
-                printed = specialized_null_curvature(spec, plane, path)
+            for path in paths[1:]:
+                printed = forms[path]
                 label = ("as-printed:"
                          f"{path.removeprefix('printed').lstrip('_') or 'main'}")
                 keys = sorted(set(derived.breakdown) | set(printed.breakdown))
                 for key in keys:
                     va = printed.breakdown.get(key, 0.0)
                     vb = derived.breakdown.get(key, 0.0)
-                    if not math.isfinite(va) or abs(va - vb) > tol:
+                    if _disagree(va, vb, tol):
                         ledger.append(_ledger_row(coords, key, label,
                                                   "as-derived", va, vb))
-                if not math.isfinite(printed.value) \
-                        or abs(printed.value - k_oracle) > tol:
+                if _disagree(printed.value, k_oracle, tol):
                     ledger.append(_ledger_row(coords, "value", label,
                                               "oracle", printed.value,
                                               k_oracle))
@@ -642,8 +648,6 @@ def _worker_result(pid: int, fh) -> tuple:
 
 def cmd_scan(args) -> int:
     name, spec, entry = _resolve_model(args.model)
-    if entry is None:
-        entry = _fallback_entry(name, spec)
     if args.var != "t":
         raise ValidationError("only the base coordinate t can be scanned")
     if not math.isfinite(args.stop - args.start):
@@ -663,34 +667,30 @@ def cmd_scan(args) -> int:
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
-        values, contexts = [], []
-        for p in chunk:
+        pairs, contexts = [], []  # (value, oracle value) at each step
+        for k, p in enumerate(chunk):
             # only t moves along the sweep; each step's context shares the
             # work that does not depend on it with the step before
             ctx = PointContext(spec, p) if ctx is None else ctx.at_base(p.t)
             contexts.append(ctx)
             if args.quantity == "ricci":
-                values.append(float(np.max(np.abs(ricci_matrix(spec, ctx)))))
-        if args.quantity == "ricci":
-            ovals = [float(np.max(np.abs(t.ricci))) for t in batch]
-        else:
+                pairs.append((float(np.max(np.abs(ricci_matrix(spec, ctx)))),
+                              float(np.max(np.abs(batch[k].ricci)))))
+        if args.quantity != "ricci":
             # every step draws its plane from a generator seeded afresh;
-            # the chunk's planes are one batched draw, and its oracle side
-            # one batched contraction
+            # the chunk's planes are one batched draw
             planes = sample_planes(
                 spec, contexts,
                 [np.random.default_rng(np.uint64(seed)) for _ in contexts])
-            for plane in planes:
-                res = specialized_null_curvature(spec, plane, "derived")
-                values.append(res.numerator if args.quantity == "numerator"
-                              else res.value)
-            k_oracles = null_sectional_batch(
-                batch, [flatten(plane.L) for plane in planes],
-                [flatten(plane.S) for plane in planes]).tolist()
-            ovals = ([k * plane.g_SS for k, plane in zip(k_oracles, planes)]
-                     if args.quantity == "numerator" else k_oracles)
+            evaluations = _evaluate_planes(spec, planes, batch, ("derived",),
+                                           generic=False)
+            for plane, k_oracle, _, forms, _ in evaluations:
+                res = forms["derived"]
+                pairs.append((res.numerator, k_oracle * plane.g_SS)
+                             if args.quantity == "numerator"
+                             else (res.value, k_oracle))
         del batch  # before the next chunk's batch is built
-        for p, val, oval in zip(chunk, values, ovals):
+        for p, (val, oval) in zip(chunk, pairs):
             rows.append(f"{_csv(p.t)},{args.quantity},{_csv(val)},"
                         f"{_csv(oval)},{_csv(abs(val - oval))}\r\n")
 

@@ -196,10 +196,6 @@ def riemann_apply(tensors: CurvatureTensors, a, b, c) -> np.ndarray:
                      np.asarray(a, float), np.asarray(b, float), np.asarray(c, float))
 
 
-def _inner(g, a, b):
-    return float(np.asarray(a, float) @ g @ np.asarray(b, float))
-
-
 def null_sectional_from_tensors(tensors: CurvatureTensors, L, S,
                                 tol: float = 1e-9) -> float:
     """Null sectional curvature from precomputed chart tensors:
@@ -265,11 +261,12 @@ def sectional_curvature_oracle(chart: CoordinateChart, x: Sequence[float],
     """Sectional curvature of the nondegenerate plane span(v, w) at x."""
     tensors = riemann_oracle(chart, x)
     g = tensors.metric
-    q = _inner(g, v, v) * _inner(g, w, w) - _inner(g, v, w) ** 2
+    v, w = np.asarray(v, float), np.asarray(w, float)
+    vg = v @ g  # each contraction in the order (a @ g) @ b
+    q = float(vg @ v) * float((w @ g) @ w) - float(vg @ w) ** 2
     if abs(q) <= 1e-14:
         raise PlaneError("plane is degenerate; sectional curvature undefined")
-    rww = riemann_apply(tensors, v, w, w)
-    return _inner(g, rww, v) / q
+    return float((riemann_apply(tensors, v, w, w) @ g) @ v) / q
 
 
 # -- scalar-field calculus ---------------------------------------------------

@@ -148,12 +148,18 @@ class ChartBase:
         return ctx.base_tensors.ricci
 
     def connection(self, ctx, x, y_comps, y_fns) -> np.ndarray:
-        t = ctx.base_tensors
-        out = np.einsum("kmn,m,n->k", t.gamma, np.asarray(x), np.asarray(y_comps))
-        if y_fns is not None:
-            jac = np.array([jet(f, ctx.base_point)[1] for f in y_fns])
-            out = out + jac @ np.asarray(x)
-        return out
+        return _chart_connection(ctx.base_tensors, ctx.base_point, x,
+                                 y_comps, y_fns)
+
+
+def _chart_connection(tensors, point, x, y_comps, y_fns) -> np.ndarray:
+    """nabla_X Y on a chart: Gamma(X, Y), plus X applied to Y's component
+    functions ``y_fns`` (None for constant components)."""
+    out = np.einsum("kmn,m,n->k", tensors.gamma, np.asarray(x), np.asarray(y_comps))
+    if y_fns is not None:
+        jac = np.array([jet(f, point)[1] for f in y_fns])
+        out = out + jac @ np.asarray(x)
+    return out
 
 
 _TIME_METRIC = np.array([[-1.0]])
@@ -201,12 +207,8 @@ class _StructFiber:
     def connection(self, ctx, v, w_comps, w_fns) -> np.ndarray:
         if self.lorentz_time:
             return np.zeros(1)
-        t = ctx.fiber_tensors(self.index)
-        out = np.einsum("kab,a,b->k", t.gamma, np.asarray(v), np.asarray(w_comps))
-        if w_fns is not None:
-            jac = np.array([jet(f, ctx.fiber_points[self.index])[1] for f in w_fns])
-            out = out + jac @ np.asarray(v)
-        return out
+        return _chart_connection(ctx.fiber_tensors(self.index),
+                                 ctx.fiber_points[self.index], v, w_comps, w_fns)
 
     def gradient(self, ctx, dpsi) -> np.ndarray:
         if self.lorentz_time:

@@ -94,7 +94,7 @@ def test_cli_draws_a_batch_at_a_time():
             if c[2]] == []
     assert {function for function, _, _ in
             _calls(tree, _names("sample_planes"))} == {
-        "_report_planes", "_compare_chunks", "cmd_scan"}
+        "cmd_report", "_compare_chunks", "cmd_scan"}
 
 
 def test_the_guard_sees_a_draw_loop():
