@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import math
 import os
@@ -667,18 +668,24 @@ def cmd_scan(args) -> int:
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
-        pairs, contexts = [], []  # (value, oracle value) at each step
-        for k, p in enumerate(chunk):
+        contexts, ricci = [], []
+        for p in chunk:
             # only t moves along the sweep; each step's context shares the
             # work that does not depend on it with the step before
             ctx = PointContext(spec, p) if ctx is None else ctx.at_base(p.t)
             contexts.append(ctx)
             if args.quantity == "ricci":
-                pairs.append((float(np.max(np.abs(ricci_matrix(spec, ctx)))),
-                              float(np.max(np.abs(batch[k].ricci)))))
-        if args.quantity != "ricci":
+                ricci.append(ricci_matrix(spec, ctx))
+        # (value, oracle value) at each step
+        if args.quantity == "ricci":
+            # max |Ric| of the whole chunk in one reduction per side; a
+            # max is exact, so each step's value is its own max
+            pairs = zip(*(np.max(np.abs(np.array(m)), axis=(1, 2)).tolist()
+                          for m in (ricci, [t.ricci for t in batch])))
+        else:
             # every step draws its plane from a generator seeded afresh;
             # the chunk's planes are one batched draw
+            pairs = []
             planes = sample_planes(
                 spec, contexts,
                 [np.random.default_rng(np.uint64(seed)) for _ in contexts])
@@ -754,6 +761,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def run() -> None:
+    """The process entry point (``python -m warpcurv.cli`` and the
+    ``warpcurv`` console script): exit with :func:`main`'s code.
+
+    The imports are done by now, so their objects (numpy's and
+    warpcurv's) are frozen first: the collector, the interpreter's final
+    collection at exit included, never walks them again.  In-process
+    callers call :func:`main`, which leaves the collector as it is."""
+    gc.freeze()
+    sys.exit(main())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -777,4 +796,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -17,15 +17,14 @@ once filled.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import hyperdual as hd
+from ._frozen import Frozen, set_field
 from .errors import DomainError, PlaneError, ShapeError, ValidationError
 from .hyperdual import value
 from .tensor_oracle import (MAX_CHART_DIM, CoordinateChart, CurvatureTensors,
@@ -73,16 +72,16 @@ INTERIOR_MARGIN = 1e-12
 # base interval and warping functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Open interval (t1, t2); endpoints may be -inf / +inf and are never evaluated."""
 
-    t1: float
-    t2: float
+    __slots__ = ("t1", "t2")
 
-    def __post_init__(self):
-        if not self.t1 < self.t2:
-            raise ValidationError(f"interval requires t1 < t2, got ({self.t1}, {self.t2})")
+    def __init__(self, t1: float, t2: float):
+        set_field(self, "t1", t1)
+        set_field(self, "t2", t2)
+        if not t1 < t2:
+            raise ValidationError(f"interval requires t1 < t2, got ({t1}, {t2})")
 
     def contains(self, t: float, margin: float = INTERIOR_MARGIN) -> bool:
         lo = True if math.isinf(self.t1) else t - self.t1 >= margin
@@ -157,17 +156,20 @@ def _spot_value(fn, arg, what: str, where: str) -> float:
         raise error(f"{what} cannot be evaluated at {where}: {exc}") from None
 
 
-@dataclass(frozen=True)
-class WarpingFunction:
+class WarpingFunction(Frozen):
     """Smooth positive scalar on the base interval, with exact b', b''.
 
     Derivatives come from hyper-dual evaluation of ``fn``, so ``fn`` must be
     written against the generic math helpers in :mod:`warpcurv.hyperdual`.
     """
 
-    fn: Callable
-    form: str | None = None
-    params: dict | None = None
+    __slots__ = ("fn", "form", "params")
+
+    def __init__(self, fn: Callable, form: str | None = None,
+                 params: dict | None = None):
+        set_field(self, "fn", fn)
+        set_field(self, "form", form)
+        set_field(self, "params", params)
 
     @classmethod
     def from_form(cls, form: str, params: dict) -> "WarpingFunction":
@@ -191,17 +193,20 @@ class WarpingFunction:
                 raise ValidationError(f"warping must be positive; got {b} at t = {t}")
 
 
-@dataclass(frozen=True)
-class StaticPotential:
+class StaticPotential(Frozen):
     """Positive scalar f on the fiber of a standard static spacetime.
 
     ``fn`` maps fiber coordinates (floats or hyper-duals) to a scalar;
     gradient and Hessian data is obtained through the fiber chart oracle.
     """
 
-    fn: Callable
-    form: str | None = None
-    params: dict | None = None
+    __slots__ = ("fn", "form", "params")
+
+    def __init__(self, fn: Callable, form: str | None = None,
+                 params: dict | None = None):
+        set_field(self, "fn", fn)
+        set_field(self, "form", form)
+        set_field(self, "params", params)
 
     @classmethod
     def from_form(cls, form: str, params: dict) -> "StaticPotential":
@@ -222,31 +227,38 @@ class StaticPotential:
 # fibers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberSpec:
+class FiberSpec(Frozen):
     """A Riemannian factor: coordinate metric plus optional curvature tag.
 
     ``curvature_tag`` one of ``euclidean`` / ``sphere`` / ``hyperbolic`` /
     ``generic``; tagged fibers unlock the constant-curvature closed form
     for their Riemann tensor, generic fibers fall back to the chart oracle.
+    ``params`` defaults to a new empty dict.
     """
 
-    dim: int
-    metric: Callable[[Sequence], Sequence]
-    curvature_tag: str = "generic"
-    model: str = "custom"
-    radius: float | None = None
-    params: dict = field(default_factory=dict)
-    coord_names: tuple[str, ...] = ()
-    domain: Callable[[Sequence[float]], bool] | None = None
-    sample_coords: tuple[float, ...] = ()
+    __slots__ = ("dim", "metric", "curvature_tag", "model", "radius",
+                 "params", "coord_names", "domain", "sample_coords")
 
-    def __post_init__(self):
-        if self.dim < 1:
+    def __init__(self, dim: int, metric: Callable[[Sequence], Sequence],
+                 curvature_tag: str = "generic", model: str = "custom",
+                 radius: float | None = None, params: dict | None = None,
+                 coord_names: tuple[str, ...] = (),
+                 domain: Callable[[Sequence[float]], bool] | None = None,
+                 sample_coords: tuple[float, ...] = ()):
+        set_field(self, "dim", dim)
+        set_field(self, "metric", metric)
+        set_field(self, "curvature_tag", curvature_tag)
+        set_field(self, "model", model)
+        set_field(self, "radius", radius)
+        set_field(self, "params", {} if params is None else params)
+        set_field(self, "coord_names", coord_names)
+        set_field(self, "domain", domain)
+        set_field(self, "sample_coords", sample_coords)
+        if dim < 1:
             raise ValidationError("fiber dimension must be >= 1")
-        if self.curvature_tag not in ("euclidean", "sphere", "hyperbolic", "generic"):
-            raise ValidationError(f"unknown curvature tag {self.curvature_tag!r}")
-        if self.coord_names and len(self.coord_names) != self.dim:
+        if curvature_tag not in ("euclidean", "sphere", "hyperbolic", "generic"):
+            raise ValidationError(f"unknown curvature tag {curvature_tag!r}")
+        if coord_names and len(coord_names) != dim:
             raise ShapeError("coord_names length must equal fiber dim")
 
     @property
@@ -393,21 +405,27 @@ _TIME_BASE_KINDS = ("MGRW", "GRW", "Kasner")
 _KINDS = _TIME_BASE_KINDS + ("SSST", "MultiplyWarped-generic")
 
 
-@dataclass(frozen=True)
-class ManifoldSpec:
+class ManifoldSpec(Frozen):
     """Declarative multiply warped product; see module docstring for kinds."""
 
-    kind: str
-    base: Interval
-    warpings: tuple = ()
-    fibers: tuple = ()
-    kasner_exponents: tuple[float, ...] | None = None
-    phi: WarpingFunction | None = None
-    potential: StaticPotential | None = None
-    base_chart: CoordinateChart | None = None
-    name: str = ""
+    __slots__ = ("kind", "base", "warpings", "fibers", "kasner_exponents",
+                 "phi", "potential", "base_chart", "name")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, base: Interval, warpings: tuple = (),
+                 fibers: tuple = (),
+                 kasner_exponents: tuple[float, ...] | None = None,
+                 phi: WarpingFunction | None = None,
+                 potential: StaticPotential | None = None,
+                 base_chart: CoordinateChart | None = None, name: str = ""):
+        set_field(self, "kind", kind)
+        set_field(self, "base", base)
+        set_field(self, "warpings", warpings)
+        set_field(self, "fibers", fibers)
+        set_field(self, "kasner_exponents", kasner_exponents)
+        set_field(self, "phi", phi)
+        set_field(self, "potential", potential)
+        set_field(self, "base_chart", base_chart)
+        set_field(self, "name", name)
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown kind {self.kind!r}")
         if not self.fibers:
@@ -532,12 +550,14 @@ def generic_warped_spec(base_chart: CoordinateChart,
 # points and tangent vectors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Point:
+class Point(Frozen):
     """Base coordinate plus one coordinate tuple per fiber."""
 
-    t: float | tuple
-    fiber_coords: tuple
+    __slots__ = ("t", "fiber_coords")
+
+    def __init__(self, t: float | tuple, fiber_coords: tuple):
+        set_field(self, "t", t)
+        set_field(self, "fiber_coords", fiber_coords)
 
     def validate(self, spec: ManifoldSpec) -> None:
         if len(self.fiber_coords) != spec.m:
@@ -565,12 +585,14 @@ class Point:
         return base + tuple(float(c) for x in self.fiber_coords for c in x)
 
 
-@dataclass(frozen=True)
-class TangentVector:
+class TangentVector(Frozen):
     """Base coefficient (on d_t, or base components) plus per-fiber components."""
 
-    base_part: float | tuple
-    fiber_parts: tuple
+    __slots__ = ("base_part", "fiber_parts")
+
+    def __init__(self, base_part: float | tuple, fiber_parts: tuple):
+        set_field(self, "base_part", base_part)
+        set_field(self, "fiber_parts", fiber_parts)
 
     def validate(self, spec: ManifoldSpec) -> None:
         if len(self.fiber_parts) != spec.m:
@@ -693,19 +715,24 @@ def _read_only(*arrays) -> None:
         a.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class WarpData:
+class WarpData(Frozen):
     """One base scalar's derivative bundle at a base point (read-only)."""
 
-    value: float
-    dcomps: np.ndarray    # partial derivatives d_m b
-    grad: np.ndarray      # contravariant gradient components
-    hess: np.ndarray      # covariant Hessian H_B^b
-    lap: float            # metric trace of the Hessian
-    grad_sq: float        # g_B(grad b, grad b)
+    __slots__ = ("value", "dcomps", "grad", "hess", "lap", "grad_sq")
 
-    def __post_init__(self):
-        _read_only(self.dcomps, self.grad, self.hess)
+    def __init__(self, value: float,
+                 dcomps: np.ndarray,   # partial derivatives d_m b
+                 grad: np.ndarray,     # contravariant gradient components
+                 hess: np.ndarray,     # covariant Hessian H_B^b
+                 lap: float,           # metric trace of the Hessian
+                 grad_sq: float):      # g_B(grad b, grad b)
+        set_field(self, "value", value)
+        set_field(self, "dcomps", dcomps)
+        set_field(self, "grad", grad)
+        set_field(self, "hess", hess)
+        set_field(self, "lap", lap)
+        set_field(self, "grad_sq", grad_sq)
+        _read_only(dcomps, grad, hess)
 
 
 class PointContext:
@@ -1109,8 +1136,7 @@ def all_finite(*values) -> bool:
     return all(map(math.isfinite, values))
 
 
-@dataclass(frozen=True)
-class NullPlane:
+class NullPlane(Frozen):
     """Degenerate plane span(L, S) at a point, with cached normalization data.
 
     ``context`` is the :class:`PointContext` the plane was built at, which
@@ -1118,22 +1144,27 @@ class NullPlane:
     inputs of the plane's closed forms:
     :func:`~warpcurv.null_sectional.specialized_null_curvature` fills it
     from ``context`` on first use, so every formula path of one plane
-    shares them.  It takes no part in comparisons.
+    shares them.  Neither takes part in comparisons.
     """
 
-    point: Point
-    L: TangentVector
-    S: TangentVector
-    frame_U: TangentVector | None = None
-    g_LL: float = 0.0
-    g_LS: float = 0.0
-    g_SS: float = 1.0
-    g_LU: float = -1.0
-    # the context the plane was built at, which evaluators reuse
-    context: PointContext | None = field(default=None, compare=False,
-                                         repr=False)
-    form_inputs: object = field(default=None, init=False, compare=False,
-                                repr=False)
+    __slots__ = ("point", "L", "S", "frame_U", "g_LL", "g_LS", "g_SS",
+                 "g_LU", "context", "form_inputs")
+    _compared = __slots__[:8]
+
+    def __init__(self, point: Point, L: TangentVector, S: TangentVector,
+                 frame_U: TangentVector | None = None, g_LL: float = 0.0,
+                 g_LS: float = 0.0, g_SS: float = 1.0, g_LU: float = -1.0,
+                 context: PointContext | None = None):
+        set_field(self, "point", point)
+        set_field(self, "L", L)
+        set_field(self, "S", S)
+        set_field(self, "frame_U", frame_U)
+        set_field(self, "g_LL", g_LL)
+        set_field(self, "g_LS", g_LS)
+        set_field(self, "g_SS", g_SS)
+        set_field(self, "g_LU", g_LU)
+        set_field(self, "context", context)
+        set_field(self, "form_inputs", None)
 
     @classmethod
     def build(cls, spec: ManifoldSpec, point: Point, L: TangentVector,
@@ -1291,4 +1322,5 @@ def spec_from_json(text: str) -> ManifoldSpec:
 
 
 def spec_hash(spec: ManifoldSpec) -> str:
+    import hashlib  # loads OpenSSL, which only this function needs
     return hashlib.sha256(spec_to_json(spec).encode()).hexdigest()[:16]

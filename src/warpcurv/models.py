@@ -10,10 +10,10 @@ the specialized formulas and the chart oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen, set_field
 from .core_types import (Interval, ManifoldSpec, Point, PointContext,
                          StaticPotential, WarpingFunction, assemble_chart,
                          euclidean_fiber, flatten, grw_spec, hyperbolic_fiber,
@@ -28,25 +28,36 @@ from .warped_formulas import ricci_general
 __all__ = ["KnownFact", "CatalogEntry", "catalog", "by_name", "validate_entry"]
 
 
-@dataclass(frozen=True)
-class KnownFact:
-    """One machine-checkable analytic statement about a catalog model."""
+class KnownFact(Frozen):
+    """One machine-checkable analytic statement about a catalog model;
+    ``params`` defaults to a new empty dict."""
 
-    quantity: str
-    where: str
-    expected: float
-    tol: float
-    provenance: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("quantity", "where", "expected", "tol", "provenance",
+                 "params")
+
+    def __init__(self, quantity: str, where: str, expected: float,
+                 tol: float, provenance: str, params: dict | None = None):
+        set_field(self, "quantity", quantity)
+        set_field(self, "where", where)
+        set_field(self, "expected", expected)
+        set_field(self, "tol", tol)
+        set_field(self, "provenance", provenance)
+        set_field(self, "params", {} if params is None else params)
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    spec: ManifoldSpec
-    known_facts: tuple[KnownFact, ...]
-    base_window: tuple[float, float]
-    fiber_windows: tuple  # per fiber: tuple of per-coordinate (lo, hi)
+class CatalogEntry(Frozen):
+    __slots__ = ("name", "spec", "known_facts", "base_window",
+                 "fiber_windows")
+
+    def __init__(self, name: str, spec: ManifoldSpec,
+                 known_facts: tuple[KnownFact, ...],
+                 base_window: tuple[float, float],
+                 fiber_windows: tuple):  # per fiber: per-coordinate (lo, hi)
+        set_field(self, "name", name)
+        set_field(self, "spec", spec)
+        set_field(self, "known_facts", known_facts)
+        set_field(self, "base_window", base_window)
+        set_field(self, "fiber_windows", fiber_windows)
 
     def default_point(self) -> Point:
         t = 0.5 * (self.base_window[0] + self.base_window[1])

@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._frozen import Frozen, set_field
 from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
                          TangentVector, all_finite, components, flatten,
                          tangent)
@@ -263,8 +264,10 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
     where it is to the frame, so with ``base_free=True`` a ``frame_U``
     that has a fiber (spatial) part is refused with a
     :class:`ValidationError`, before any draw; so is a spacetime of
-    dimension 2, which has no degenerate plane.  The draws use the
-    Cholesky factors of the fiber metrics (:attr:`PointContext.chol_t`).
+    dimension 2, which has no degenerate plane, and one whose fibers have
+    dimension 1 in all (a chart base with one 1-D fiber), since the
+    spatial directions of L and S are drawn in the fibers.  The draws use
+    the Cholesky factors of the fiber metrics (:attr:`PointContext.chol_t`).
     A plane carries its point's context.
 
     The planes are those of one plane drawn at a time, in order, bit for
@@ -277,11 +280,16 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
     before the batch, together with every other plane that generator
     feeds.
     """
+    label = repr(spec.name) if spec.name else f"this {spec.kind} spacetime"
     if spec.dim < 3:
-        label = repr(spec.name) if spec.name else f"this {spec.kind} spacetime"
         raise ValidationError(
             f"a degenerate plane needs a spacetime of dimension at least 3, "
             f"but {label} has dimension {spec.dim}")
+    if spec.dim - spec.base_dim < 2:
+        raise ValidationError(
+            f"the sampler draws the spatial directions of L and S in the "
+            f"fibers, which need dimension at least 2 in all, but the fibers "
+            f"of {label} have dimension {spec.dim - spec.base_dim}")
     gs = [PointContext.of(spec, p) for p in contexts]
     rngs = list(rngs)
     if len(rngs) != len(gs):
@@ -296,10 +304,14 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
                 "is then orthogonal to L")
     if not gs:
         return []
-    frame_at = {key: frame_U if frame_U is not None
-                else default_frame(spec, g)
-                for key, g in {id(g): g for g in gs}.items()}
-    frames = [frame_at[id(g)] for g in gs]
+    if frame_U is None and spec.kind == "SSST":
+        # the static frame, 1/f along t, is the one that depends on the point
+        frame_at = {key: default_frame(spec, g)
+                    for key, g in {id(g): g for g in gs}.items()}
+        frames = [frame_at[id(g)] for g in gs]
+    else:
+        U = frame_U if frame_U is not None else default_frame(spec, gs[0])
+        frames = [U] * len(gs)
     saved = {id(rng): (rng, rng.bit_generator.state) for rng in rngs}
     planes = [None] * len(gs)
     # a default frame's components are Python floats, as the batch needs
@@ -631,22 +643,32 @@ def _oriented_time_L(L: TangentVector, unit: float) -> TangentVector:
             f"L must have base coefficient +-{unit:.6g}, got {a:.6g}")
     return L if a < 0 else -L
 
-@dataclass(frozen=True)
-class _TimeData:
+class _TimeData(Frozen):
     """Per-fiber scalars entering the time-base closed forms."""
 
-    b: tuple
-    db: tuple
-    ddb: tuple
-    gVV: tuple
-    gVW: tuple
-    gWW: tuple
-    rF: tuple      # g_F(R_F(V,W)W, V) per fiber
-    h: float       # base coefficient of S
-    v: tuple       # fiber parts of L (base coefficient -1), as tuples
-    w: tuple       # fiber parts of S, as tuples
-    ps: tuple | None     # Kasner exponents
-    phi: float | None    # Kasner scale phi(t)
+    __slots__ = ("b", "db", "ddb", "gVV", "gVW", "gWW", "rF", "h", "v", "w",
+                 "ps", "phi")
+
+    def __init__(self, b: tuple, db: tuple, ddb: tuple, gVV: tuple,
+                 gVW: tuple, gWW: tuple,
+                 rF: tuple,           # g_F(R_F(V,W)W, V) per fiber
+                 h: float,            # base coefficient of S
+                 v: tuple,            # fiber parts of L (base coefficient -1)
+                 w: tuple,            # fiber parts of S, as tuples
+                 ps: tuple | None,    # Kasner exponents
+                 phi: float | None):  # Kasner scale phi(t)
+        set_field(self, "b", b)
+        set_field(self, "db", db)
+        set_field(self, "ddb", ddb)
+        set_field(self, "gVV", gVV)
+        set_field(self, "gVW", gVW)
+        set_field(self, "gWW", gWW)
+        set_field(self, "rF", rF)
+        set_field(self, "h", h)
+        set_field(self, "v", v)
+        set_field(self, "w", w)
+        set_field(self, "ps", ps)
+        set_field(self, "phi", phi)
 
     @property
     def g_SS(self) -> float:
@@ -887,19 +909,29 @@ def _type3_printed(d: _TimeData) -> NullCurvatureResult:
         phi ** (2.0 * ps[j]) * comps_w[j] ** 2 for j in idx)
     return NullCurvatureResult.unchecked(terms, denominator, 1e-300)
 
-@dataclass(frozen=True)
-class _StaticData:
+class _StaticData(Frozen):
     """The scalars entering the static closed forms (see
     :func:`ssst_null_curvature`)."""
 
-    f: float        # the potential
-    h: float        # base coefficient of S
-    hVV: float      # H(V,V), H(V,W), H(W,W): the potential's fiber Hessian
-    hVW: float
-    hWW: float
-    rF: float       # g_F(R_F(V,W)W, V)
-    grad_sq: float  # g_F(grad f, grad f)
-    g_SS: float
+    __slots__ = ("f", "h", "hVV", "hVW", "hWW", "rF", "grad_sq", "g_SS")
+
+    def __init__(self,
+                 f: float,        # the potential
+                 h: float,        # base coefficient of S
+                 hVV: float,      # H(V,V), H(V,W), H(W,W): the potential's
+                 hVW: float,      # fiber Hessian
+                 hWW: float,
+                 rF: float,       # g_F(R_F(V,W)W, V)
+                 grad_sq: float,  # g_F(grad f, grad f)
+                 g_SS: float):
+        set_field(self, "f", f)
+        set_field(self, "h", h)
+        set_field(self, "hVV", hVV)
+        set_field(self, "hVW", hVW)
+        set_field(self, "hWW", hWW)
+        set_field(self, "rF", rF)
+        set_field(self, "grad_sq", grad_sq)
+        set_field(self, "g_SS", g_SS)
 
 def _static_data(ctx: PointContext, plane: NullPlane) -> _StaticData:
     """The static closed forms' inputs on a plane with L = +-f^-1 d_t + V."""

@@ -24,11 +24,11 @@ Index conventions, fixed once for the whole package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen, set_field
 from .errors import (DegenerateMetricError, DomainError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import Jet, jet, mirror_upper, seed
@@ -57,8 +57,7 @@ _DET_TOL = 1e-12
 MAX_CHART_DIM = 8  # largest chart, and largest spec-file fiber, supported
 
 
-@dataclass(frozen=True)
-class CoordinateChart:
+class CoordinateChart(Frozen):
     """A coordinate metric ``x -> g_ij(x)`` evaluable on jet coordinates.
 
     ``metric_at`` must accept a sequence of ``dim`` scalars (floats or
@@ -67,13 +66,16 @@ class CoordinateChart:
     outside the chart.
     """
 
-    dim: int
-    metric_at: Callable[[Sequence], Sequence]
-    name: str = "chart"
-    domain: Callable[[Sequence[float]], bool] | None = None
+    __slots__ = ("dim", "metric_at", "name", "domain")
 
-    def __post_init__(self):
-        if not 1 <= self.dim <= MAX_CHART_DIM:
+    def __init__(self, dim: int, metric_at: Callable[[Sequence], Sequence],
+                 name: str = "chart",
+                 domain: Callable[[Sequence[float]], bool] | None = None):
+        set_field(self, "dim", dim)
+        set_field(self, "metric_at", metric_at)
+        set_field(self, "name", name)
+        set_field(self, "domain", domain)
+        if not 1 <= dim <= MAX_CHART_DIM:
             raise ShapeError(
                 f"charts are supported up to dimension {MAX_CHART_DIM}")
 
@@ -89,17 +91,25 @@ class CoordinateChart:
             raise DomainError(f"{self.name}: point {tuple(x)} outside chart domain")
 
 
-@dataclass(frozen=True)
-class CurvatureTensors:
-    """Christoffel, Riemann and Ricci data of a chart at one point."""
+class CurvatureTensors(Frozen):
+    """Christoffel, Riemann and Ricci data of a chart at one point:
+    ``gamma`` (n, n, n), ``riemann`` R^l_ijk (n, n, n, n), ``ricci``
+    (n, n) and ``dmetric`` d_k g_ij (n, n, n)."""
 
-    point: tuple
-    metric: np.ndarray
-    metric_inv: np.ndarray
-    gamma: np.ndarray      # (n, n, n)
-    riemann: np.ndarray    # (n, n, n, n), R^l_ijk
-    ricci: np.ndarray      # (n, n)
-    dmetric: np.ndarray = field(repr=False, default=None)  # (n, n, n), d_k g_ij
+    __slots__ = ("point", "metric", "metric_inv", "gamma", "riemann",
+                 "ricci", "dmetric")
+
+    def __init__(self, point: tuple, metric: np.ndarray,
+                 metric_inv: np.ndarray, gamma: np.ndarray,
+                 riemann: np.ndarray, ricci: np.ndarray,
+                 dmetric: np.ndarray | None = None):
+        set_field(self, "point", point)
+        set_field(self, "metric", metric)
+        set_field(self, "metric_inv", metric_inv)
+        set_field(self, "gamma", gamma)
+        set_field(self, "riemann", riemann)
+        set_field(self, "ricci", ricci)
+        set_field(self, "dmetric", dmetric)
 
 
 def metric_partials(chart: CoordinateChart, x: Sequence[float]):

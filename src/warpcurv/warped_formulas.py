@@ -45,11 +45,11 @@ fiber views) are stateless.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._frozen import Frozen, set_field
 from .core_types import (ManifoldSpec, Point, PointContext, TangentVector,
                          flatten, split)
 from .hyperdual import jet, scalar_derivatives
@@ -77,8 +77,7 @@ __all__ = [
 # lifted fields
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftedField:
+class LiftedField(Frozen):
     """A lift of a vector field living on exactly one product factor.
 
     ``origin`` is ``"base"`` or a fiber index.  ``components`` are the
@@ -88,9 +87,13 @@ class LiftedField:
     coordinate-constant.
     """
 
-    origin: str | int
-    components: tuple[float, ...]
-    component_fns: tuple[Callable, ...] | None = None
+    __slots__ = ("origin", "components", "component_fns")
+
+    def __init__(self, origin: str | int, components: tuple[float, ...],
+                 component_fns: tuple[Callable, ...] | None = None):
+        set_field(self, "origin", origin)
+        set_field(self, "components", components)
+        set_field(self, "component_fns", component_fns)
 
 
 def base_lift(*components: float, fns=None) -> LiftedField:

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from test_sampler_bits import tilted_frame
-from warpcurv import (Interval, NullPlane, PlaneError, Point, PointContext,
-                      ShapeError, TangentVector, ValidationError,
-                      WarpingFunction,
+from warpcurv import (CoordinateChart, Interval, NullPlane, PlaneError,
+                      Point, PointContext, ShapeError, TangentVector,
+                      ValidationError, WarpingFunction,
                       assemble_chart, by_name, catalog, default_frame,
                       euclidean_fiber, flatten, formula_paths,
+                      generic_warped_spec,
                       grw_null_curvature, grw_remark_value, grw_spec,
                       isotropy_scan, kasner_null_curvature, kasner_spec,
                       make_degenerate_plane, metric_eval,
@@ -173,6 +174,23 @@ def test_base_free_refuses_a_frame_with_a_fiber_part(entry):
     assert rng.bit_generator.state == state
     plane = sample_plane(spec, ctx, rng, frame_U=tilted_frame(ctx))
     assert plane.frame_U == tilted_frame(ctx)
+
+
+def test_fibers_of_total_dimension_one_are_refused():
+    """A 3-D spacetime over a 2-D chart with one 1-D fiber has degenerate
+    planes, but not ones whose spatial directions lie in the fibers, which
+    is where the sampler draws them: refused before any draw."""
+    base = CoordinateChart(dim=2, name="lorentz_2d",
+                           metric_at=lambda x: [[-1.0, 0.0], [0.0, 1.0]])
+    spec = generic_warped_spec(base, [lambda x: 1.0 + 0.0 * x[0]],
+                               [sphere_fiber(1)])
+    assert spec.dim == 3
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    with pytest.raises(ValidationError, match="the sampler draws the spatial "
+                       "directions of L and S in the fibers"):
+        sample_plane(spec, Point((0.0, 0.0), ((0.3,),)), rng)
+    assert rng.bit_generator.state == state
 
 
 # ---------------------------------------------------------------------------
