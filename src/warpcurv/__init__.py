@@ -1,6 +1,6 @@
 """warpcurv: null sectional curvature of warped-product spacetimes.
 
-Closed-form connection, curvature, and null sectional curvature of
+Closed-form Riemann and Ricci curvature and null sectional curvature of
 multiply warped products (cosmological time-base models and standard
 static spacetimes), every formula cross-checked against an independent
 coordinate-chart tensor oracle driven by hyper-dual differentiation.
@@ -15,7 +15,7 @@ from .core_types import (FiberSpec, Interval, ManifoldSpec, NullPlane, Point,
                          schwarzschild_spatial_fiber, spec_from_dict,
                          spec_from_json, spec_hash, spec_to_dict,
                          spec_to_json, sphere_fiber, split, ssst_spec)
-from .errors import (CapabilityError, ConstraintError, ConstructionError,
+from .errors import (ConstraintError, ConstructionError,
                      DegenerateMetricError, DomainError, GeometryError,
                      PlaneError, ShapeError, ValidationError)
 from .models import CatalogEntry, KnownFact, by_name, catalog, validate_entry
@@ -28,15 +28,11 @@ from .null_sectional import (NullCurvatureResult, default_frame, formula_paths,
                              specialized_null_curvature,
                              ssst_null_curvature, type1_null_curvature,
                              type2_null_curvature, type3_null_curvature)
-from .tensor_oracle import (CoordinateChart, CurvatureTensors, christoffel,
-                            curvature_residuals, gradient_oracle,
-                            hessian_oracle, laplacian_oracle, lowered_riemann,
+from .tensor_oracle import (CoordinateChart, CurvatureTensors,
+                            curvature_residuals, lowered_riemann,
                             metric_partials, null_sectional_oracle,
                             riemann_apply, riemann_oracle,
                             riemann_oracle_batch, sectional_curvature_oracle)
-from .warped_formulas import (LiftedField, base_lift, covariant_derivative,
-                              fiber_lift, gradient_lift,
-                              laplacian_lift, ricci_general, ricci_matrix,
-                              ricci_mwp, riemann_general, riemann_mwp)
+from .warped_formulas import ricci_general, ricci_matrix, riemann_general
 
 __version__ = "0.1.0"

@@ -718,21 +718,19 @@ def _read_only(*arrays) -> None:
 class WarpData(Frozen):
     """One base scalar's derivative bundle at a base point (read-only)."""
 
-    __slots__ = ("value", "dcomps", "grad", "hess", "lap", "grad_sq")
+    __slots__ = ("value", "dcomps", "hess", "lap", "grad_sq")
 
     def __init__(self, value: float,
                  dcomps: np.ndarray,   # partial derivatives d_m b
-                 grad: np.ndarray,     # contravariant gradient components
                  hess: np.ndarray,     # covariant Hessian H_B^b
                  lap: float,           # metric trace of the Hessian
                  grad_sq: float):      # g_B(grad b, grad b)
         set_field(self, "value", value)
         set_field(self, "dcomps", dcomps)
-        set_field(self, "grad", grad)
         set_field(self, "hess", hess)
         set_field(self, "lap", lap)
         set_field(self, "grad_sq", grad_sq)
-        _read_only(dcomps, grad, hess)
+        _read_only(dcomps, hess)
 
 
 class PointContext:
@@ -1028,17 +1026,17 @@ class PointContext:
     def scalar_data(self, fn) -> WarpData:
         """Derivative bundle of a scalar ``fn`` of the base coordinates.
 
-        On the base line -dt^2 every object is closed form, and its four
-        signs are decided here once: ``grad b = -b' d_t``,
-        ``|grad b|^2 = -(b')^2``, ``H^b(d_t, d_t) = b''``, ``lap b = -b''``.
+        On the base line -dt^2 every object is closed form, and its three
+        signs are decided here once: ``|grad b|^2 = -(b')^2``,
+        ``H^b(d_t, d_t) = b''``, ``lap b = -b''``.
         A chart base contracts with its oracle tensors.
         """
         t = self.base_tensors
         if t is None:
             b, db, ddb = hd.scalar_derivatives(fn, self.base_point[0])
             return WarpData(value=b, dcomps=np.array([db]),
-                            grad=np.array([-db]), hess=np.array([[ddb]]),
-                            lap=-ddb, grad_sq=-db * db)
+                            hess=np.array([[ddb]]), lap=-ddb,
+                            grad_sq=-db * db)
         return _chart_data(t, *hd.jet(fn, self.base_point))
 
 
@@ -1047,8 +1045,7 @@ def _chart_data(t: CurvatureTensors, val: float, dphi: np.ndarray,
     """A scalar's bundle on a chart base, from its jet at the point and the
     base's oracle tensors there."""
     hess, lap = chart_hessian(t, dphi, ddphi)
-    return WarpData(value=val, dcomps=dphi, grad=t.metric_inv @ dphi,
-                    hess=hess, lap=lap,
+    return WarpData(value=val, dcomps=dphi, hess=hess, lap=lap,
                     grad_sq=float(dphi @ t.metric_inv @ dphi))
 
 

@@ -31,7 +31,3 @@ class ConstructionError(PlaneError):
 
 class ConstraintError(ValidationError):
     """A model constraint (e.g. Kasner exponent relations) is violated."""
-
-
-class CapabilityError(GeometryError):
-    """Required derivative/curvature data is unavailable for this input."""

@@ -1040,6 +1040,8 @@ def grw_remark_value(spec: ManifoldSpec, p: Point | PointContext,
     oracle fixes it to minus.  Both orientations vanish exactly when the
     warping is c * e^(k t), which is the remark's characterization.
     """
+    if spec.kind not in ("GRW", "MGRW", "Kasner") or spec.m != 1:
+        raise ValidationError("grw_remark_value requires a single-fiber model")
     return _time_form(spec, p, plane.L, plane.S, "GRW remark", path)
 
 def kasner_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
@@ -1132,6 +1134,8 @@ def ssst_remark_value(spec: ManifoldSpec, p: Point | PointContext,
 
     The published remark subtracts the Hessian ratio; the oracle fixes the
     sign to plus.  Under H = k f g_F the derived value is K_F + k."""
+    if spec.kind != "SSST":
+        raise ValidationError("ssst_remark_value requires kind='SSST'")
     if abs(float(plane.S.base_part)) > _SHAPE_TOL:
         raise ValidationError("remark form applies to planes with no base part")
     ctx = PointContext.of(spec, p)

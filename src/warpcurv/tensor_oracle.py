@@ -1,12 +1,12 @@
 """Coordinate-chart curvature oracle.
 
 Ground truth for every specialized warped-product formula in this package:
-Christoffel symbols, Riemann and Ricci tensors, scalar-field gradients,
-Hessians and Laplacians, and null sectional curvature, all computed
-directly from an arbitrary coordinate metric with no product-structure
-shortcuts.  Metric partials come from one evaluation of the metric on the
-second-order jets of :func:`~warpcurv.hyperdual.seed`, so the only error
-budget is floating-point conditioning.
+Christoffel symbols, Riemann and Ricci tensors, and null sectional
+curvature, all computed directly from an arbitrary coordinate metric with
+no product-structure shortcuts.  Metric partials come from one evaluation
+of the metric on the second-order jets of
+:func:`~warpcurv.hyperdual.seed`, so the only error budget is
+floating-point conditioning.
 
 The oracle is computed one way: :func:`riemann_oracle_batch` and
 :func:`null_sectional_batch` work on a batch of points, and each per-point
@@ -31,13 +31,12 @@ import numpy as np
 from ._frozen import Frozen, set_field
 from .errors import (DegenerateMetricError, DomainError, PlaneError,
                      ShapeError, ValidationError)
-from .hyperdual import Jet, jet, mirror_upper, seed
+from .hyperdual import Jet, mirror_upper, seed
 
 __all__ = [
     "CoordinateChart",
     "CurvatureTensors",
     "metric_partials",
-    "christoffel",
     "riemann_oracle",
     "riemann_oracle_batch",
     "riemann_apply",
@@ -45,9 +44,6 @@ __all__ = [
     "null_sectional_batch",
     "null_sectional_oracle",
     "sectional_curvature_oracle",
-    "gradient_oracle",
-    "hessian_oracle",
-    "laplacian_oracle",
     "lowered_riemann",
     "lowered_riemann_batch",
     "curvature_residuals",
@@ -117,11 +113,6 @@ def metric_partials(chart: CoordinateChart, x: Sequence[float]):
     chart.check_point(x)
     g, dg, d2g = _metric_partials_batch(chart, np.array([x], dtype=float))
     return g[0], dg[0], d2g[0]
-
-
-def christoffel(chart: CoordinateChart, x: Sequence[float]) -> np.ndarray:
-    """Levi-Civita coefficients Gamma^k_ij at x."""
-    return riemann_oracle(chart, x).gamma
 
 
 def riemann_oracle(chart: CoordinateChart, x: Sequence[float]) -> CurvatureTensors:
@@ -288,22 +279,6 @@ def chart_hessian(tensors: CurvatureTensors, dphi: np.ndarray,
     metric trace (the geometer's Laplacian, tr H)."""
     hess = ddphi - np.einsum("kij,k->ij", tensors.gamma, dphi)
     return hess, float(np.einsum("ij,ij->", tensors.metric_inv, hess))
-
-
-def gradient_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> np.ndarray:
-    """Contravariant components of grad phi at x."""
-    _, dphi, _ = jet(phi, x)
-    return riemann_oracle(chart, x).metric_inv @ dphi
-
-
-def hessian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> np.ndarray:
-    """Covariant Hessian H(phi)_ij = d_i d_j phi - Gamma^k_ij d_k phi."""
-    return chart_hessian(riemann_oracle(chart, x), *jet(phi, x)[1:])[0]
-
-
-def laplacian_oracle(chart: CoordinateChart, x: Sequence[float], phi) -> float:
-    """Metric trace of the Hessian (the geometer's Laplacian, tr H)."""
-    return chart_hessian(riemann_oracle(chart, x), *jet(phi, x)[1:])[1]
 
 
 # -- identity residuals (used by the verification suite) ---------------------

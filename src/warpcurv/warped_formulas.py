@@ -1,13 +1,9 @@
-"""Closed-form multiply-warped-product geometry on decomposed vectors.
+"""Closed-form multiply-warped-product curvature.
 
-Covariant derivative, gradient, Laplacian, Riemann and Ricci curvature of
-``B x_{b_1} F_1 x ... x_{b_m} F_m`` evaluated case-by-case on lifted
-fields, without ever assembling the product chart.  The case formulas:
+Riemann and Ricci curvature of ``B x_{b_1} F_1 x ... x_{b_m} F_m``, stated
+case by case from the base, the warpings and the fibers, without ever
+assembling the product chart.  The case formulas:
 
-* ``nab_X Y = nab^B_X Y``
-* ``nab_X V = nab_V X = (X(b_i)/b_i) V``
-* ``nab_V W = 0`` for distinct fibers, else
-  ``nab^F_V W - (g(V,W)/b_i) grad_B b_i``
 * nine Riemann patterns (two base-ish, the mixed zeros, the cross-fiber
   gradient products, and the in-fiber case carrying ``R_F`` plus a
   ``|grad b|^2 / b^2`` correction), stated once as the blocks of
@@ -15,8 +11,7 @@ fields, without ever assembling the product chart.  The case formulas:
 * four Ricci patterns, stated once as the blocks of :func:`ricci_matrix`
 
 :func:`riemann_general` and :func:`ricci_general` contract those two
-tensors on general tangent vectors, and :func:`riemann_mwp` and
-:func:`ricci_mwp` on lifted fields.  The lift-by-lift expansion they
+tensors on general tangent vectors.  The lift-by-lift expansion they
 replaced is kept verbatim in ``tests/reference_lifts.py``, as an
 independent reference for the tensors.
 
@@ -24,18 +19,16 @@ Structural orientation: for time-base kinds (MGRW / GRW / Kasner) the
 warped-product base is the interval with metric -dt^2 and the fibers are
 the spatial factors.  For a standard static spacetime the roles invert:
 the base is the *spatial* Riemannian factor carrying the potential f, and
-the single warped fiber is the time axis with metric -dt^2.  Lifted-field
-origins in this module always refer to that structural decomposition;
-:func:`from_structural` translates them to user-facing
-:class:`~warpcurv.core_types.TangentVector` data.
+the single warped fiber is the time axis with metric -dt^2.  The
+structural views in this module always refer to that decomposition; the
+static model's blocks are permuted back to chart order (time first).
 
 On the one-dimensional base -dt^2 every base-level object reduces to
 closed form in one place
 (:meth:`~warpcurv.core_types.PointContext.scalar_data`):
-``grad_B b = -b' d_t``, ``|grad_B b|^2 = -(b')^2``,
-``H_B^b(d_t, d_t) = b''``, ``lap_B b = -b''``.  Getting these four signs
-wrong flips every spacetime formula downstream, so they are decided there
-exactly once.
+``|grad_B b|^2 = -(b')^2``, ``H_B^b(d_t, d_t) = b''``,
+``lap_B b = -b''``.  Getting these signs wrong flips every spacetime
+formula downstream, so they are decided there exactly once.
 
 Every evaluator taking a point also takes its
 :class:`~warpcurv.core_types.PointContext`, which holds all per-point
@@ -45,65 +38,21 @@ fiber views) are stateless.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from ._frozen import Frozen, set_field
 from .core_types import (ManifoldSpec, Point, PointContext, TangentVector,
                          flatten, split)
-from .hyperdual import jet, scalar_derivatives
-from .tensor_oracle import chart_hessian, lowered_riemann_batch, riemann_apply
+from .tensor_oracle import lowered_riemann_batch, riemann_apply
 
 __all__ = [
-    "LiftedField",
-    "base_lift",
-    "fiber_lift",
     "WarpedGeometry",
-    "from_structural",
-    "covariant_derivative",
-    "gradient_lift",
-    "laplacian_lift",
-    "riemann_mwp",
-    "ricci_mwp",
     "riemann_general",
     "ricci_general",
     "ricci_matrix",
     "riemann_tensor",
 ]
-
-
-# ---------------------------------------------------------------------------
-# lifted fields
-# ---------------------------------------------------------------------------
-
-class LiftedField(Frozen):
-    """A lift of a vector field living on exactly one product factor.
-
-    ``origin`` is ``"base"`` or a fiber index.  ``components`` are the
-    field's components at the evaluation point; ``component_fns`` (one
-    callable per component, of the factor's coordinates) is needed only
-    by :func:`covariant_derivative` when the differentiated field is not
-    coordinate-constant.
-    """
-
-    __slots__ = ("origin", "components", "component_fns")
-
-    def __init__(self, origin: str | int, components: tuple[float, ...],
-                 component_fns: tuple[Callable, ...] | None = None):
-        set_field(self, "origin", origin)
-        set_field(self, "components", components)
-        set_field(self, "component_fns", component_fns)
-
-
-def base_lift(*components: float, fns=None) -> LiftedField:
-    return LiftedField("base", tuple(float(c) for c in components),
-                       None if fns is None else tuple(fns))
-
-
-def fiber_lift(i: int, components: Sequence[float], fns=None) -> LiftedField:
-    return LiftedField(int(i), tuple(float(c) for c in components),
-                       None if fns is None else tuple(fns))
 
 
 # ---------------------------------------------------------------------------
@@ -117,21 +66,12 @@ class LineBase:
     dim = 1
     sign = -1.0
 
-    def metric_inv(self, ctx) -> np.ndarray:
-        return np.array([[self.sign]])
-
     def cometric(self, ctx, a, b) -> float:
         """g_B^{-1}(a, b) for covectors a, b."""
         return self.sign * a[0] * b[0]
 
     def ricci_matrix(self, ctx) -> np.ndarray:
         return np.zeros((1, 1))
-
-    def connection(self, ctx, x, y_comps, y_fns) -> np.ndarray:
-        if y_fns is None:
-            return np.zeros(1)
-        _, dy, _ = scalar_derivatives(y_fns[0], ctx.base_point[0])
-        return np.array([x[0] * dy])
 
 
 class ChartBase:
@@ -141,28 +81,11 @@ class ChartBase:
     def __init__(self, dim: int):
         self.dim = dim
 
-    def metric_inv(self, ctx) -> np.ndarray:
-        return ctx.base_tensors.metric_inv
-
     def cometric(self, ctx, a, b) -> float:
         return float(a @ ctx.base_tensors.metric_inv @ b)
 
     def ricci_matrix(self, ctx) -> np.ndarray:
         return ctx.base_tensors.ricci
-
-    def connection(self, ctx, x, y_comps, y_fns) -> np.ndarray:
-        return _chart_connection(ctx.base_tensors, ctx.base_point, x,
-                                 y_comps, y_fns)
-
-
-def _chart_connection(tensors, point, x, y_comps, y_fns) -> np.ndarray:
-    """nabla_X Y on a chart: Gamma(X, Y), plus X applied to Y's component
-    functions ``y_fns`` (None for constant components)."""
-    out = np.einsum("kmn,m,n->k", tensors.gamma, np.asarray(x), np.asarray(y_comps))
-    if y_fns is not None:
-        jac = np.array([jet(f, point)[1] for f in y_fns])
-        out = out + jac @ np.asarray(x)
-    return out
 
 
 _TIME_METRIC = np.array([[-1.0]])
@@ -207,17 +130,6 @@ class _StructFiber:
             return self.k * (self.dim - 1) * self.metric(ctx)
         return ctx.fiber_tensors(self.index).ricci
 
-    def connection(self, ctx, v, w_comps, w_fns) -> np.ndarray:
-        if self.lorentz_time:
-            return np.zeros(1)
-        return _chart_connection(ctx.fiber_tensors(self.index),
-                                 ctx.fiber_points[self.index], v, w_comps, w_fns)
-
-    def gradient(self, ctx, dpsi) -> np.ndarray:
-        if self.lorentz_time:
-            return -np.asarray(dpsi)
-        return np.linalg.inv(self.metric(ctx)) @ np.asarray(dpsi)
-
 
 class WarpedGeometry:
     """Structural view of a :class:`ManifoldSpec` as base + warped fibers.
@@ -241,102 +153,6 @@ class WarpedGeometry:
         """g_B(grad b_i, grad b_k)."""
         wds = ctx.warp_bundle
         return self.base.cometric(ctx, wds[i].dcomps, wds[k].dcomps)
-
-    def zero_vec(self):
-        return (np.zeros(self.base.dim), [np.zeros(f.dim) for f in self.fibers])
-
-
-def from_structural(spec: ManifoldSpec, base_comps, fiber_comps) -> TangentVector:
-    if spec.kind == "SSST":
-        return TangentVector(float(fiber_comps[0][0]),
-                             (tuple(float(c) for c in base_comps),))
-    if spec.base_chart is not None:
-        return TangentVector(tuple(float(c) for c in base_comps),
-                             tuple(tuple(float(c) for c in part)
-                                   for part in fiber_comps))
-    return TangentVector(float(base_comps[0]),
-                         tuple(tuple(float(c) for c in part)
-                               for part in fiber_comps))
-
-
-# ---------------------------------------------------------------------------
-# covariant derivative (three cases)
-# ---------------------------------------------------------------------------
-
-def covariant_derivative(spec: ManifoldSpec, p: Point | PointContext,
-                         A: LiftedField, B: LiftedField) -> TangentVector:
-    """nab_A B on lifted fields, by the warped-product case formulas."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    wds = ctx.warp_bundle
-    base_out, fiber_out = geom.zero_vec()
-
-    if A.origin == "base" and B.origin == "base":
-        base_out = geom.base.connection(ctx, np.asarray(A.components),
-                                        np.asarray(B.components),
-                                        B.component_fns)
-    elif A.origin == "base" or B.origin == "base":
-        x, v = (A, B) if A.origin == "base" else (B, A)
-        i = int(v.origin)
-        rate = float(np.asarray(x.components) @ wds[i].dcomps) / wds[i].value
-        fiber_out[i] = rate * np.asarray(v.components)
-    else:
-        i, j = int(A.origin), int(B.origin)
-        if i != j:
-            pass  # distinct fibers: identically zero
-        else:
-            fib = geom.fibers[i]
-            fiber_out[i] = fib.connection(ctx, np.asarray(A.components),
-                                          np.asarray(B.components),
-                                          B.component_fns)
-            b = wds[i].value
-            gvw = b * b * fib.inner(ctx, A.components, B.components)
-            ginv = geom.base.metric_inv(ctx)
-            base_out = base_out - (gvw / b) * (ginv @ wds[i].dcomps)
-    return from_structural(spec, base_out, fiber_out)
-
-
-# ---------------------------------------------------------------------------
-# gradient and Laplacian lifts
-# ---------------------------------------------------------------------------
-
-def gradient_lift(spec: ManifoldSpec, p: Point | PointContext, fn,
-                  origin: str | int = "base") -> TangentVector:
-    """grad of a scalar lifted from the base or from fiber ``origin``."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    base_out, fiber_out = geom.zero_vec()
-    if origin == "base":
-        base_out = ctx.scalar_data(fn).grad
-    else:
-        i = int(origin)
-        b = ctx.warp_bundle[i].value
-        _, dpsi, _ = jet(fn, ctx.fiber_points[i])
-        fiber_out[i] = geom.fibers[i].gradient(ctx, dpsi) / (b * b)
-    return from_structural(spec, base_out, fiber_out)
-
-
-def laplacian_lift(spec: ManifoldSpec, p: Point | PointContext, fn,
-                   origin: str | int = "base") -> float:
-    """Laplace-Beltrami of a lifted scalar: base scalars pick up the
-    warped-volume drift term, fiber scalars just rescale by 1/b^2."""
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    wds = ctx.warp_bundle
-    if origin == "base":
-        sd = ctx.scalar_data(fn)
-        acc = sd.lap
-        ginv = geom.base.metric_inv(ctx)
-        for i, fib in enumerate(geom.fibers):
-            cross = float(sd.dcomps @ ginv @ wds[i].dcomps)
-            acc += fib.dim * cross / wds[i].value
-        return float(acc)
-    i = int(origin)
-    x = ctx.fiber_points[i]
-    if geom.fibers[i].lorentz_time:
-        _, _, dd = scalar_derivatives(lambda t: fn([t]), x[0])
-        lap_f = -dd
-    else:
-        _, lap_f = chart_hessian(ctx.fiber_tensors(i), *jet(fn, x)[1:])
-    b = wds[i].value
-    return float(lap_f / (b * b))
 
 
 # ---------------------------------------------------------------------------
@@ -441,27 +257,10 @@ def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
     return split(np.linalg.solve(g, lowered), spec)
 
 
-def riemann_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
-                B: LiftedField, C: LiftedField) -> TangentVector:
-    """R(A, B) C for lifted fields."""
-    return riemann_general(spec, p, *(_lifted(spec, F) for F in (A, B, C)))
-
-
 def _flat(spec: ManifoldSpec, v: TangentVector) -> np.ndarray:
     """v's flat chart components, once v is validated against spec."""
     v.validate(spec)
     return np.array(flatten(v))
-
-
-def _lifted(spec: ManifoldSpec, F: LiftedField) -> TangentVector:
-    """The tangent vector of a lift: F's components on its factor, zero
-    elsewhere."""
-    base, fibers = WarpedGeometry(spec).zero_vec()
-    if F.origin == "base":
-        base = np.asarray(F.components, float)
-    else:
-        fibers[int(F.origin)] = np.asarray(F.components, float)
-    return from_structural(spec, base, fibers)
 
 
 def _col(a: np.ndarray, extra: int) -> np.ndarray:
@@ -499,12 +298,6 @@ def ricci_general(spec: ManifoldSpec, p: Point | PointContext,
     """Ric(X, Y): :func:`ricci_matrix` at the point contracted on X and Y."""
     x, y = _flat(spec, X), _flat(spec, Y)
     return float(x @ ricci_matrix(spec, p) @ y)
-
-
-def ricci_mwp(spec: ManifoldSpec, p: Point | PointContext, A: LiftedField,
-              B: LiftedField) -> float:
-    """Ric(A, B) on lifted fields."""
-    return ricci_general(spec, p, _lifted(spec, A), _lifted(spec, B))
 
 
 def ricci_matrix(spec: ManifoldSpec, p: Point | PointContext) -> np.ndarray:

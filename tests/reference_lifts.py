@@ -12,7 +12,9 @@ independent reference for the tensor route, as
 ``tests/test_sampler_bits.py`` keeps the old sampler.
 
 The structural views here are those of ``warped_formulas`` with the
-``riemann``/``ricci`` methods only this expansion reads put back.
+methods only this expansion reads put back (``riemann``, ``ricci``,
+``metric_inv`` and ``zero_vec``), and ``from_structural`` assembles its
+results as tangent vectors.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from warpcurv.core_types import ManifoldSpec, Point, PointContext, TangentVector
 from warpcurv.errors import ValidationError
 from warpcurv.tensor_oracle import riemann_apply
 from warpcurv import warped_formulas as wf
-from warpcurv.warped_formulas import _fiber_bracket, from_structural
+from warpcurv.warped_formulas import _fiber_bracket
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +33,9 @@ from warpcurv.warped_formulas import _fiber_bracket, from_structural
 # ---------------------------------------------------------------------------
 
 class LineBase(wf.LineBase):
+    def metric_inv(self, ctx) -> np.ndarray:
+        return np.array([[self.sign]])
+
     def riemann(self, ctx, x, y, z) -> np.ndarray:
         return np.zeros(1)
 
@@ -39,6 +44,9 @@ class LineBase(wf.LineBase):
 
 
 class ChartBase(wf.ChartBase):
+    def metric_inv(self, ctx) -> np.ndarray:
+        return ctx.base_tensors.metric_inv
+
     def riemann(self, ctx, x, y, z) -> np.ndarray:
         return riemann_apply(ctx.base_tensors, x, y, z)
 
@@ -67,6 +75,23 @@ class WarpedGeometry(wf.WarpedGeometry):
             self.fibers = [_StructFiber(i, f.dim, f.constant_curvature)
                            for i, f in enumerate(spec.fibers)]
         self.m = len(self.fibers)
+
+    def zero_vec(self):
+        return (np.zeros(self.base.dim), [np.zeros(f.dim) for f in self.fibers])
+
+
+def from_structural(spec: ManifoldSpec, base_comps, fiber_comps) -> TangentVector:
+    """Structural (base_comps, fiber_comps) -> user-facing tangent vector."""
+    if spec.kind == "SSST":
+        return TangentVector(float(fiber_comps[0][0]),
+                             (tuple(float(c) for c in base_comps),))
+    if spec.base_chart is not None:
+        return TangentVector(tuple(float(c) for c in base_comps),
+                             tuple(tuple(float(c) for c in part)
+                                   for part in fiber_comps))
+    return TangentVector(float(base_comps[0]),
+                         tuple(tuple(float(c) for c in part)
+                               for part in fiber_comps))
 
 
 def to_structural(spec: ManifoldSpec, v: TangentVector):

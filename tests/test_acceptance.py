@@ -4,8 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` or directly with
 ``python tests/test_acceptance.py``.  Tolerances are pinned here and
 nowhere else:
 
-1. oracle equivalence, 100 seeded planes and 100 lifted triples per
-   catalog model, relative 1e-8
+1. oracle equivalence, 100 seeded planes and 100 random tangent-vector
+   triples per catalog model, relative 1e-8
 2. flat-model nullity across a 10^3 grid, absolute 1e-10
 3. exponential-warping identity on a 5 x 5 x 20 (c, k, t) grid at 1e-10,
    and the linear-warping residual K_F/b^2 - K = -1/t^2 at 1e-10

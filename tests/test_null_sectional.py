@@ -657,6 +657,39 @@ class TestStaticModels:
 
 
 # ---------------------------------------------------------------------------
+# the remark evaluators refuse the models they do not describe
+# ---------------------------------------------------------------------------
+
+def _base_free_plane(name):
+    entry = by_name(name)
+    rng = np.random.default_rng(27)
+    p = entry.random_point(rng)
+    return entry.spec, p, sample_plane(entry.spec, p, rng, base_free=True)
+
+
+@pytest.mark.parametrize("name", ["grw_exponential", "kasner_vacuum",
+                                  "generalized_reissner_nordstrom_demo"])
+def test_ssst_remark_refuses_a_time_base_model(name):
+    spec, p, plane = _base_free_plane(name)
+    for path in ("derived", "printed"):
+        with pytest.raises(ValidationError,
+                           match="ssst_remark_value requires kind='SSST'"):
+            ssst_remark_value(spec, p, plane, path)
+
+
+@pytest.mark.parametrize("name", ["kasner_vacuum",
+                                  "generalized_reissner_nordstrom_demo"])
+def test_grw_remark_refuses_a_multi_fiber_model(name):
+    """The remark reads fiber 0 alone, whose g_F area vanishes on a line
+    fiber; a model with more than one fiber is refused by name."""
+    spec, p, plane = _base_free_plane(name)
+    for path in ("derived", "printed"):
+        with pytest.raises(ValidationError,
+                           match="grw_remark_value requires a single-fiber"):
+            grw_remark_value(spec, p, plane, path)
+
+
+# ---------------------------------------------------------------------------
 # isotropy diagnostics
 # ---------------------------------------------------------------------------
 

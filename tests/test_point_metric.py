@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from reference_lifts import (WarpedGeometry as ReferenceGeometry,
-                             _riemann_struct, _split_struct, riemann_general,
-                             to_structural)
+                             _riemann_struct, _split_struct, from_structural,
+                             riemann_general, to_structural)
 from warpcurv import (CoordinateChart, Interval, Point, PointContext,
                       TangentVector, WarpingFunction, assemble_chart, catalog,
                       euclidean_fiber, flatten, generic_warped_spec,
@@ -20,7 +20,7 @@ from warpcurv import hyperdual as hd
 from warpcurv.cli import main as cli_main
 from warpcurv.errors import ShapeError, ValidationError
 from warpcurv.hyperdual import value
-from warpcurv.warped_formulas import WarpedGeometry, from_structural
+from warpcurv.warped_formulas import WarpedGeometry
 
 CATALOG = catalog()
 

@@ -11,13 +11,12 @@ from numpy.testing import assert_allclose
 from warpcurv import (CoordinateChart, DegenerateMetricError, Interval,
                       PlaneError, ShapeError, ValidationError,
                       WarpingFunction, assemble_chart, by_name, catalog,
-                      christoffel, curvature_residuals, euclidean_fiber,
-                      gradient_oracle, grw_spec, hessian_oracle,
-                      laplacian_oracle, null_sectional_oracle, riemann_apply,
-                      riemann_oracle, riemann_oracle_batch,
-                      sectional_curvature_oracle)
+                      curvature_residuals, euclidean_fiber, grw_spec,
+                      null_sectional_oracle, riemann_apply, riemann_oracle,
+                      riemann_oracle_batch, sectional_curvature_oracle)
 from warpcurv import hyperdual as hd
-from warpcurv.tensor_oracle import (null_sectional_batch,
+from warpcurv.hyperdual import jet
+from warpcurv.tensor_oracle import (chart_hessian, null_sectional_batch,
                                     null_sectional_from_tensors)
 
 MINKOWSKI = CoordinateChart(
@@ -36,19 +35,19 @@ SPHERE2 = CoordinateChart(
 
 class TestChristoffel:
     def test_minkowski_vanishes(self):
-        gamma = christoffel(MINKOWSKI, [0.0, 1.0, 2.0, 3.0])
+        gamma = riemann_oracle(MINKOWSKI, [0.0, 1.0, 2.0, 3.0]).gamma
         assert_allclose(gamma, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("theta", [math.pi / 2, 0.7, 2.2])
     def test_sphere_closed_forms(self, theta):
         """Unit 2-sphere: Gamma^theta_phiphi = -sin cos, Gamma^phi_thetaphi = cot."""
-        gamma = christoffel(SPHERE2, [theta, 0.4])
+        gamma = riemann_oracle(SPHERE2, [theta, 0.4]).gamma
         assert gamma[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta),
                                                abs=1e-13)
         assert gamma[1, 0, 1] == pytest.approx(1.0 / math.tan(theta), abs=1e-13)
 
     def test_equator_values_vanish(self):
-        gamma = christoffel(SPHERE2, [math.pi / 2, 0.4])
+        gamma = riemann_oracle(SPHERE2, [math.pi / 2, 0.4]).gamma
         assert gamma[0, 1, 1] == pytest.approx(0.0, abs=1e-15)
         assert gamma[1, 0, 1] == pytest.approx(0.0, abs=1e-15)
 
@@ -57,14 +56,14 @@ class TestChristoffel:
         chart = CoordinateChart(
             dim=2, metric_at=lambda c: [[-1.0, 0.0], [0.0, c[0] * c[0]]])
         t = 1.7
-        gamma = christoffel(chart, [t, 0.3])
+        gamma = riemann_oracle(chart, [t, 0.3]).gamma
         assert gamma[1, 0, 1] == pytest.approx(1.0 / t, rel=1e-14)
         assert gamma[0, 1, 1] == pytest.approx(t, rel=1e-14)
 
     def test_singular_metric_raises(self):
         chart = CoordinateChart(dim=2, metric_at=lambda c: [[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(DegenerateMetricError):
-            christoffel(chart, [0.0, 0.0])
+            riemann_oracle(chart, [0.0, 0.0])
 
     def test_dimension_guard(self):
         with pytest.raises(ShapeError):
@@ -81,8 +80,6 @@ class TestChristoffel:
             riemann_oracle(chart, x)
         with pytest.raises(ValidationError, match=want):
             riemann_oracle_batch(chart, [[0.0, 1.0, 2.0, 3.0], x])
-        with pytest.raises(ValidationError, match=want):
-            christoffel(chart, x)
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +254,34 @@ class TestNullSectionalOracle:
 # ---------------------------------------------------------------------------
 
 class TestScalarCalculus:
+    """The covariant Hessian and its trace come from ``chart_hessian`` on
+    the oracle's tensors and the scalar's jet, as the chart-base warp
+    bundles do; the gradient raises the jet's partials with the oracle's
+    inverse metric."""
+
     def test_constant_scalar(self):
-        h = hessian_oracle(SPHERE2, [1.1, 0.4], lambda c: 2.5)
-        g = gradient_oracle(SPHERE2, [1.1, 0.4], lambda c: 2.5)
+        x, phi = [1.1, 0.4], lambda c: 2.5
+        tensors = riemann_oracle(SPHERE2, x)
+        _, dphi, ddphi = jet(phi, x)
+        h, lap = chart_hessian(tensors, dphi, ddphi)
         assert_allclose(h, 0.0, atol=1e-15)
-        assert_allclose(g, 0.0, atol=1e-15)
-        assert laplacian_oracle(SPHERE2, [1.1, 0.4], lambda c: 2.5) == 0.0
+        assert_allclose(tensors.metric_inv @ dphi, 0.0, atol=1e-15)
+        assert lap == 0.0
 
     def test_flat_line_second_derivative(self):
         line = CoordinateChart(dim=1, metric_at=lambda c: [[1.0]])
-        h = hessian_oracle(line, [0.7], lambda c: c[0] ** 2)
+        x = [0.7]
+        h, _ = chart_hessian(riemann_oracle(line, x),
+                             *jet(lambda c: c[0] ** 2, x)[1:])
         assert h[0, 0] == pytest.approx(2.0, rel=1e-14)
 
     def test_lorentzian_line_trace(self):
         """On a (-dt^2) line the Laplacian of t^2 is -2 (index raise)."""
         line = CoordinateChart(dim=1, metric_at=lambda c: [[-1.0]])
-        assert laplacian_oracle(line, [0.7], lambda c: c[0] ** 2) == pytest.approx(
-            -2.0, rel=1e-14)
+        x = [0.7]
+        _, lap = chart_hessian(riemann_oracle(line, x),
+                               *jet(lambda c: c[0] ** 2, x)[1:])
+        assert lap == pytest.approx(-2.0, rel=1e-14)
 
     def test_schwarzschild_potential_is_harmonic(self):
         """The exterior potential satisfies lap_F f = 0 (static vacuum)."""
@@ -281,7 +289,9 @@ class TestScalarCalculus:
         pot = by_name("schwarzschild_exterior").spec.potential
         chart = fiber.chart()
         for r in (2.5, 4.0, 7.0):
-            lap = laplacian_oracle(chart, [r, 1.2, 0.4], pot.fn)
+            x = [r, 1.2, 0.4]
+            _, lap = chart_hessian(riemann_oracle(chart, x),
+                                   *jet(pot.fn, x)[1:])
             assert abs(lap) < 1e-12, r
 
     def test_hyperbolic_cosh_hessian_identity(self):
@@ -289,10 +299,12 @@ class TestScalarCalculus:
         fiber = by_name("anti_de_sitter_cover").spec.fibers[0]
         chart = fiber.chart()
         x = [0.8, 1.1, 0.4]
-        h = hessian_oracle(chart, x, lambda c: hd.cosh(c[0]))
+        h, _ = chart_hessian(riemann_oracle(chart, x),
+                             *jet(lambda c: hd.cosh(c[0]), x)[1:])
         g = fiber.metric_matrix(x)
         assert_allclose(h, math.cosh(0.8) * g, rtol=1e-11, atol=1e-12)
 
     def test_gradient_index_raise(self):
-        grad = gradient_oracle(SPHERE2, [1.1, 0.4], lambda c: c[1])
+        x = [1.1, 0.4]
+        grad = riemann_oracle(SPHERE2, x).metric_inv @ jet(lambda c: c[1], x)[1]
         assert grad[1] == pytest.approx(1.0 / math.sin(1.1) ** 2, rel=1e-13)

@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from warpcurv import (CatalogEntry, CoordinateChart, CurvatureTensors,
-                      FiberSpec, Interval, KnownFact, LiftedField,
-                      ManifoldSpec, NullPlane, Point, PointContext,
-                      StaticPotential, TangentVector, WarpingFunction,
-                      by_name, euclidean_fiber)
+                      FiberSpec, Interval, KnownFact, ManifoldSpec,
+                      NullPlane, Point, PointContext, StaticPotential,
+                      TangentVector, WarpingFunction, by_name,
+                      euclidean_fiber)
 from warpcurv.core_types import WarpData
 from warpcurv.null_sectional import _StaticData, _TimeData
 
@@ -45,8 +45,7 @@ FIELDS = {
     TangentVector: dict(base_part=-1.0, fiber_parts=((1.0, 0.0, 0.0),)),
     NullPlane: dict(point=_POINT, L=_L, S=_S, frame_U=None, g_LL=0.0,
                     g_LS=0.0, g_SS=1.0, g_LU=-1.0),
-    WarpData: dict(value=1.0, dcomps=_A3, grad=_A3, hess=_A33, lap=0.0,
-                   grad_sq=0.0),
+    WarpData: dict(value=1.0, dcomps=_A3, hess=_A33, lap=0.0, grad_sq=0.0),
     KnownFact: dict(quantity="ricci_zero", where="everywhere", expected=0.0,
                     tol=1e-10, provenance="flat", params={}),
     CatalogEntry: dict(name="flat", spec=_SPEC, known_facts=(),
@@ -54,7 +53,6 @@ FIELDS = {
     CoordinateChart: dict(dim=1, metric_at=_metric, name="line", domain=None),
     CurvatureTensors: dict(point=(0.0,), metric=_A33, metric_inv=_A33,
                            gamma=_A3, riemann=_A3, ricci=_A33, dmetric=_A3),
-    LiftedField: dict(origin="base", components=(1.0,), component_fns=None),
     _TimeData: dict(b=_T3, db=_T3, ddb=_T3, gVV=_T3, gVW=_T3, gWW=_T3, rF=_T3,
                     h=0.5, v=_T3, w=_T3, ps=None, phi=None),
     _StaticData: dict(f=1.0, h=0.5, hVV=0.1, hVW=0.2, hWW=0.3, rF=0.4,
@@ -62,7 +60,7 @@ FIELDS = {
 }
 # the types whose instances hash; the others hold a dict or an array
 HASHABLE = {Interval, WarpingFunction, StaticPotential, Point, TangentVector,
-            NullPlane, CoordinateChart, LiftedField, _TimeData, _StaticData}
+            NullPlane, CoordinateChart, _TimeData, _StaticData}
 
 TYPES = pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
 
@@ -151,11 +149,10 @@ def test_defaults_and_factories():
                                                   None, None)
     assert CoordinateChart(2, _metric).name == "chart"
     assert CurvatureTensors((0.0,), _A33, _A33, _A3, _A3, _A33).dmetric is None
-    assert LiftedField(0, (1.0,)).component_fns is None
     assert WarpingFunction(_ONE.fn).params is None
 
 
 def test_warp_data_arrays_are_read_only():
-    d = WarpData(1.0, np.zeros(2), np.zeros(2), np.zeros((2, 2)), 0.0, 0.0)
-    for a in (d.dcomps, d.grad, d.hess):
+    d = WarpData(1.0, np.zeros(2), np.zeros((2, 2)), 0.0, 0.0)
+    for a in (d.dcomps, d.hess):
         assert not a.flags.writeable

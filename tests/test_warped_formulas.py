@@ -1,6 +1,6 @@
-"""Case formulas for connection, gradient, Laplacian, Riemann and Ricci:
-examples with hand-checked values, dispatch totality, symmetry and
-linearity properties, and full oracle equivalence on every catalog model."""
+"""Case formulas for Riemann and Ricci: examples with hand-checked values on
+the factors' directions, dispatch totality, symmetry and linearity
+properties, and full oracle equivalence on every catalog model."""
 
 import itertools
 import math
@@ -11,13 +11,10 @@ from numpy.testing import assert_allclose
 
 from reference_lifts import classify_triple
 from warpcurv import (Interval, Point, TangentVector, WarpingFunction,
-                      assemble_chart, base_lift, by_name, catalog,
-                      covariant_derivative, euclidean_fiber, fiber_lift,
-                      flatten, generic_warped_spec, gradient_lift,
-                      gradient_oracle, grw_spec, laplacian_lift,
-                      laplacian_oracle, metric_eval, mgrw_spec, ricci_general,
-                      ricci_mwp, riemann_apply, riemann_general, riemann_mwp,
-                      riemann_oracle, split, sphere_fiber)
+                      assemble_chart, by_name, catalog, euclidean_fiber,
+                      flatten, generic_warped_spec, grw_spec, metric_eval,
+                      mgrw_spec, ricci_general, riemann_apply,
+                      riemann_general, riemann_oracle, split, sphere_fiber)
 from warpcurv import CoordinateChart
 from warpcurv import hyperdual as hd
 
@@ -29,132 +26,14 @@ def two_fiber_spec(q1=1.0, q2=1.0):
                      [euclidean_fiber(1, ("x",)), euclidean_fiber(2)])
 
 
-# ---------------------------------------------------------------------------
-# covariant derivative
-# ---------------------------------------------------------------------------
-
-class TestCovariantDerivative:
-    def test_mixed_case_vanishes_for_constant_warping(self):
-        spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(),
-                        euclidean_fiber(3))
-        p = Point(0.0, ((0.1, 0.2, 0.3),))
-        out = covariant_derivative(spec, p, base_lift(1.0),
-                                   fiber_lift(0, (1.0, 0.0, 0.0)))
-        assert flatten(out) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_mixed_case_rate(self):
-        """b = t^2: nab_dt V = (b'/b) V = (2/t) V."""
-        spec = grw_spec(Interval(0.0, math.inf),
-                        WarpingFunction.from_form("power", {"c": 1, "q": 2}),
-                        euclidean_fiber(3))
-        t = 1.6
-        p = Point(t, ((0.1, 0.2, 0.3),))
-        out = covariant_derivative(spec, p, base_lift(1.0),
-                                   fiber_lift(0, (0.0, 1.0, 0.0)))
-        assert_allclose(out.fiber_parts[0], (0.0, 2.0 / t, 0.0), rtol=1e-14)
-        sym = covariant_derivative(spec, p, fiber_lift(0, (0.0, 1.0, 0.0)),
-                                   base_lift(1.0))
-        assert flatten(sym) == flatten(out)
-
-    def test_distinct_fibers_vanish(self):
-        spec = two_fiber_spec()
-        p = Point(1.2, ((0.1,), (0.2, 0.3)))
-        out = covariant_derivative(spec, p, fiber_lift(0, (1.0,)),
-                                   fiber_lift(1, (1.0, 0.0)))
-        assert flatten(out) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_same_fiber_matches_chart_christoffels(self):
-        """nab_V W from the case formula equals the assembled chart's
-        Gamma contraction for coordinate lifts."""
-        spec = two_fiber_spec(q1=1.0, q2=2.0)
-        p = Point(1.2, ((0.1,), (0.2, 0.3)))
-        chart = assemble_chart(spec)
-        from warpcurv import christoffel
-        gamma = christoffel(chart, list(p.flat(spec)))
-        for i, dim, ofs in ((0, 1, 1), (1, 2, 2)):
-            for a in range(dim):
-                for b in range(dim):
-                    va = [0.0] * dim
-                    vb = [0.0] * dim
-                    va[a] = 1.0
-                    vb[b] = 1.0
-                    out = covariant_derivative(spec, p, fiber_lift(i, va),
-                                               fiber_lift(i, vb))
-                    expected = gamma[:, ofs + a, ofs + b]
-                    assert_allclose(flatten(out), expected, atol=1e-12)
-
-    def test_base_case_differentiates_coefficient_fields(self):
-        spec = grw_spec(Interval(0.0, math.inf),
-                        WarpingFunction.constant(), euclidean_fiber(1, ("x",)))
-        p = Point(2.0, ((0.0,),))
-        field = base_lift(4.0, fns=(lambda t: t * t,))
-        out = covariant_derivative(spec, p, base_lift(1.0), field)
-        assert out.base_part == pytest.approx(4.0)  # d/dt t^2 at t=2
+def base_dir(spec):
+    """d_t, the unit base direction."""
+    return TangentVector.base_direction(spec, 1.0)
 
 
-# ---------------------------------------------------------------------------
-# gradient and Laplacian lifts
-# ---------------------------------------------------------------------------
-
-class TestGradientLift:
-    def test_fiber_scalar_scaled_by_inverse_square(self):
-        spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(2.0),
-                        euclidean_fiber(3))
-        p = Point(0.0, ((0.1, 0.2, 0.3),))
-        out = gradient_lift(spec, p, lambda c: c[0], origin=0)
-        assert_allclose(out.fiber_parts[0], (0.25, 0.0, 0.0), rtol=1e-14)
-
-    def test_base_scalar_index_raised_by_time_metric(self):
-        """grad t has coefficient -1 on a -dt^2 base."""
-        spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(),
-                        euclidean_fiber(3))
-        p = Point(0.0, ((0.1, 0.2, 0.3),))
-        out = gradient_lift(spec, p, lambda t: t, origin="base")
-        assert out.base_part == pytest.approx(-1.0)
-
-    def test_constant_scalar(self):
-        spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(),
-                        euclidean_fiber(3))
-        p = Point(0.0, ((0.1, 0.2, 0.3),))
-        out = gradient_lift(spec, p, lambda t: 7.0, origin="base")
-        assert flatten(out) == (0.0, 0.0, 0.0, 0.0)
-
-    def test_matches_gradient_oracle(self):
-        spec = by_name("grw_exponential").spec
-        p = Point(0.4, ((1.2, 1.0, 0.5),))
-        chart = assemble_chart(spec)
-        got = flatten(gradient_lift(spec, p, lambda t: hd.sin(t), origin="base"))
-        expected = gradient_oracle(chart, list(p.flat(spec)),
-                                   lambda c: hd.sin(c[0]))
-        assert_allclose(got, expected, atol=1e-13)
-
-
-class TestLaplacianLift:
-    def test_pure_product_reduces_to_base_laplacian(self):
-        spec = grw_spec(Interval(-2.0, 2.0), WarpingFunction.constant(),
-                        euclidean_fiber(3))
-        p = Point(0.3, ((0.1, 0.2, 0.3),))
-        # lap phi on (-dt^2) for phi = t^2 is -2
-        assert laplacian_lift(spec, p, lambda t: t * t) == pytest.approx(-2.0)
-
-    def test_warped_volume_drift(self):
-        """b = e^t, 3-dimensional fiber, phi = t: lap phi = -3."""
-        spec = grw_spec(Interval(-math.inf, math.inf),
-                        WarpingFunction.from_form("exp", {"c": 1, "k": 1}),
-                        sphere_fiber(3, 1.0))
-        p = Point(0.7, ((1.2, 1.0, 0.5),))
-        got = laplacian_lift(spec, p, lambda t: t)
-        assert got == pytest.approx(-3.0, rel=1e-13)
-        chart = assemble_chart(spec)
-        via_oracle = laplacian_oracle(chart, list(p.flat(spec)), lambda c: c[0])
-        assert got == pytest.approx(via_oracle, rel=1e-11)
-
-    def test_fiber_scalar_rescaled(self):
-        spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(2.0),
-                        euclidean_fiber(2))
-        p = Point(0.0, ((0.1, 0.2),))
-        got = laplacian_lift(spec, p, lambda c: c[0] ** 2 + c[1] ** 2, origin=0)
-        assert got == pytest.approx(4.0 / 4.0, rel=1e-13)
+def fiber_dir(spec, i, components):
+    """The vector with ``components`` on fiber i and zero elsewhere."""
+    return TangentVector.fiber_direction(spec, i, components)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +46,9 @@ class TestRiemannCases:
         spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(),
                         sphere_fiber(3, 1.0))
         p = Point(0.0, ((1.2, 1.0, 0.5),))
-        v = fiber_lift(0, (1.0, 0.0, 0.0))
-        w = fiber_lift(0, (0.0, 1.0, 0.0))
-        out = riemann_mwp(spec, p, v, w, w)
+        v = fiber_dir(spec, 0, (1.0, 0.0, 0.0))
+        w = fiber_dir(spec, 0, (0.0, 1.0, 0.0))
+        out = riemann_general(spec, p, v, w, w)
         fib = spec.fibers[0]
         g = fib.metric_matrix(p.fiber_coords[0])
         # constant curvature +1: R(V,W)W = g(W,W) V for orthogonal V, W
@@ -182,8 +61,8 @@ class TestRiemannCases:
                         euclidean_fiber(1, ("x",)))
         t = 1.4
         p = Point(t, ((0.2,),))
-        out = riemann_mwp(spec, p, fiber_lift(0, (1.0,)), base_lift(1.0),
-                          base_lift(1.0))
+        out = riemann_general(spec, p, fiber_dir(spec, 0, (1.0,)),
+                              base_dir(spec), base_dir(spec))
         assert out.fiber_parts[0][0] == pytest.approx(-2.0 / (t * t), rel=1e-13)
 
     def test_cross_fiber_gradient_sign(self):
@@ -192,9 +71,9 @@ class TestRiemannCases:
         spec = two_fiber_spec(q1=1.0, q2=1.0)
         t = 1.3
         p = Point(t, ((0.1,), (0.2, 0.3)))
-        u = fiber_lift(0, (1.0,))
-        v = fiber_lift(1, (1.0, 0.0))
-        out = riemann_mwp(spec, p, u, v, v)
+        u = fiber_dir(spec, 0, (1.0,))
+        v = fiber_dir(spec, 1, (1.0, 0.0))
+        out = riemann_general(spec, p, u, v, v)
         g_vv = t * t  # warped inner product of v with itself
         assert out.fiber_parts[0][0] == pytest.approx(g_vv / (t * t), rel=1e-13)
         chart = assemble_chart(spec)
@@ -207,8 +86,9 @@ class TestRiemannCases:
     def test_three_distinct_fibers_vanish(self):
         spec = by_name("kasner_vacuum").spec
         p = Point(1.0, ((0.1,), (0.2,), (0.3,)))
-        out = riemann_mwp(spec, p, fiber_lift(0, (1.0,)), fiber_lift(1, (1.0,)),
-                          fiber_lift(2, (1.0,)))
+        out = riemann_general(spec, p, fiber_dir(spec, 0, (1.0,)),
+                              fiber_dir(spec, 1, (1.0,)),
+                              fiber_dir(spec, 2, (1.0,)))
         assert flatten(out) == (0.0, 0.0, 0.0, 0.0)
 
 
@@ -217,15 +97,15 @@ class TestDispatchTotality:
         """All 27 origin patterns for two fibers classify and evaluate."""
         spec = two_fiber_spec(q1=1.0, q2=2.0)
         p = Point(1.2, ((0.1,), (0.2, 0.3)))
-        lifts = {"base": base_lift(1.0),
-                 0: fiber_lift(0, (1.0,)),
-                 1: fiber_lift(1, (0.5, 1.0))}
+        lifts = {"base": base_dir(spec),
+                 0: fiber_dir(spec, 0, (1.0,)),
+                 1: fiber_dir(spec, 1, (0.5, 1.0))}
         seen = set()
         for oa, ob, oc in itertools.product(lifts, repeat=3):
             label = classify_triple(oa, ob, oc)
             assert isinstance(label, str) and label
             seen.add(label)
-            out = riemann_mwp(spec, p, lifts[oa], lifts[ob], lifts[oc])
+            out = riemann_general(spec, p, lifts[oa], lifts[ob], lifts[oc])
             assert len(flatten(out)) == spec.dim
         assert {"base_curvature", "fiber_base_base", "base_fiber_fiber",
                 "in_fiber", "cross_fiber_gradient"} <= seen
@@ -233,21 +113,18 @@ class TestDispatchTotality:
     def test_zero_cases_really_vanish(self):
         spec = two_fiber_spec()
         p = Point(1.2, ((0.1,), (0.2, 0.3)))
-        zero_patterns = [
-            (base_lift(1.0), base_lift(1.0), fiber_lift(0, (1.0,))),
-            (fiber_lift(0, (1.0,)), fiber_lift(1, (1.0, 0.0)), base_lift(1.0)),
-            (fiber_lift(0, (1.0,)), fiber_lift(0, (1.0,)), fiber_lift(1, (1.0, 0.0))),
-            (base_lift(1.0), fiber_lift(0, (1.0,)), fiber_lift(1, (1.0, 0.0))),
-        ]
+        x, u, v = (base_dir(spec), fiber_dir(spec, 0, (1.0,)),
+                   fiber_dir(spec, 1, (1.0, 0.0)))
+        zero_patterns = [(x, x, u), (u, v, x), (u, u, v), (x, u, v)]
         for a, b, c in zero_patterns:
-            assert flatten(riemann_mwp(spec, p, a, b, c)) == (0.0,) * spec.dim
+            assert flatten(riemann_general(spec, p, a, b, c)) == (0.0,) * spec.dim
 
 
 class TestCurvatureProperties:
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_oracle_equivalence_random_lifts(self, entry):
-        """riemann applied to 100 random lifted triples per model matches
-        the chart oracle to relative 1e-8."""
+        """riemann applied to 100 random tangent-vector triples per model
+        matches the chart oracle to relative 1e-8."""
         spec = entry.spec
         chart = assemble_chart(spec)
         rng = np.random.default_rng(23)
@@ -299,29 +176,33 @@ class TestRicci:
     def test_base_fiber_cross_term_vanishes(self):
         spec = two_fiber_spec(q1=1.0, q2=2.0)
         p = Point(1.2, ((0.1,), (0.2, 0.3)))
-        assert ricci_mwp(spec, p, base_lift(1.0), fiber_lift(0, (1.0,))) == 0.0
-        assert ricci_mwp(spec, p, fiber_lift(0, (1.0,)),
-                         fiber_lift(1, (1.0, 0.0))) == 0.0
+        x, u, v = (base_dir(spec), fiber_dir(spec, 0, (1.0,)),
+                   fiber_dir(spec, 1, (1.0, 0.0)))
+        assert ricci_general(spec, p, x, u) == 0.0
+        assert ricci_general(spec, p, u, v) == 0.0
 
     def test_flat_product_vanishes(self):
         spec = grw_spec(Interval(-1.0, 1.0), WarpingFunction.constant(),
                         euclidean_fiber(3))
         p = Point(0.0, ((0.1, 0.2, 0.3),))
-        for a in (base_lift(1.0), fiber_lift(0, (1.0, 0.0, 0.0))):
-            for b in (base_lift(1.0), fiber_lift(0, (0.0, 1.0, 0.0))):
-                assert ricci_mwp(spec, p, a, b) == pytest.approx(0.0, abs=1e-15)
+        for a in (base_dir(spec), fiber_dir(spec, 0, (1.0, 0.0, 0.0))):
+            for b in (base_dir(spec), fiber_dir(spec, 0, (0.0, 1.0, 0.0))):
+                assert ricci_general(spec, p, a, b) == pytest.approx(
+                    0.0, abs=1e-15)
 
     def test_kasner_vacuum_all_lifted_pairs(self):
         spec = by_name("kasner_vacuum").spec
         p = Point(1.0, ((0.1,), (0.2,), (0.3,)))
-        lifts = [base_lift(1.0)] + [fiber_lift(i, (1.0,)) for i in range(3)]
+        lifts = [base_dir(spec)] + [fiber_dir(spec, i, (1.0,))
+                                    for i in range(3)]
         for a in lifts:
             for b in lifts:
-                assert abs(ricci_mwp(spec, p, a, b)) < 1e-8
+                assert abs(ricci_general(spec, p, a, b)) < 1e-8
 
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_matches_oracle_ricci(self, entry):
-        """100 random lifted pairs per model against the oracle Ricci."""
+        """100 random tangent-vector pairs per model against the oracle
+        Ricci."""
         spec = entry.spec
         chart = assemble_chart(spec)
         rng = np.random.default_rng(37)
