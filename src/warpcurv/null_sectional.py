@@ -130,7 +130,8 @@ def normalize_null(spec: ManifoldSpec, p: Point | PointContext,
     U.validate(spec)
     direction.validate(spec)
     u = components(U)
-    return tangent(spec, _null(g, u, _frame_norm(g, u), components(direction)))
+    return tangent(spec, _null(g, u, _frame_norm(g.form(u, u)),
+                               components(direction)))
 
 def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
                           L: TangentVector, S_candidate: TangentVector,
@@ -153,19 +154,22 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
                              U, u, g.form(u, u))
 
 # The plane helpers work on flat chart components (core_types.components),
-# so the sampler's loop builds no tangent vector but the plane's own.  A
-# coefficient that scales a vector enters as a Python float, as it did
-# when it scaled a TangentVector (a numpy scalar times an object defers
-# to float multiplication), so every component keeps its type and bits.
+# so they build no tangent vector but the plane's own.  A coefficient that
+# scales a vector enters as a Python float, as it did when it scaled a
+# TangentVector (a numpy scalar times an object defers to float
+# multiplication), so every component keeps its type and bits.
 
-def _frame_norm(g: PointContext, u) -> float:
-    """g(U, U) for a timelike frame U."""
-    g_UU = g.form(u, u)
+def _frame_norm(g_UU: float) -> float:
+    """g(U, U), checked to be that of a timelike frame U."""
     if not all_finite(g_UU):
         raise PlaneError(f"frame is not finite: g(U,U) = {g_UU}")
     if g_UU >= 0.0:
         raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
     return g_UU
+
+def _direction_not_finite(g_DU: float, n2: float) -> PlaneError:
+    return PlaneError(f"direction is not finite: g(D,U) = {g_DU}, "
+                      f"g(D_perp,D_perp) = {n2}")
 
 def _null(g: PointContext, u, g_UU: float, d) -> tuple:
     """:func:`normalize_null` on flat components, with g_UU = g(u, u)."""
@@ -174,8 +178,7 @@ def _null(g: PointContext, u, g_UU: float, d) -> tuple:
     d_perp = tuple(a - c * b for a, b in zip(d, u))
     n2 = g.form(d_perp, d_perp)
     if not all_finite(g_DU, n2):
-        raise PlaneError(f"direction is not finite: g(D,U) = {g_DU}, "
-                         f"g(D_perp,D_perp) = {n2}")
+        raise _direction_not_finite(g_DU, n2)
     if n2 <= 1e-24:
         raise ConstructionError(
             "direction has no spacelike part; cannot complete to a null vector")
@@ -221,23 +224,6 @@ def _plane(g: PointContext, L: TangentVector, S: TangentVector,
     plane.validate(tol=1e-9)
     return plane
 
-def _fiber_draw(g: PointContext, rng) -> tuple:
-    """Spatial direction drawn isotropically in the warped metric at g's
-    point, as one component tuple per fiber.
-
-    Per fiber, components are drawn on the unit sphere of the *warped*
-    fiber block, so draw coefficients are invariant under rescaling the
-    warpings; this keeps seeded scans comparable across base points.
-    """
-    parts = []
-    warped = g.spec.kind != "SSST"  # SSST's one fiber is unwarped
-    for i, c_t in enumerate(g.chol_t):
-        x = np.linalg.solve(c_t, rng.standard_normal(c_t.shape[0]))
-        if warped:
-            x = x / g.warps[i]
-        parts.append(tuple(x))
-    return tuple(parts)
-
 def sample_plane(spec: ManifoldSpec, p: Point | PointContext, rng,
                  frame_U: TangentVector | None = None,
                  base_free: bool = False) -> NullPlane:
@@ -253,43 +239,41 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
 
     A plane lies in the congruence of ``frame_U``, else of the default
     frame at its point.  Each of at most 32 tries draws a spatial direction
-    and completes it to a null L (as :func:`normalize_null` does), then
-    draws a second spatial vector W and builds S from it.  With
-    ``base_free=True`` the spacelike leg S is W made g-orthogonal to the
-    spatial part of L, so it stays purely spatial (the degeneracy
-    condition is then solved inside the fiber block), the configuration
-    the published base-free special cases assume; otherwise S is W plus a
-    random multiple of the frame, projected as in
-    :func:`make_degenerate_plane`.  A base-free S is g-orthogonal to L only
-    where it is to the frame, so with ``base_free=True`` a ``frame_U``
-    that has a fiber (spatial) part is refused with a
-    :class:`ValidationError`, before any draw; so is a spacetime of
-    dimension 2, which has no degenerate plane, and one whose fibers have
-    dimension 1 in all (a chart base with one 1-D fiber), since the
-    spatial directions of L and S are drawn in the fibers.  The draws use
-    the Cholesky factors of the fiber metrics (:attr:`PointContext.chol_t`).
+    isotropically in the warped fiber metric and completes it to a null L
+    (as :func:`normalize_null` does), then draws a second spatial vector W
+    and builds S from it.  With ``base_free=True`` the spacelike leg S is
+    W made g-orthogonal to the spatial part of L, so it stays purely
+    spatial (the degeneracy condition is then solved inside the fiber
+    block), the configuration the published base-free special cases
+    assume; otherwise S is W plus a random multiple of the frame,
+    projected as in :func:`make_degenerate_plane`.  Refused before any
+    draw: with ``base_free=True``, a ``frame_U`` with a fiber (spatial)
+    part, since a base-free S is g-orthogonal to L only where it is to the
+    frame; a spacetime of dimension 2, which has no degenerate plane, and
+    fibers of dimension 1 in all, since L and S are drawn in the fibers;
+    a frame that is not timelike, or not finite (:class:`PlaneError`).
     A plane carries its point's context.
 
     The planes are those of one plane drawn at a time, in order, bit for
     bit, and each generator ends where it would: a generator may feed
-    several planes (one generator for a chunk of planes at one point),
-    and then draws for them in order.  The first try of every plane runs
-    over the whole batch as arrays (:func:`_first_tries`); a plane whose
-    first try is rejected, or could not be run that way, is drawn again by
-    the scalar loop (:func:`_sample_loop`) from its generator's state
-    before the batch, together with every other plane that generator
-    feeds.
+    several planes, and then draws for them in order.  They are drawn in
+    rounds, each one try of every pending plane (:func:`_tries`).  After a
+    rejected try, its generator is set back to its state before the round
+    and draws again what its planes drew that round up to that try; its
+    later planes wait for the next round.  An overflow raises
+    ``FloatingPointError``.
     """
     label = repr(spec.name) if spec.name else f"this {spec.kind} spacetime"
     if spec.dim < 3:
         raise ValidationError(
             f"a degenerate plane needs a spacetime of dimension at least 3, "
             f"but {label} has dimension {spec.dim}")
-    if spec.dim - spec.base_dim < 2:
+    total = spec.dim - spec.base_dim
+    if total < 2:
         raise ValidationError(
             f"the sampler draws the spatial directions of L and S in the "
             f"fibers, which need dimension at least 2 in all, but the fibers "
-            f"of {label} have dimension {spec.dim - spec.base_dim}")
+            f"of {label} have dimension {total}")
     gs = [PointContext.of(spec, p) for p in contexts]
     rngs = list(rngs)
     if len(rngs) != len(gs):
@@ -312,73 +296,79 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
     else:
         U = frame_U if frame_U is not None else default_frame(spec, gs[0])
         frames = [U] * len(gs)
-    saved = {id(rng): (rng, rng.bit_generator.state) for rng in rngs}
     planes = [None] * len(gs)
-    # a default frame's components are Python floats, as the batch needs
-    if frame_U is None or all(type(c) is float for c in components(frame_U)):
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                planes = _first_tries(spec, gs, frames, rngs, base_free)
-        except FloatingPointError:  # the scalar loop meets it as it would
-            pass
-    redo = {id(rng) for rng, plane in zip(rngs, planes) if plane is None}
-    for key in redo:
-        rng, state = saved[key]
-        rng.bit_generator.state = state
-    for k, (g, U, rng) in enumerate(zip(gs, frames, rngs)):
-        if id(rng) in redo:
-            planes[k] = _sample_loop(g, U, rng, base_free)
+    tries = [0] * len(gs)
+    failed = len(gs), None  # the first plane that raises, and its error
+    pending = range(len(gs))
+    while pending:
+        batch = {id(rngs[k]): rngs[k] for k in pending}
+        saved = {key: rng.bit_generator.state for key, rng in batch.items()}
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            outcomes, spacelike = _tries(
+                spec, [gs[k] for k in pending], [frames[k] for k in pending],
+                [rngs[k] for k in pending], base_free)
+        kept: dict = {}  # per generator, its planes accepted this round
+        for k, out, drew_w in zip(pending, outcomes, spacelike):
+            rng = rngs[k]
+            n_kept = kept.setdefault(id(rng), 0)
+            if n_kept is None:  # rewound: drawn again in the next round
+                continue
+            if isinstance(out, NullPlane):
+                planes[k] = out
+                kept[id(rng)] = n_kept + 1
+                continue
+            rng.bit_generator.state = saved[id(rng)]
+            for _ in range(n_kept):
+                _try_draws(rng, total, base_free)
+            _try_draws(rng, total, base_free, drew_w)
+            kept[id(rng)] = None
+            tries[k] += 1
+            if out is None and tries[k] == 32:
+                out = PlaneError(
+                    "could not sample a valid degenerate plane in 32 tries")
+            if out is not None and k < failed[0]:
+                failed = k, out
+        pending = [k for k in pending if planes[k] is None and k < failed[0]]
+    if failed[1] is not None:
+        raise failed[1]
     return planes
 
-def _sample_loop(g: PointContext, U: TangentVector, rng,
-                 base_free: bool) -> NullPlane:
-    """One plane drawn try by try on flat chart components: the rejection
-    fallback of :func:`sample_planes`, whose arguments it takes checked."""
-    spec = g.spec
-    u = components(U)
-    g_UU = g.form(u, u)
-    zeros = components(TangentVector.zero(spec))[:spec.base_dim]
-    for _ in range(32):
-        try:
-            l = _null(g, u, _frame_norm(g, u), sum(_fiber_draw(g, rng), zeros))
-        except ConstructionError:
-            continue
-        L = tangent(spec, l)
-        w = sum(_fiber_draw(g, rng), zeros)
-        if base_free:
-            g_LU = g.form(l, u)
-            c = float(g_LU / g_UU)
-            v = tuple(a - c * b for a, b in zip(l, u))
-            c = float(g.form(v, w) / g.form(v, v))
-            s = tuple(a - c * b for a, b in zip(w, v))
-            g_SS = g.form(s, s)
-            if g_SS <= 1e-12:
-                continue
-            try:
-                return _plane(g, L, tangent(spec, s), U, g.form(l, l),
-                              g.form(l, s), g_SS, g_LU)
-            except PlaneError:
-                continue
-        w_norm = math.sqrt(max(g.form(w, w), 0.0))
-        h = 0.9 * rng.uniform(-1.0, 1.0) * w_norm
-        s_cand = tuple(h * a + b for a, b in zip(u, w))
-        try:
-            return _degenerate_plane(g, L, l, s_cand, U, u, g_UU)
-        except PlaneError:
-            continue
-    raise PlaneError("could not sample a valid degenerate plane in 32 tries")
+def _try_draws(rng, total: int, base_free: bool, spacelike: bool = True):
+    """What one try of a plane draws, in order: the ``total`` fiber normals
+    of its direction, then W's, then the uniform (NaN if ``base_free``).
+    A try whose direction has no spacelike part draws the direction's
+    alone."""
+    if not spacelike:
+        return rng.standard_normal(total), math.nan
+    normals = rng.standard_normal(2 * total)
+    return normals, math.nan if base_free else rng.uniform(-1.0, 1.0)
 
-# The batched first try.  Each scalar of the scalar loop becomes a _Lanes:
-# its float64 value in every plane of the batch, and whether the scalar
-# loop would hold it as a numpy float64 or as a Python float.  Every
-# operation is the scalar loop's, elementwise and in the same order, so
-# each value has the same bits; a rejection or an error becomes a plane
-# left to the scalar loop, which then meets it as it always did.
+# The batched try.  Each scalar of a try on one plane (the arithmetic of
+# _null, _degenerate_plane and PointContext.form) becomes a _Lanes: its
+# float64 value in every plane of the batch, and whether that arithmetic
+# holds it as a numpy float64 or a Python float.  Every operation is that
+# arithmetic's, elementwise and in order, so each value has the same bits;
+# a division or square root on a rejected try reads a spared value.
+
+def _mask(flags: np.ndarray):
+    """True where every flag is set, False where none is, else the flags."""
+    return bool(flags.all()) or (flags if flags.any() else False)
+
+def _numpy_typed(col: tuple, inv: np.ndarray):
+    """The :class:`_Lanes` type flag of a frame component, given in ``col``
+    per point and indexed by ``inv`` per plane."""
+    if set(map(type, col)) == {float}:
+        return False
+    return _mask(np.array([isinstance(c, np.generic) for c in col])[inv])
+
+def _spare(x: "_Lanes", ok: np.ndarray) -> "_Lanes":
+    """x where ``ok``, else 1.0: a divisor that a rejected plane spares."""
+    return _Lanes(np.where(ok, x.v, 1.0), x.np)
 
 class _Lanes:
-    """One scalar of :func:`_sample_loop` across a batch of planes: its
-    values ``v`` (float64, one per plane) and ``np``, a bool or a bool per
-    plane: whether the scalar loop holds it as a numpy float64 rather than
+    """One scalar of a try across a batch of planes: its values ``v``
+    (float64, one per plane) and ``np``, a bool or a bool per plane:
+    whether the scalar arithmetic holds it as a numpy float64 rather than
     a Python float.  An operation with a numpy operand gives a numpy
     result, as in Python."""
 
@@ -425,12 +415,11 @@ class _Lanes:
         """Where the value is 0.0: True in every plane, False in none,
         else a bool per plane."""
         if self._zero is None:
-            z = self.v == 0.0
-            self._zero = bool(z.all()) or (z if z.any() else False)
+            self._zero = _mask(self.v == 0.0)
         return self._zero
 
     def items(self) -> list:
-        """The value in each plane, typed as the scalar loop types it."""
+        """The value in each plane, typed as in scalar arithmetic."""
         if self.np is True:
             return list(self.v)
         if self.np is False:
@@ -496,33 +485,39 @@ class _Metric:
                 acc = term
         return acc
 
-def _first_tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
-                 base_free: bool) -> list:
-    """The first try of :func:`_sample_loop` for every plane at once: the
-    plane where it is accepted, else None.
+def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
+           base_free: bool) -> tuple[list, list]:
+    """One try of every plane at once.  Per plane: the plane where it is
+    accepted, the :class:`PlaneError` it raises where its direction is not
+    finite, else None; and whether its direction had a spacelike part.
 
-    Each generator draws what the first try draws, in the same order: one
-    ``standard_normal`` call for the direction's and W's components of
-    every fiber (the same numbers as one call per fiber), then the
-    uniform.  The fibers' Cholesky factors come from one stacked fill, and
-    the triangular solves from one stacked ``solve`` per fiber dimension.
-    Every frame component must be a Python float, as every warping value
-    and fiber metric entry of a context is (``hyperdual.value``)."""
+    The first bad frame raises :func:`_frame_norm`'s error before any
+    draw.  Then each generator draws a whole try per plane it feeds, in
+    order; the solves with the Cholesky factors are one stacked ``solve``
+    per fiber dimension.  Context values are Python floats
+    (``hyperdual.value``); a numpy frame component is typed per plane."""
     n = len(gs)
     index: dict = {}
     inv = np.array([index.setdefault(id(g), len(index)) for g in gs])
     uniq, uframes = zip(*{id(g): (g, U) for g, U in zip(gs, frames)}
                         .values())
-    PointContext.fill_chol_t(uniq)
     form = _Metric(spec, uniq, inv)
+    comps = [components(U) for U in uframes]
+    u = [_Lanes(c, _numpy_typed(col, inv))
+         for c, col in zip(np.array(comps, dtype=float)[inv].T, zip(*comps))]
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        g_UU = form(u, u)
+    bad = ~(np.isfinite(g_UU.v) & (g_UU.v < 0.0))
+    if bad.any():
+        _frame_norm(g_UU.items()[int(bad.argmax())])
+
+    PointContext.fill_chol_t(uniq)
     dims = [f.dim for f in spec.fibers]
     total = sum(dims)
     normals = np.empty((n, 2 * total))
     uniform = np.empty(n)
     for k, rng in enumerate(rngs):
-        normals[k] = rng.standard_normal(2 * total)
-        if not base_free:
-            uniform[k] = rng.uniform(-1.0, 1.0)
+        normals[k], uniform[k] = _try_draws(rng, total, base_free)
 
     # parts[h][i]: fiber i's components of the direction (h = 0) or of W
     parts = [[None] * spec.m, [None] * spec.m]
@@ -543,30 +538,30 @@ def _first_tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
     d, w = ([zero] * spec.base_dim
             + [_Lanes(p[:, j], True) for p in ps for j in range(p.shape[1])]
             for ps in parts)
-    u = [_Lanes(c) for c in np.array([components(U)
-                                      for U in uframes])[inv].T]
 
-    # _frame_norm, then _null
-    g_UU = form(u, u)
-    ok = np.isfinite(g_UU.v) & (g_UU.v < 0.0)
-    g_DU = form(d, u)
-    c = (g_DU / g_UU).py()
-    d_perp = [a - c * b for a, b in zip(d, u)]
-    n2 = form(d_perp, d_perp)
-    ok &= np.isfinite(g_DU.v) & np.isfinite(n2.v) & ~(n2.v <= 1e-24)
-    n2 = _Lanes(np.where(ok, n2.v, 1.0), n2.np)  # spare the rejected lanes
+    # _null; a plane whose direction is not finite raises below, and goes
+    # on from a zero d_perp until then
+    with np.errstate(invalid="ignore"):
+        g_DU = form(d, u)
+        c = (g_DU / g_UU).py()
+        d_perp = [a - c * b for a, b in zip(d, u)]
+        n2 = form(d_perp, d_perp)
+    finite = np.isfinite(g_DU.v) & np.isfinite(n2.v)
+    if not finite.all():
+        d_perp = [_Lanes(np.where(finite, a.v, 0.0), a.np) for a in d_perp]
+    spacelike = finite & ~(n2.v <= 1e-24)
     beta = (-1.0 / g_UU).py()
-    gamma = (-1.0 / (g_UU * n2)).sqrt()
+    gamma = (-1.0 / (g_UU * _spare(n2, spacelike))).sqrt()
     l = [beta * a + gamma * b for a, b in zip(u, d_perp)]
     g_LL = form(l, l)
     if base_free:
         g_LU = form(l, u)
         c = (g_LU / g_UU).py()
         v = [a - c * b for a, b in zip(l, u)]
-        c = (form(v, w) / form(v, v)).py()
+        c = (form(v, w) / _spare(form(v, v), spacelike)).py()
         s = [a - c * b for a, b in zip(w, v)]
         g_SS = form(s, s)
-        ok &= ~(g_SS.v <= 1e-12)
+        ok = spacelike & ~(g_SS.v <= 1e-12)
         normalized = np.ones(n, dtype=bool)
     else:
         g_ww = form(w, w)
@@ -575,11 +570,11 @@ def _first_tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
         s_cand = [h * a + b for a, b in zip(u, w)]
         # _degenerate_plane
         g_LU = form(l, u)
-        ok &= np.isfinite(g_LL.v) & np.isfinite(g_LU.v)
+        ok = spacelike & np.isfinite(g_LL.v) & np.isfinite(g_LU.v)
         scale = np.where(np.abs(g_UU.v) > 1.0, np.abs(g_UU.v), 1.0)
         ok &= ~(np.abs(g_LL.v) > 1e-9 * scale) & ~(np.abs(g_LU.v) < 1e-12)
         g_LS = form(l, s_cand)
-        c = (g_LS / _Lanes(np.where(ok, g_LU.v, 1.0), g_LU.np)).py()
+        c = (g_LS / _spare(g_LU, ok)).py()
         s = [a - c * b for a, b in zip(s_cand, u)]
         g_SS = form(s, s)
         ok &= np.isfinite(g_LS.v) & np.isfinite(g_SS.v) \
@@ -593,14 +588,16 @@ def _first_tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
     planes = []
     for k, (g, U, values) in enumerate(zip(gs, frames, g_values)):
         plane = None
-        if ok[k]:
+        if not finite[k]:
+            plane = _direction_not_finite(g_DU.v[k], n2.v[k])
+        elif ok[k]:
             try:
                 plane = _plane(g, tangent(spec, ls[k]), tangent(spec, ss[k]),
                                U if normalized[k] else None, *values)
             except PlaneError:
                 pass
         planes.append(plane)
-    return planes
+    return planes, spacelike.tolist()
 
 # ---------------------------------------------------------------------------
 # reference evaluator (the case formulas' curvature tensor, contracted)

@@ -14,9 +14,9 @@ import warpcurv
 SRC = Path(warpcurv.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 
-# the sampler: its scalar draw (the rejection fallback's) and its batch
-SAMPLER = {("null_sectional.py", "_fiber_draw"),
-           ("null_sectional.py", "_first_tries")}
+# the sampler: the draws of one try, and the batched try that solves them
+SAMPLER = {("null_sectional.py", "_try_draws"),
+           ("null_sectional.py", "_tries")}
 # the other calls, which draw no plane
 ELSEWHERE = {
     # the random vectors of a fiber's constant-curvature check

@@ -14,7 +14,9 @@ reference drawing one plane at a time: in batches of 1, 7 and 64 as
 ``report`` (one context and one generator), ``compare`` (a context and a
 generator per sample) and ``scan`` (a context per step, each with a
 generator seeded afresh) pass them, and when a first try is rejected in
-the middle of a batch.
+the middle of a batch.  It refuses a plane after 32 rejected tries as the
+reference does, a bad frame before any draw, and a direction that is not
+finite with its own error, in the order of the planes.
 """
 
 import math
@@ -367,11 +369,35 @@ def test_batch_with_a_numpy_frame():
                           np.random.default_rng, n, frame_U=U)
 
 
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_float32_frame_is_computed_in_float64(entry):
+    """A frame whose base component is a np.float32 draws the planes of
+    the same frame with a np.float64 component; each plane keeps its own
+    frame."""
+    def frame(ctx, dtype):
+        U = scaled_frame(ctx)
+        if isinstance(U.base_part, tuple):
+            base = (dtype(np.float32(U.base_part[0])),) + U.base_part[1:]
+        else:
+            base = dtype(np.float32(U.base_part))
+        return TangentVector(base, U.fiber_parts)
+
+    planes = []
+    for dtype in (np.float32, np.float64):
+        contexts, rngs = as_report(entry, 7, np.random.default_rng)
+        planes.append(sample_planes(entry.spec, contexts, rngs,
+                                    frame_U=frame(contexts[0], dtype)))
+    got, want = ([dict(plane_bits(p), frame_U=None) for p in ps]
+                 for ps in planes)
+    assert got == want
+
+
 class ShrunkDraws:
     """A generator whose normals numbered ``start`` to ``start + count - 1``
     (counted over all its ``standard_normal`` calls) come out multiplied
-    by ``factor``.  With the default 1e-13, a direction drawn from them
-    has no spacelike part the sampler accepts, so that try is rejected.
+    by ``factor``.  With the default 1e-13, or with 0.0, a direction
+    drawn from them has no spacelike part the sampler accepts, so that try
+    is rejected.
     The count is part of its ``bit_generator.state``, so a sampler that
     restores the state draws the same numbers again."""
 
@@ -404,11 +430,15 @@ class ShrunkDraws:
 
 
 REJECTED = 3  # the plane whose first try is rejected, mid-batch
+# (base_free, factor): shrunk draws, and draws that are exactly zero
+SHRUNK = [pytest.param(base_free, factor, id=f"{base_free}{suffix}")
+          for factor, suffix in ((1e-13, ""), (0.0, "-zeros"))
+          for base_free in (False, True)]
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
-@pytest.mark.parametrize("base_free", [False, True])
-def test_rejection_restarts_the_shared_generator(entry, base_free):
+@pytest.mark.parametrize("base_free, factor", SHRUNK)
+def test_rejection_restarts_the_shared_generator(entry, base_free, factor):
     """``report``: one generator feeds the batch, so a rejected first try
     of plane 3 restarts the whole batch from the generator's state before
     it; plane 3 then takes a second try and every later plane draws
@@ -418,20 +448,21 @@ def test_rejection_restarts_the_shared_generator(entry, base_free):
     n = 7
     rngs_a, rngs_b = assert_same_batch(
         entry.spec, lambda n, rng_at: as_report(entry, n, rng_at),
-        lambda k: ShrunkDraws(5, start, dims), n, base_free=base_free)
+        lambda k: ShrunkDraws(5, start, dims, factor), n,
+        base_free=base_free)
     assert rngs_a[0].drawn == rngs_b[0].drawn == (2 * n + 1) * dims
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
-@pytest.mark.parametrize("base_free", [False, True])
-def test_rejection_restarts_its_sample(entry, base_free):
+@pytest.mark.parametrize("base_free, factor", SHRUNK)
+def test_rejection_restarts_its_sample(entry, base_free, factor):
     """``compare``: sample 3's generator rejects its first try, so sample
     3 alone is drawn again from its generator's state before the batch."""
     dims = sum(f.dim for f in entry.spec.fibers)
     n = 7
 
     def rng_at(k):
-        return ShrunkDraws(100 + k, 0, dims if k == REJECTED else 0)
+        return ShrunkDraws(100 + k, 0, dims if k == REJECTED else 0, factor)
 
     rngs_a, rngs_b = assert_same_batch(
         entry.spec, lambda n, rng_at: as_compare(entry, n, rng_at), rng_at,
@@ -456,3 +487,63 @@ def test_exact_zero_in_one_plane(entry, base_free):
         entry.spec, lambda n, rng_at: as_compare(entry, n, rng_at), rng_at,
         7, base_free=base_free)
     assert [a.drawn for a in rngs_a] == [2 * dims] * 7
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("base_free", [False, True])
+def test_thirty_two_rejected_tries_raise(entry, base_free):
+    """Every direction has no spacelike part: the plane is refused after
+    32 tries, and the generator has drawn 32 directions and no W, as the
+    reference's has."""
+    spec = entry.spec
+    dims = sum(f.dim for f in spec.fibers)
+    ctx = PointContext(spec, entry.default_point())
+    for draw in (sample_plane, reference_sample_plane):
+        rng = ShrunkDraws(9, 0, 10**6)
+        with pytest.raises(PlaneError, match="in 32 tries"):
+            draw(spec, ctx, rng, base_free=base_free)
+        assert rng.drawn == 32 * dims
+
+
+def spacelike_frame(spec):
+    dim = spec.fibers[0].dim
+    return TangentVector.fiber_direction(spec, 0, [1.0] + [0.0] * (dim - 1))
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("frame, error, message", [
+    (spacelike_frame, ValidationError, "frame must be timelike"),
+    (lambda spec: TangentVector.base_direction(spec, math.nan), PlaneError,
+     "frame is not finite")], ids=["spacelike", "nan"])
+def test_bad_frame_raises_before_any_draw(entry, frame, error, message):
+    """A batch of 3 planes fed by one generator, in the congruence of a
+    frame that is not timelike or not finite: the frame's error, and the
+    generator has drawn nothing."""
+    spec = entry.spec
+    ctx = PointContext(spec, entry.default_point())
+    rng = np.random.default_rng(11)
+    with pytest.raises(error, match=message) as raised:
+        sample_planes(spec, [ctx] * 3, [rng] * 3, frame_U=frame(spec))
+    assert type(raised.value) is error
+    assert bits(rng.random()) == bits(np.random.default_rng(11).random())
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@pytest.mark.parametrize("base_free", [False, True])
+def test_direction_not_finite_raises_in_order(entry, base_free):
+    """Sample 3 draws an infinite normal in its direction: the batch
+    raises the PlaneError of normalize_null, not an arithmetic error.  If
+    sample 1 can draw no plane, its error comes first, as it does when
+    the planes are drawn one at a time."""
+    def draw(never):
+        def rng_at(k):
+            if k == REJECTED:
+                return ShrunkDraws(300 + k, 0, 1, math.inf)
+            return ShrunkDraws(300 + k, 0, 10**6 if k == never else 0)
+        contexts, rngs = as_compare(entry, 7, rng_at)
+        sample_planes(entry.spec, contexts, rngs, base_free=base_free)
+
+    with pytest.raises(PlaneError, match="direction is not finite"):
+        draw(never=None)
+    with pytest.raises(PlaneError, match="in 32 tries"):
+        draw(never=1)
