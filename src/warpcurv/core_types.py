@@ -692,22 +692,158 @@ def point_from_flat(spec: ManifoldSpec, coords: Sequence[float]) -> Point:
 # the product metric
 # ---------------------------------------------------------------------------
 
-def _fiber_inner(rows, v, w, ofs: int) -> float:
-    """g_F(v, w) for the fiber block of flat components v, w starting at
-    ``ofs``; zero components are skipped."""
-    acc = 0.0
-    n = len(rows)
-    for i in range(n):
-        vi = v[ofs + i]
-        if vi == 0.0:
-            continue
-        row = rows[i]
-        for j in range(n):
-            wj = w[ofs + j]
-            if wj == 0.0:
+# The metric, stated once for a batch of evaluations (:class:`_Metric`):
+# each scalar is a _Lanes, its float64 value at every evaluation and
+# whether scalar arithmetic would hold it as a numpy float64 or a Python
+# float.  Every operation is elementwise and in the scalar order, so each
+# value has the bits and the type one evaluation at a time would give; a
+# division or square root on a rejected evaluation reads a spared value.
+
+def _mask(flags: np.ndarray):
+    """True where every flag is set, False where none is, else the flags."""
+    return bool(flags.all()) or (flags if flags.any() else False)
+
+
+def _spare(x: "_Lanes", ok) -> "_Lanes":
+    """x where ``ok``, else 1.0: a divisor that a rejected lane spares."""
+    return _Lanes(np.where(ok, x.v, 1.0), x.np)
+
+
+def _lanes(vectors: Sequence, inv: np.ndarray) -> list["_Lanes"]:
+    """Flat chart components as lanes, one per component: lane k reads
+    vector ``inv[k]`` of ``vectors``, computed in float64, and is numpy
+    typed where that vector's component is a numpy scalar."""
+    values = np.array(vectors, dtype=float)[inv]
+    out = []
+    for v, col in zip(values.T, zip(*vectors)):
+        isnp = (False if set(map(type, col)) == {float} else
+                _mask(np.array([isinstance(c, np.generic) for c in col])[inv]))
+        out.append(_Lanes(v, isnp))
+    return out
+
+
+class _Lanes:
+    """One scalar across a batch: its values ``v`` (float64, one per
+    lane) and ``np``, a bool or a bool per lane: whether the scalar
+    arithmetic holds it as a numpy float64 rather than a Python float.  An
+    operation with a numpy operand gives a numpy result, as in Python."""
+
+    __slots__ = ("v", "np", "_zero")
+
+    def __init__(self, v, isnp=False):
+        self.v, self.np, self._zero = v, isnp, None
+
+    def _op(self, other, fn):
+        if isinstance(other, _Lanes):
+            return _Lanes(fn(self.v, other.v), self.np | other.np)
+        return _Lanes(fn(self.v, other), self.np)
+
+    def __add__(self, other):
+        return self._op(other, np.add)
+
+    def __sub__(self, other):
+        return self._op(other, np.subtract)
+
+    def __mul__(self, other):
+        return self._op(other, np.multiply)
+
+    def __truediv__(self, other):
+        return self._op(other, np.true_divide)
+
+    def __rmul__(self, other):
+        return _Lanes(other * self.v, self.np)
+
+    def __rtruediv__(self, other):
+        return _Lanes(other / self.v, self.np)
+
+    def __neg__(self):
+        return _Lanes(-self.v, self.np)
+
+    def py(self) -> "_Lanes":
+        """``float(x)``."""
+        return _Lanes(self.v)
+
+    def sqrt(self) -> "_Lanes":
+        """``math.sqrt(x)``."""
+        return _Lanes(np.sqrt(self.v))
+
+    def zero(self):
+        """Where the value is 0.0: True in every lane, False in none, else
+        a bool per lane."""
+        if self._zero is None:
+            self._zero = _mask(self.v == 0.0)
+        return self._zero
+
+    def items(self) -> list:
+        """The value in each lane, typed as in scalar arithmetic."""
+        if self.np is True:
+            return list(self.v)
+        if self.np is False:
+            return self.v.tolist()
+        return [np.float64(x) if t else x
+                for x, t in zip(self.v.tolist(), self.np.tolist())]
+
+
+class _Metric:
+    """g(x, y) on flat chart components as :class:`_Lanes`, lane k at the
+    point of context ``uniq[inv[k]]``.  The base term comes first, then
+    ``b*b * g_F(v, w)`` per fiber (the static model's one fiber is
+    unwarped), skipping zero components (``x + 0.0`` would turn -0.0 into
+    +0.0, and ``inf * 0.0`` is NaN).  ``warps`` holds each lane's warping
+    values, one column per fiber."""
+
+    def __init__(self, spec: ManifoldSpec, uniq: Sequence["PointContext"],
+                 inv: np.ndarray):
+        self.ssst = spec.kind == "SSST"
+        self.base_rows = ([uniq[i].base_rows for i in inv]
+                          if spec.base_chart is not None else None)
+        self.warps = warps = np.array([g.warps for g in uniq])[inv]
+        self.b2 = [_Lanes(warps[:, i] * warps[:, i]) for i in range(spec.m)]
+        if self.ssst:
+            self.neg_f2 = _Lanes(np.array([-(g.warps[0] ** 2)
+                                           for g in uniq])[inv])
+        self.rows = [np.array([g.fiber_rows[i] for g in uniq])[inv]
+                     for i in range(spec.m)]
+
+    def __call__(self, x: list, y: list) -> _Lanes:
+        if self.ssst:
+            acc = self.neg_f2 * x[0] * y[0]
+            return acc + self._fiber(self.rows[0], x, y, 1)
+        if self.base_rows is not None:
+            nb = len(self.base_rows[0])
+            acc = _Lanes(np.array([
+                float(np.asarray([a.v[k] for a in x[:nb]]) @ rows
+                      @ np.asarray([b.v[k] for b in y[:nb]]))
+                for k, rows in enumerate(self.base_rows)]))
+        else:
+            nb = 1
+            acc = -x[0] * y[0]
+        for b2, rows in zip(self.b2, self.rows):
+            acc = acc + b2 * self._fiber(rows, x, y, nb)
+            nb += rows.shape[1]
+        return acc
+
+    @staticmethod
+    def _fiber(rows: np.ndarray, x: list, y: list, ofs: int) -> _Lanes:
+        """g_F(v, w) for the fiber block starting at ``ofs``; ``rows`` is
+        (lanes, k, k)."""
+        acc = _Lanes(np.zeros(len(rows)))
+        k = rows.shape[1]
+        for i in range(k):
+            zi = x[ofs + i].zero()
+            if zi is True:
                 continue
-            acc += vi * row[j] * wj
-    return acc
+            for j in range(k):
+                zj = y[ofs + j].zero()
+                if zj is True:
+                    continue
+                term = acc + x[ofs + i] * _Lanes(rows[:, i, j]) * y[ofs + j]
+                skip = zi | zj
+                if skip is not False:
+                    term = _Lanes(np.where(skip, acc.v, term.v),
+                                  np.where(skip, acc.np, term.np))
+                acc = term
+        return acc
 
 
 def _read_only(*arrays) -> None:
@@ -836,27 +972,13 @@ class PointContext:
 
     def form(self, x, y) -> float:
         """g(x, y) at the point for flat chart components x, y (base
-        first, then each fiber's; see :func:`components`), unchecked.
-
-        The base term comes first, then ``b*b * g_F(v, w)`` per fiber (the
-        static model's one fiber is unwarped), skipping zero components;
-        each operation keeps its operands' types."""
-        spec = self.spec
-        if spec.kind == "SSST":
-            acc = -(self.warps[0] ** 2) * x[0] * y[0]
-            acc += _fiber_inner(self.fiber_rows[0], x, y, 1)
-            return acc
-        if self.base_rows is not None:
-            nb = len(self.base_rows)
-            acc = float(np.asarray(x[:nb]) @ self.base_rows
-                        @ np.asarray(y[:nb]))
-        else:
-            nb = 1
-            acc = -x[0] * y[0]
-        for b, rows in zip(self.warps, self.fiber_rows):
-            acc += b * b * _fiber_inner(rows, x, y, nb)
-            nb += len(rows)
-        return acc
+        first, then each fiber's; see :func:`components`), unchecked:
+        :class:`_Metric` at a batch of one.  An overflow or invalid
+        operation gives inf or NaN, as Python float arithmetic does."""
+        one = np.zeros(1, dtype=np.intp)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _Metric(self.spec, [self], one)(
+                _lanes([x], one), _lanes([y], one)).items()[0]
 
     def plane(self, L: TangentVector, S: TangentVector,
               frame_U: TangentVector | None = None) -> "NullPlane":
@@ -1288,6 +1410,12 @@ def spec_from_dict(d: dict) -> ManifoldSpec:
               for i, fd in enumerate(_field(d, "fibers", list, ""))]
     name = _field(d, "name", str, "") if "name" in d else ""
     warpings = _field(d, "warpings", list, "")
+    # a GRW or static model has one fiber and one warping, Kasner one phi
+    for key in {"GRW": ("fibers", "warpings"), "SSST": ("fibers", "warpings"),
+                "Kasner": ("warpings",)}.get(kind, ()):
+        if len(d[key]) != 1:
+            raise ValidationError(f"spec: field {key!r} must hold one entry "
+                                  f"for kind {kind!r}, got {len(d[key])}")
     if kind == "Kasner":
         phi = _scalar_from_dict(WarpingFunction, warpings[0], "warpings[0]")
         exps = [_number(q, "spec: a Kasner exponent")

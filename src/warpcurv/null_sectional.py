@@ -43,8 +43,8 @@ import numpy as np
 
 from ._frozen import Frozen, set_field
 from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
-                         TangentVector, all_finite, components, flatten,
-                         tangent)
+                         TangentVector, _Lanes, _lanes, _Metric, _spare,
+                         all_finite, components, flatten, tangent)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import value
@@ -123,47 +123,71 @@ def normalize_null(spec: ManifoldSpec, p: Point | PointContext,
 
     Solves for L with g(L,L) = 0 and g(L,U) = -1: the U-orthogonal part of
     ``direction`` fixes the spatial direction, the normalization fixes both
-    scale factors uniquely.  A non-finite direction or frame raises
-    PlaneError.
+    scale factors uniquely (:func:`_complete_null` at a batch of one).  A
+    non-finite direction or frame raises PlaneError.
     """
     g = PointContext.of(spec, p)
     U.validate(spec)
     direction.validate(spec)
-    u = components(U)
-    return tangent(spec, _null(g, u, _frame_norm(g.form(u, u)),
-                               components(direction)))
+    form, (u, d) = _one_plane(g, U, direction)
+    g_UU = _frame_norm(form, u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        l, g_DU, n2, finite, spacelike = _complete_null(form, u, g_UU, d)
+    if not finite[0]:
+        raise _direction_not_finite(g_DU.items()[0], n2.items()[0])
+    if not spacelike[0]:
+        raise ConstructionError(
+            "direction has no spacelike part; cannot complete to a null vector")
+    return tangent(spec, tuple(a.items()[0] for a in l))
 
 def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
                           L: TangentVector, S_candidate: TangentVector,
                           frame_U: TangentVector | None = None) -> NullPlane:
     """Project S_candidate onto the degenerate configuration g(L,S) = 0.
 
-    The unique frame-direction correction is removed from S_candidate; the
-    result must come out spacelike and independent of L.  L may carry
-    either time orientation (the curvature of the plane is quadratic in
-    L); the frame is attached to the plane only when L actually satisfies
-    the congruence normalization g(L,U) = -1.  Non-finite inputs raise
-    PlaneError.
+    The unique frame-direction correction is removed from S_candidate
+    (:func:`_project` at a batch of one); the result must come out
+    spacelike and independent of L.  L may carry either time orientation
+    (the curvature of the plane is quadratic in L); the frame is attached
+    to the plane only when L actually satisfies the congruence
+    normalization g(L,U) = -1.  Non-finite inputs raise PlaneError.
     """
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
     for v in (L, S_candidate, U):
         v.validate(spec)
-    u = components(U)
-    return _degenerate_plane(g, L, components(L), components(S_candidate),
-                             U, u, g.form(u, u))
+    form, (l, s_cand, u) = _one_plane(g, L, S_candidate, U)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_UU = form(u, u)
+        s, g_LL, g_LU, g_LS, g_SS, refused, normalized = _project(
+            form, l, u, g_UU, s_cand, True)
+        values = [x.items()[0] for x in (g_LL, g_LU, g_UU, g_LS, g_SS)]
+        if refused[0]:
+            raise PlaneError(_REFUSALS[refused[0] - 1].format(*values))
+        return _plane(g, L, tangent(spec, tuple(a.items()[0] for a in s)),
+                      U if normalized[0] else None, values[0],
+                      form(l, s).items()[0], values[4], values[1])
 
-# The plane helpers work on flat chart components (core_types.components),
-# so they build no tangent vector but the plane's own.  A coefficient that
-# scales a vector enters as a Python float, as it did when it scaled a
-# TangentVector (a numpy scalar times an object defers to float
-# multiplication), so every component keeps its type and bits.
+# The plane arithmetic runs on _Lanes (core_types): the batched try runs it
+# on a batch of planes, normalize_null and make_degenerate_plane on one.
 
-def _frame_norm(g_UU: float) -> float:
-    """g(U, U), checked to be that of a timelike frame U."""
-    if not all_finite(g_UU):
-        raise PlaneError(f"frame is not finite: g(U,U) = {g_UU}")
-    if g_UU >= 0.0:
+def _one_plane(g: PointContext, *vectors: TangentVector):
+    """The metric at g and each vector's flat components as lanes, for a
+    batch of one plane."""
+    one = np.zeros(1, dtype=np.intp)
+    return _Metric(g.spec, [g], one), [_lanes([components(v)], one)
+                                       for v in vectors]
+
+def _frame_norm(form: _Metric, u: list) -> _Lanes:
+    """g(U, U) per plane; the first frame U that is not timelike, or not
+    finite, raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g_UU = form(u, u)
+    bad = ~(np.isfinite(g_UU.v) & (g_UU.v < 0.0))
+    if bad.any():
+        g_UU = g_UU.items()[int(bad.argmax())]
+        if not all_finite(g_UU):
+            raise PlaneError(f"frame is not finite: g(U,U) = {g_UU}")
         raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
     return g_UU
 
@@ -171,47 +195,57 @@ def _direction_not_finite(g_DU: float, n2: float) -> PlaneError:
     return PlaneError(f"direction is not finite: g(D,U) = {g_DU}, "
                       f"g(D_perp,D_perp) = {n2}")
 
-def _null(g: PointContext, u, g_UU: float, d) -> tuple:
-    """:func:`normalize_null` on flat components, with g_UU = g(u, u)."""
-    g_DU = g.form(d, u)
-    c = float(g_DU / g_UU)
-    d_perp = tuple(a - c * b for a, b in zip(d, u))
-    n2 = g.form(d_perp, d_perp)
-    if not all_finite(g_DU, n2):
-        raise _direction_not_finite(g_DU, n2)
-    if n2 <= 1e-24:
-        raise ConstructionError(
-            "direction has no spacelike part; cannot complete to a null vector")
-    beta = float(-1.0 / g_UU)
-    gamma = math.sqrt(-1.0 / (g_UU * n2))
-    return tuple(beta * a + gamma * b for a, b in zip(u, d_perp))
+def _complete_null(form: _Metric, u: list, g_UU: _Lanes, d: list):
+    """The null L = beta U + gamma D_perp with g(L,U) = -1, D_perp the
+    U-orthogonal part of the direction d: (L, g(D,U), g(D_perp,D_perp),
+    where those two are finite, where D_perp is spacelike).  A plane whose
+    direction is not finite goes on from a zero D_perp."""
+    with np.errstate(invalid="ignore"):
+        g_DU = form(d, u)
+        c = (g_DU / g_UU).py()
+        d_perp = [a - c * b for a, b in zip(d, u)]
+        n2 = form(d_perp, d_perp)
+    finite = np.isfinite(g_DU.v) & np.isfinite(n2.v)
+    if not finite.all():
+        d_perp = [_Lanes(np.where(finite, a.v, 0.0), a.np) for a in d_perp]
+    spacelike = finite & ~(n2.v <= 1e-24)
+    beta = (-1.0 / g_UU).py()
+    gamma = (-1.0 / (g_UU * _spare(n2, spacelike))).sqrt()
+    l = [beta * a + gamma * b for a, b in zip(u, d_perp)]
+    return l, g_DU, n2, finite, spacelike
 
-def _degenerate_plane(g: PointContext, L: TangentVector, l, s_cand,
-                      U: TangentVector, u, g_UU: float) -> NullPlane:
-    """:func:`make_degenerate_plane` on flat components; ``l`` holds L's."""
-    g_LL = g.form(l, l)
-    g_LU = g.form(l, u)
-    if not all_finite(g_LL, g_LU, g_UU):
-        raise PlaneError(f"L or the frame is not finite: g(L,L) = {g_LL}, "
-                         f"g(L,U) = {g_LU}, g(U,U) = {g_UU}")
-    scale = max(1.0, abs(g_UU))
-    if abs(g_LL) > 1e-9 * scale:
-        raise PlaneError(f"L is not null: g(L,L) = {g_LL:.3e}")
-    if abs(g_LU) < 1e-12:
-        raise PlaneError("frame is orthogonal to L; cannot project")
-    g_LS = g.form(l, s_cand)
-    c = float(g_LS / g_LU)
-    s = tuple(a - c * b for a, b in zip(s_cand, u))
-    g_SS = g.form(s, s)
-    if not all_finite(g_LS, g_SS):
-        raise PlaneError(f"S is not finite: g(L,S) = {g_LS}, g(S,S) = {g_SS}")
-    if g_SS <= 1e-12 * scale:
-        raise PlaneError(
-            f"projected S is not spacelike (g(S,S) = {g_SS:.3e}); "
-            "candidate was parallel to L or timelike")
-    normalized = abs(g_LU + 1.0) <= 1e-9
-    return _plane(g, L, tangent(g.spec, s), U if normalized else None,
-                  g_LL, g.form(l, s), g_SS, g_LU)
+# what _project refuses, in the order it checks, with the values it reads:
+# g(L,L), g(L,U), g(U,U), g(L,S_candidate), g(S,S)
+_REFUSALS = (
+    "L or the frame is not finite: g(L,L) = {0}, g(L,U) = {1}, g(U,U) = {2}",
+    "L is not null: g(L,L) = {0:.3e}",
+    "frame is orthogonal to L; cannot project",
+    "S is not finite: g(L,S) = {3}, g(S,S) = {4}",
+    "projected S is not spacelike (g(S,S) = {4:.3e}); "
+    "candidate was parallel to L or timelike")
+
+def _project(form: _Metric, l: list, u: list, g_UU: _Lanes, s_cand: list,
+             live):
+    """S = S_candidate - (g(L,S_candidate) / g(L,U)) U, so g(L,S) = 0:
+    (S, g(L,L), g(L,U), g(L,S_candidate), g(S,S), per plane the number of
+    the first check of :data:`_REFUSALS` it fails or 0, and where
+    g(L,U) = -1).  The divisor of a plane not ``live``, or refused before
+    the division, is spared."""
+    g_LL = form(l, l)
+    g_LU = form(l, u)
+    scale = np.where(np.abs(g_UU.v) > 1.0, np.abs(g_UU.v), 1.0)
+    checks = [np.isfinite(g_LL.v) & np.isfinite(g_LU.v) & np.isfinite(g_UU.v),
+              ~(np.abs(g_LL.v) > 1e-9 * scale), ~(np.abs(g_LU.v) < 1e-12)]
+    g_LS = form(l, s_cand)
+    c = (g_LS / _spare(g_LU, live & np.logical_and.reduce(checks))).py()
+    s = [a - c * b for a, b in zip(s_cand, u)]
+    g_SS = form(s, s)
+    checks += [np.isfinite(g_LS.v) & np.isfinite(g_SS.v),
+               ~(g_SS.v <= 1e-12 * scale)]
+    checks = np.array(checks)
+    refused = np.where(checks.all(axis=0), 0, checks.argmin(axis=0) + 1)
+    return (s, g_LL, g_LU, g_LS, g_SS, refused,
+            np.abs(g_LU.v + 1.0) <= 1e-9)
 
 def _plane(g: PointContext, L: TangentVector, S: TangentVector,
            U: TangentVector | None, g_LL: float, g_LS: float, g_SS: float,
@@ -343,148 +377,6 @@ def _try_draws(rng, total: int, base_free: bool, spacelike: bool = True):
     normals = rng.standard_normal(2 * total)
     return normals, math.nan if base_free else rng.uniform(-1.0, 1.0)
 
-# The batched try.  Each scalar of a try on one plane (the arithmetic of
-# _null, _degenerate_plane and PointContext.form) becomes a _Lanes: its
-# float64 value in every plane of the batch, and whether that arithmetic
-# holds it as a numpy float64 or a Python float.  Every operation is that
-# arithmetic's, elementwise and in order, so each value has the same bits;
-# a division or square root on a rejected try reads a spared value.
-
-def _mask(flags: np.ndarray):
-    """True where every flag is set, False where none is, else the flags."""
-    return bool(flags.all()) or (flags if flags.any() else False)
-
-def _numpy_typed(col: tuple, inv: np.ndarray):
-    """The :class:`_Lanes` type flag of a frame component, given in ``col``
-    per point and indexed by ``inv`` per plane."""
-    if set(map(type, col)) == {float}:
-        return False
-    return _mask(np.array([isinstance(c, np.generic) for c in col])[inv])
-
-def _spare(x: "_Lanes", ok: np.ndarray) -> "_Lanes":
-    """x where ``ok``, else 1.0: a divisor that a rejected plane spares."""
-    return _Lanes(np.where(ok, x.v, 1.0), x.np)
-
-class _Lanes:
-    """One scalar of a try across a batch of planes: its values ``v``
-    (float64, one per plane) and ``np``, a bool or a bool per plane:
-    whether the scalar arithmetic holds it as a numpy float64 rather than
-    a Python float.  An operation with a numpy operand gives a numpy
-    result, as in Python."""
-
-    __slots__ = ("v", "np", "_zero")
-
-    def __init__(self, v, isnp=False):
-        self.v, self.np, self._zero = v, isnp, None
-
-    def _op(self, other, fn):
-        if isinstance(other, _Lanes):
-            return _Lanes(fn(self.v, other.v), self.np | other.np)
-        return _Lanes(fn(self.v, other), self.np)
-
-    def __add__(self, other):
-        return self._op(other, np.add)
-
-    def __sub__(self, other):
-        return self._op(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._op(other, np.multiply)
-
-    def __truediv__(self, other):
-        return self._op(other, np.true_divide)
-
-    def __rmul__(self, other):
-        return _Lanes(other * self.v, self.np)
-
-    def __rtruediv__(self, other):
-        return _Lanes(other / self.v, self.np)
-
-    def __neg__(self):
-        return _Lanes(-self.v, self.np)
-
-    def py(self) -> "_Lanes":
-        """``float(x)``."""
-        return _Lanes(self.v)
-
-    def sqrt(self) -> "_Lanes":
-        """``math.sqrt(x)``."""
-        return _Lanes(np.sqrt(self.v))
-
-    def zero(self):
-        """Where the value is 0.0: True in every plane, False in none,
-        else a bool per plane."""
-        if self._zero is None:
-            self._zero = _mask(self.v == 0.0)
-        return self._zero
-
-    def items(self) -> list:
-        """The value in each plane, typed as in scalar arithmetic."""
-        if self.np is True:
-            return list(self.v)
-        if self.np is False:
-            return self.v.tolist()
-        return [np.float64(x) if t else x
-                for x, t in zip(self.v.tolist(), self.np.tolist())]
-
-class _Metric:
-    """:meth:`PointContext.form` at each plane's point of a batch, on
-    :class:`_Lanes`: the same operations in the same order, the same zero
-    skipping (``x + 0.0`` would turn -0.0 into +0.0, and ``inf * 0.0`` is
-    NaN), and the same types.  ``warps`` holds each plane's warping
-    values, one column per fiber."""
-
-    def __init__(self, spec: ManifoldSpec, uniq: list, inv: np.ndarray):
-        self.ssst = spec.kind == "SSST"
-        self.base_rows = ([uniq[i].base_rows for i in inv]
-                          if spec.base_chart is not None else None)
-        self.warps = warps = np.array([g.warps for g in uniq])[inv]
-        self.b2 = [_Lanes(warps[:, i] * warps[:, i]) for i in range(spec.m)]
-        if self.ssst:
-            self.neg_f2 = _Lanes(np.array([-(g.warps[0] ** 2)
-                                           for g in uniq])[inv])
-        self.rows = [np.array([g.fiber_rows[i] for g in uniq])[inv]
-                     for i in range(spec.m)]
-
-    def __call__(self, x: list, y: list) -> _Lanes:
-        if self.ssst:
-            acc = self.neg_f2 * x[0] * y[0]
-            return acc + self._fiber(self.rows[0], x, y, 1)
-        if self.base_rows is not None:
-            nb = len(self.base_rows[0])
-            acc = _Lanes(np.array([
-                float(np.asarray([a.v[k] for a in x[:nb]]) @ rows
-                      @ np.asarray([b.v[k] for b in y[:nb]]))
-                for k, rows in enumerate(self.base_rows)]))
-        else:
-            nb = 1
-            acc = -x[0] * y[0]
-        for b2, rows in zip(self.b2, self.rows):
-            acc = acc + b2 * self._fiber(rows, x, y, nb)
-            nb += rows.shape[1]
-        return acc
-
-    @staticmethod
-    def _fiber(rows: np.ndarray, x: list, y: list, ofs: int) -> _Lanes:
-        """``_fiber_inner`` over the batch; ``rows`` is (planes, k, k)."""
-        acc = _Lanes(np.zeros(len(rows)))
-        k = rows.shape[1]
-        for i in range(k):
-            zi = x[ofs + i].zero()
-            if zi is True:
-                continue
-            for j in range(k):
-                zj = y[ofs + j].zero()
-                if zj is True:
-                    continue
-                term = acc + x[ofs + i] * _Lanes(rows[:, i, j]) * y[ofs + j]
-                skip = zi | zj
-                if skip is not False:
-                    term = _Lanes(np.where(skip, acc.v, term.v),
-                                  np.where(skip, acc.np, term.np))
-                acc = term
-        return acc
-
 def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
            base_free: bool) -> tuple[list, list]:
     """One try of every plane at once.  Per plane: the plane where it is
@@ -494,22 +386,18 @@ def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
     The first bad frame raises :func:`_frame_norm`'s error before any
     draw.  Then each generator draws a whole try per plane it feeds, in
     order; the solves with the Cholesky factors are one stacked ``solve``
-    per fiber dimension.  Context values are Python floats
-    (``hyperdual.value``); a numpy frame component is typed per plane."""
+    per fiber dimension.  L is :func:`_complete_null`'s, and S
+    :func:`_project`'s unless ``base_free``.  Context values are Python
+    floats (``hyperdual.value``); a numpy frame component is typed per
+    plane."""
     n = len(gs)
     index: dict = {}
     inv = np.array([index.setdefault(id(g), len(index)) for g in gs])
     uniq, uframes = zip(*{id(g): (g, U) for g, U in zip(gs, frames)}
                         .values())
     form = _Metric(spec, uniq, inv)
-    comps = [components(U) for U in uframes]
-    u = [_Lanes(c, _numpy_typed(col, inv))
-         for c, col in zip(np.array(comps, dtype=float)[inv].T, zip(*comps))]
-    with np.errstate(over="ignore", invalid="ignore"):  # named below
-        g_UU = form(u, u)
-    bad = ~(np.isfinite(g_UU.v) & (g_UU.v < 0.0))
-    if bad.any():
-        _frame_norm(g_UU.items()[int(bad.argmax())])
+    u = _lanes([components(U) for U in uframes], inv)
+    g_UU = _frame_norm(form, u)
 
     PointContext.fill_chol_t(uniq)
     dims = [f.dim for f in spec.fibers]
@@ -539,22 +427,9 @@ def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
             + [_Lanes(p[:, j], True) for p in ps for j in range(p.shape[1])]
             for ps in parts)
 
-    # _null; a plane whose direction is not finite raises below, and goes
-    # on from a zero d_perp until then
-    with np.errstate(invalid="ignore"):
-        g_DU = form(d, u)
-        c = (g_DU / g_UU).py()
-        d_perp = [a - c * b for a, b in zip(d, u)]
-        n2 = form(d_perp, d_perp)
-    finite = np.isfinite(g_DU.v) & np.isfinite(n2.v)
-    if not finite.all():
-        d_perp = [_Lanes(np.where(finite, a.v, 0.0), a.np) for a in d_perp]
-    spacelike = finite & ~(n2.v <= 1e-24)
-    beta = (-1.0 / g_UU).py()
-    gamma = (-1.0 / (g_UU * _spare(n2, spacelike))).sqrt()
-    l = [beta * a + gamma * b for a, b in zip(u, d_perp)]
-    g_LL = form(l, l)
+    l, g_DU, n2, finite, spacelike = _complete_null(form, u, g_UU, d)
     if base_free:
+        g_LL = form(l, l)
         g_LU = form(l, u)
         c = (g_LU / g_UU).py()
         v = [a - c * b for a, b in zip(l, u)]
@@ -568,18 +443,9 @@ def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
         w_norm = _Lanes(np.where(0.0 > g_ww.v, 0.0, g_ww.v)).sqrt()
         h = 0.9 * _Lanes(uniform) * w_norm
         s_cand = [h * a + b for a, b in zip(u, w)]
-        # _degenerate_plane
-        g_LU = form(l, u)
-        ok = spacelike & np.isfinite(g_LL.v) & np.isfinite(g_LU.v)
-        scale = np.where(np.abs(g_UU.v) > 1.0, np.abs(g_UU.v), 1.0)
-        ok &= ~(np.abs(g_LL.v) > 1e-9 * scale) & ~(np.abs(g_LU.v) < 1e-12)
-        g_LS = form(l, s_cand)
-        c = (g_LS / _spare(g_LU, ok)).py()
-        s = [a - c * b for a, b in zip(s_cand, u)]
-        g_SS = form(s, s)
-        ok &= np.isfinite(g_LS.v) & np.isfinite(g_SS.v) \
-            & ~(g_SS.v <= 1e-12 * scale)
-        normalized = np.abs(g_LU.v + 1.0) <= 1e-9
+        s, g_LL, g_LU, _, g_SS, refused, normalized = _project(
+            form, l, u, g_UU, s_cand, spacelike)
+        ok = spacelike & (refused == 0)
     g_LS = form(l, s)
 
     ls = list(zip(*(a.items() for a in l)))

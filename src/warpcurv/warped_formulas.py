@@ -43,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .core_types import (ManifoldSpec, Point, PointContext, TangentVector,
-                         flatten, split)
+                         _lanes, _Metric, flatten, split)
 from .tensor_oracle import lowered_riemann_batch, riemann_apply
 
 __all__ = [
@@ -252,9 +252,14 @@ def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
     ctx = PointContext.of(spec, p)
     x, y, z = (_flat(spec, v) for v in (X, Y, Z))
     lowered = np.einsum("abcd,a,b,c->d", ctx.riemann_tensor, x, y, z)
-    basis = np.eye(spec.dim)
-    g = np.array([[ctx.form(a, b) for b in basis] for a in basis])
-    return split(np.linalg.solve(g, lowered), spec)
+    # g(d_a, d_b) in one evaluation of the metric over the n^2 pairs
+    n = spec.dim
+    pairs = np.arange(n * n)
+    basis = np.eye(n)
+    g = _Metric(spec, [ctx], 0 * pairs)(
+        _lanes(np.repeat(basis, n, axis=0), pairs),
+        _lanes(np.tile(basis, (n, 1)), pairs))
+    return split(np.linalg.solve(g.v.reshape(n, n), lowered), spec)
 
 
 def _flat(spec: ManifoldSpec, v: TangentVector) -> np.ndarray:

@@ -302,6 +302,46 @@ class TestInputErrors:
         assert len(out.stderr.splitlines()) == 1
         assert message in out.stderr
 
+    EXTRA_FIBER = {"dim": 1, "model": "euclidean"}
+    EXTRA_WARPING = {"form": "exp", "params": {"c": 1.0, "k": 0.3}}
+
+    @pytest.mark.parametrize("kind,key", [
+        ("GRW", "fibers"), ("GRW", "warpings"), ("SSST", "fibers"),
+        ("SSST", "warpings"), ("Kasner", "warpings")])
+    def test_extra_entry_is_refused(self, kind, key):
+        """A GRW or static model has one fiber and one warping, and a
+        Kasner model one scale function: a second entry is refused, not
+        dropped."""
+        from warpcurv import spec_from_dict
+        from warpcurv.errors import ValidationError
+
+        d = {**self.GRW, "kind": kind, "fibers": [
+            {"dim": 2, "model": "euclidean"}]}
+        if kind == "Kasner":
+            d["kasner_exponents"] = [1.0]
+        spec_from_dict(d)
+        extra = self.EXTRA_FIBER if key == "fibers" else self.EXTRA_WARPING
+        d[key] = d[key] + [extra]
+        with pytest.raises(ValidationError) as err:
+            spec_from_dict(d)
+        assert str(err.value) == (f"spec: field {key!r} must hold one entry "
+                                  f"for kind {kind!r}, got 2")
+
+    def test_grw_file_with_two_fibers_is_2(self, tmp_path):
+        """Before, this file ran as the 4-D model of its first fiber and
+        warping, exit 0, with the hash of that truncated spec."""
+        spec = {**self.GRW, "fibers": [{"dim": 3, "model": "euclidean"},
+                                       self.EXTRA_FIBER],
+                "warpings": self.GRW["warpings"] + [self.EXTRA_WARPING]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        out = run_cli("report", str(path), "--out", str(tmp_path / "r.json"))
+        assert out.returncode == 2
+        assert out.stderr.splitlines() == [
+            "error: spec: field 'fibers' must hold one entry for kind 'GRW', "
+            "got 2"]
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("model", ["sphere", "hyperbolic"])
     def test_negative_radius_is_2(self, tmp_path, model):
         """A negative radius describes no fiber; it is not read as |r|."""

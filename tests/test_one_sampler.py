@@ -4,6 +4,9 @@ Only the sampler's functions draw normals (``.standard_normal``) or solve
 with the fiber metrics' Cholesky factors (``np.linalg.solve``), and
 ``cli.py`` draws its planes a batch at a time, never one plane per
 iteration of a loop.  A second draw loop grown back elsewhere fails here.
+So does a second copy of the plane arithmetic: ``normalize_null``,
+``make_degenerate_plane`` and the batched try must call the shared null
+completion and projection, and ``PointContext.form`` the batched metric.
 The source is read with ``ast``; nothing is patched."""
 
 import ast
@@ -111,3 +114,41 @@ def test_the_guard_sees_a_draw_loop():
     assert _calls(tree, _is_draw) == [("draw", 3, False), ("draw", 4, True)]
     assert _calls(tree, _names("sample_plane")) == [
         ("report", 6, True), ("report", 8, True), ("report", 9, False)]
+
+
+# the plane arithmetic, each stated once: who must call which statement
+SHARED = {
+    ("null_sectional.py", "normalize_null"): {"_complete_null"},
+    ("null_sectional.py", "make_degenerate_plane"): {"_project"},
+    ("null_sectional.py", "_tries"): {"_complete_null", "_project"},
+    ("core_types.py", "PointContext.form"): {"_Metric"},
+}
+
+
+def _functions(tree) -> dict:
+    """Each function of a module by name, a method as ``Class.name``."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update({f"{node.name}.{f.name}": f for f in node.body
+                          if isinstance(f, ast.FunctionDef)})
+    return found
+
+
+def test_the_plane_arithmetic_is_stated_once():
+    """The library's plane functions, the batched try and the metric form
+    run the shared lane statements; the scalar copies are gone."""
+    for (module, function), helpers in SHARED.items():
+        called = {name for name in helpers
+                  if _calls(_functions(_tree(module))[function],
+                            _names(name))}
+        assert called == helpers, (module, function)
+    defined = [(path.name, node.name) for path in MODULES
+               for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    assert not {name for _, name in defined} & {
+        "_null", "_degenerate_plane", "_fiber_inner"}
+    assert [d for d in defined if d[1] in ("_Lanes", "_Metric")] == [
+        ("core_types.py", "_Lanes"), ("core_types.py", "_Metric")]

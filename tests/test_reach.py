@@ -6,20 +6,22 @@ ricci|KU`` run in process on three catalog models (a Kasner, a static and a
 two-fiber model) under ``sys.setprofile``, which records the code of every
 Python function entered.  ``compare`` gets one chunk of samples, so it
 evaluates in this process and forks no worker.  A public name of
-``warped_formulas`` or ``tensor_oracle`` that none of these runs enters
-must be listed in ``LIBRARY_ONLY`` with the reason it stays; one that no
-command reads and nothing else needs should be deleted instead."""
+``warped_formulas``, ``tensor_oracle`` or ``null_sectional`` that none of
+these runs enters must be listed in ``LIBRARY_ONLY`` with the reason it
+stays; one that no command reads and nothing else needs should be deleted
+instead."""
 
 import inspect
 import sys
 
 import pytest
 
-from warpcurv import by_name, cli, tensor_oracle, warped_formulas
+from warpcurv import (by_name, cli, null_sectional, tensor_oracle,
+                      warped_formulas)
 
 MODELS = ("kasner_vacuum", "schwarzschild_exterior",
           "generalized_reissner_nordstrom_demo")
-MODULES = (warped_formulas, tensor_oracle)
+MODULES = (warped_formulas, tensor_oracle, null_sectional)
 
 # public names no command enters -> why each stays in src
 LIBRARY_ONLY = {
@@ -34,6 +36,19 @@ LIBRARY_ONLY = {
     "sectional_curvature_oracle": "FiberSpec.check_curvature_tag",
     "curvature_residuals": "the oracle's identity residuals, planned for "
                            "an opt-in report field (ROADMAP.md)",
+    "normalize_null": "the null completion of the sampler's try at one "
+                      "plane; a warpbench counter",
+    "make_degenerate_plane": "the projection of the sampler's try at one "
+                             "plane, for a caller's own L and S",
+    "sample_plane": "sample_planes at a batch of one; a warpbench span",
+    "isotropy_scan": "the frame-isotropy diagnostic at one point; a "
+                     "warpbench span",
+    "grw_remark_value": "the published base-free remark and its sign "
+                        "erratum, pinned by the tests",
+    **{f"{kind}_null_curvature": "a per-kind evaluator with its own guards "
+                                 "(ROADMAP item 4), pinned by the tests"
+       for kind in ("mgrw", "grw", "kasner", "type1", "type2", "type3",
+                    "ssst")},
 }
 
 

@@ -26,10 +26,11 @@ import numpy as np
 import pytest
 
 from test_compare import generic_point, generic_spec
-from warpcurv import (NullPlane, PointContext, TangentVector, catalog,
-                      default_frame, formula_paths, sample_plane,
+from warpcurv import (GeometryError, NullPlane, PointContext, TangentVector,
+                      catalog, default_frame, formula_paths,
+                      make_degenerate_plane, normalize_null, sample_plane,
                       sample_planes, specialized_null_curvature)
-from warpcurv.core_types import components
+from warpcurv.core_types import components, tangent
 from warpcurv.errors import ConstructionError, PlaneError, ValidationError
 
 CATALOG = catalog()
@@ -547,3 +548,82 @@ def test_direction_not_finite_raises_in_order(entry, base_free):
         draw(never=None)
     with pytest.raises(PlaneError, match="in 32 tries"):
         draw(never=1)
+
+
+# ---------------------------------------------------------------------------
+# the library's plane functions at one plane: the reference, bit for bit
+# ---------------------------------------------------------------------------
+
+def mixed(rng, n):
+    """n components: Python floats and np.float64s, with exact and signed
+    zeros among them."""
+    out = []
+    for x, kind, typed in zip(rng.standard_normal(n).tolist(),
+                              rng.integers(5, size=n), rng.integers(2, size=n)):
+        x = {3: 0.0, 4: -0.0}.get(int(kind), x)
+        out.append(np.float64(x) if typed else x)
+    return tuple(out)
+
+
+def mixed_vector(spec, rng):
+    return tangent(spec, mixed(rng, spec.dim))
+
+
+def numpy_frame(ctx):
+    """The tilted frame with every component a np.float64."""
+    U = tilted_frame(ctx)
+    return tangent(ctx.spec, tuple(map(np.float64, components(U))))
+
+
+def outcome(fn, *args, **kwargs):
+    """What ``fn`` returns, by bits, or the type and message it raises."""
+    try:
+        got = fn(*args, **kwargs)
+    except GeometryError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, NullPlane):
+        return plane_bits(got)
+    if isinstance(got, TangentVector):
+        return vector_bits(got)
+    return bits(got)
+
+
+FRAMES = [lambda ctx: default_frame(ctx.spec, ctx), tilted_frame, numpy_frame]
+
+
+def assert_one_plane(spec, point, seed):
+    """normalize_null, make_degenerate_plane and PointContext.inner, and
+    the reference's, at one point drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    g = PointContext(spec, point(rng))
+    X, Y = mixed_vector(spec, rng), mixed_vector(spec, rng)
+    for a, b in ((X, Y), (Y, X), (X, X)):
+        assert outcome(g.inner, a, b) == outcome(ref_inner, g, a, b)
+    U = FRAMES[seed % len(FRAMES)](g)
+    L = None
+    while L is None:  # until a direction has a spacelike part
+        D = mixed_vector(spec, rng)
+        for direction in (D, U):  # the frame itself has none
+            assert (outcome(normalize_null, spec, g, U, direction)
+                    == outcome(ref_normalize_null, spec, g, U, direction))
+        try:
+            L = normalize_null(spec, g, U, D)
+        except ConstructionError:
+            pass
+    S = mixed_vector(spec, rng)
+    for args in ((L, S, U), (-L, S, U), (L, S, None), (L, L, U), (D, S, U),
+                 (L, S, L)):
+        assert (outcome(make_degenerate_plane, spec, g, *args)
+                == outcome(ref_make_degenerate_plane, spec, g, *args))
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_plane_functions_at_one_plane(entry):
+    for seed in SEEDS:
+        assert_one_plane(entry.spec, entry.random_point, seed)
+
+
+def test_plane_functions_at_one_plane_on_a_chart_base():
+    spec = generic_spec()
+    for seed in SEEDS:
+        assert_one_plane(spec, generic_point, seed)
