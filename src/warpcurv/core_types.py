@@ -693,100 +693,29 @@ def point_from_flat(spec: ManifoldSpec, coords: Sequence[float]) -> Point:
 # ---------------------------------------------------------------------------
 
 # The metric, stated once for a batch of evaluations (:class:`_Metric`):
-# each scalar is a _Lanes, its float64 value at every evaluation and
-# whether scalar arithmetic would hold it as a numpy float64 or a Python
-# float.  Every operation is elementwise and in the scalar order, so each
-# value has the bits and the type one evaluation at a time would give; a
-# division or square root on a rejected evaluation reads a spared value.
+# each scalar is a float64 array, its value at every evaluation.  Every
+# operation is elementwise and in the order of one evaluation at a time,
+# so each value has the bits that evaluation gives; a division or square
+# root on a rejected evaluation reads a spared value (1.0).
 
-def _mask(flags: np.ndarray):
-    """True where every flag is set, False where none is, else the flags."""
-    return bool(flags.all()) or (flags if flags.any() else False)
-
-
-def _spare(x: "_Lanes", ok) -> "_Lanes":
-    """x where ``ok``, else 1.0: a divisor that a rejected lane spares."""
-    return _Lanes(np.where(ok, x.v, 1.0), x.np)
+def _lanes(vectors: Sequence, inv: np.ndarray) -> list[np.ndarray]:
+    """Flat chart components as lanes, one float64 array per component:
+    lane k reads vector ``inv[k]`` of ``vectors``."""
+    return list(np.array(vectors, dtype=float)[inv].T)
 
 
-def _lanes(vectors: Sequence, inv: np.ndarray) -> list["_Lanes"]:
-    """Flat chart components as lanes, one per component: lane k reads
-    vector ``inv[k]`` of ``vectors``, computed in float64, and is numpy
-    typed where that vector's component is a numpy scalar."""
-    values = np.array(vectors, dtype=float)[inv]
-    out = []
-    for v, col in zip(values.T, zip(*vectors)):
-        isnp = (False if set(map(type, col)) == {float} else
-                _mask(np.array([isinstance(c, np.generic) for c in col])[inv]))
-        out.append(_Lanes(v, isnp))
-    return out
-
-
-class _Lanes:
-    """One scalar across a batch: its values ``v`` (float64, one per
-    lane) and ``np``, a bool or a bool per lane: whether the scalar
-    arithmetic holds it as a numpy float64 rather than a Python float.  An
-    operation with a numpy operand gives a numpy result, as in Python."""
-
-    __slots__ = ("v", "np", "_zero")
-
-    def __init__(self, v, isnp=False):
-        self.v, self.np, self._zero = v, isnp, None
-
-    def _op(self, other, fn):
-        if isinstance(other, _Lanes):
-            return _Lanes(fn(self.v, other.v), self.np | other.np)
-        return _Lanes(fn(self.v, other), self.np)
-
-    def __add__(self, other):
-        return self._op(other, np.add)
-
-    def __sub__(self, other):
-        return self._op(other, np.subtract)
-
-    def __mul__(self, other):
-        return self._op(other, np.multiply)
-
-    def __truediv__(self, other):
-        return self._op(other, np.true_divide)
-
-    def __rmul__(self, other):
-        return _Lanes(other * self.v, self.np)
-
-    def __rtruediv__(self, other):
-        return _Lanes(other / self.v, self.np)
-
-    def __neg__(self):
-        return _Lanes(-self.v, self.np)
-
-    def py(self) -> "_Lanes":
-        """``float(x)``."""
-        return _Lanes(self.v)
-
-    def sqrt(self) -> "_Lanes":
-        """``math.sqrt(x)``."""
-        return _Lanes(np.sqrt(self.v))
-
-    def zero(self):
-        """Where the value is 0.0: True in every lane, False in none, else
-        a bool per lane."""
-        if self._zero is None:
-            self._zero = _mask(self.v == 0.0)
-        return self._zero
-
-    def items(self) -> list:
-        """The value in each lane, typed as in scalar arithmetic."""
-        if self.np is True:
-            return list(self.v)
-        if self.np is False:
-            return self.v.tolist()
-        return [np.float64(x) if t else x
-                for x, t in zip(self.v.tolist(), self.np.tolist())]
+def _zeros(v: np.ndarray):
+    """Where v is 0.0: True in every lane, False in none, else a bool per
+    lane."""
+    z = v == 0.0
+    if not z.any():
+        return False
+    return True if z.all() else z
 
 
 class _Metric:
-    """g(x, y) on flat chart components as :class:`_Lanes`, lane k at the
-    point of context ``uniq[inv[k]]``.  The base term comes first, then
+    """g(x, y) on flat chart components as lanes, lane k at the point of
+    context ``uniq[inv[k]]``.  The base term comes first, then
     ``b*b * g_F(v, w)`` per fiber (the static model's one fiber is
     unwarped), skipping zero components (``x + 0.0`` would turn -0.0 into
     +0.0, and ``inf * 0.0`` is NaN).  ``warps`` holds each lane's warping
@@ -798,23 +727,22 @@ class _Metric:
         self.base_rows = ([uniq[i].base_rows for i in inv]
                           if spec.base_chart is not None else None)
         self.warps = warps = np.array([g.warps for g in uniq])[inv]
-        self.b2 = [_Lanes(warps[:, i] * warps[:, i]) for i in range(spec.m)]
+        self.b2 = [warps[:, i] * warps[:, i] for i in range(spec.m)]
         if self.ssst:
-            self.neg_f2 = _Lanes(np.array([-(g.warps[0] ** 2)
-                                           for g in uniq])[inv])
+            self.neg_f2 = np.array([-(g.warps[0] ** 2) for g in uniq])[inv]
         self.rows = [np.array([g.fiber_rows[i] for g in uniq])[inv]
                      for i in range(spec.m)]
 
-    def __call__(self, x: list, y: list) -> _Lanes:
+    def __call__(self, x: list, y: list) -> np.ndarray:
         if self.ssst:
             acc = self.neg_f2 * x[0] * y[0]
             return acc + self._fiber(self.rows[0], x, y, 1)
         if self.base_rows is not None:
             nb = len(self.base_rows[0])
-            acc = _Lanes(np.array([
-                float(np.asarray([a.v[k] for a in x[:nb]]) @ rows
-                      @ np.asarray([b.v[k] for b in y[:nb]]))
-                for k, rows in enumerate(self.base_rows)]))
+            acc = np.array([
+                float(np.asarray([a[k] for a in x[:nb]]) @ rows
+                      @ np.asarray([b[k] for b in y[:nb]]))
+                for k, rows in enumerate(self.base_rows)])
         else:
             nb = 1
             acc = -x[0] * y[0]
@@ -824,25 +752,22 @@ class _Metric:
         return acc
 
     @staticmethod
-    def _fiber(rows: np.ndarray, x: list, y: list, ofs: int) -> _Lanes:
+    def _fiber(rows: np.ndarray, x: list, y: list, ofs: int) -> np.ndarray:
         """g_F(v, w) for the fiber block starting at ``ofs``; ``rows`` is
         (lanes, k, k)."""
-        acc = _Lanes(np.zeros(len(rows)))
         k = rows.shape[1]
+        zx = [_zeros(v) for v in x[ofs:ofs + k]]
+        zy = zx if y is x else [_zeros(w) for w in y[ofs:ofs + k]]
+        acc = np.zeros(len(rows))
         for i in range(k):
-            zi = x[ofs + i].zero()
-            if zi is True:
+            if zx[i] is True:
                 continue
             for j in range(k):
-                zj = y[ofs + j].zero()
-                if zj is True:
+                if zy[j] is True:
                     continue
-                term = acc + x[ofs + i] * _Lanes(rows[:, i, j]) * y[ofs + j]
-                skip = zi | zj
-                if skip is not False:
-                    term = _Lanes(np.where(skip, acc.v, term.v),
-                                  np.where(skip, acc.np, term.np))
-                acc = term
+                term = acc + x[ofs + i] * rows[:, i, j] * y[ofs + j]
+                skip = zx[i] | zy[j]
+                acc = term if skip is False else np.where(skip, acc, term)
         return acc
 
 
@@ -978,16 +903,27 @@ class PointContext:
         one = np.zeros(1, dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):
             return _Metric(self.spec, [self], one)(
-                _lanes([x], one), _lanes([y], one)).items()[0]
+                _lanes([x], one), _lanes([y], one)).tolist()[0]
 
     def plane(self, L: TangentVector, S: TangentVector,
               frame_U: TangentVector | None = None) -> "NullPlane":
-        """span(L, S) at the point with its normalization data."""
-        return NullPlane(point=self.point, L=L, S=S, frame_U=frame_U,
-                         g_LL=self.inner(L, L), g_LS=self.inner(L, S),
-                         g_SS=self.inner(S, S),
-                         g_LU=self.inner(L, frame_U) if frame_U is not None
-                         else -1.0, context=self)
+        """span(L, S) at the point with its normalization data: g(L,L),
+        g(L,S), g(S,S) and, with a frame, g(L,U) from one evaluation of
+        :class:`_Metric` (each as :meth:`inner` gives it).  The plane's
+        vectors are L, S and frame_U with Python float components."""
+        vectors = (L, S) if frame_U is None else (L, S, frame_U)
+        for v in vectors:
+            v.validate(self.spec)
+        flat = np.array([components(v) for v in vectors], dtype=float)
+        n = len(vectors) + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _Metric(self.spec, [self], np.zeros(n, dtype=np.intp))(
+                _lanes(flat, [0, 0, 1, 0][:n]),
+                _lanes(flat, [0, 1, 1, 2][:n])).tolist()
+        L, S, *U = (tangent(self.spec, tuple(c)) for c in flat.tolist())
+        return NullPlane(point=self.point, L=L, S=S,
+                         frame_U=U[0] if U else None, g_LL=g[0], g_LS=g[1],
+                         g_SS=g[2], g_LU=g[3] if U else -1.0, context=self)
 
     # -- filled on first use -------------------------------------------------
 

@@ -43,8 +43,8 @@ import numpy as np
 
 from ._frozen import Frozen, set_field
 from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
-                         TangentVector, _Lanes, _lanes, _Metric, _spare,
-                         all_finite, components, flatten, tangent)
+                         TangentVector, _lanes, _Metric, all_finite,
+                         components, flatten, split, tangent)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import value
@@ -124,7 +124,8 @@ def normalize_null(spec: ManifoldSpec, p: Point | PointContext,
     Solves for L with g(L,L) = 0 and g(L,U) = -1: the U-orthogonal part of
     ``direction`` fixes the spatial direction, the normalization fixes both
     scale factors uniquely (:func:`_complete_null` at a batch of one).  A
-    non-finite direction or frame raises PlaneError.
+    non-finite direction or frame raises PlaneError.  L's components are
+    Python floats.
     """
     g = PointContext.of(spec, p)
     U.validate(spec)
@@ -134,11 +135,11 @@ def normalize_null(spec: ManifoldSpec, p: Point | PointContext,
     with np.errstate(over="ignore", invalid="ignore"):
         l, g_DU, n2, finite, spacelike = _complete_null(form, u, g_UU, d)
     if not finite[0]:
-        raise _direction_not_finite(g_DU.items()[0], n2.items()[0])
+        raise _direction_not_finite(g_DU[0], n2[0])
     if not spacelike[0]:
         raise ConstructionError(
             "direction has no spacelike part; cannot complete to a null vector")
-    return tangent(spec, tuple(a.items()[0] for a in l))
+    return _vector(spec, l)
 
 def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
                           L: TangentVector, S_candidate: TangentVector,
@@ -150,26 +151,29 @@ def make_degenerate_plane(spec: ManifoldSpec, p: Point | PointContext,
     spacelike and independent of L.  L may carry either time orientation
     (the curvature of the plane is quadratic in L); the frame is attached
     to the plane only when L actually satisfies the congruence
-    normalization g(L,U) = -1.  Non-finite inputs raise PlaneError.
+    normalization g(L,U) = -1.  A frame that is not timelike raises
+    ValidationError (as in :func:`normalize_null`); non-finite inputs
+    raise PlaneError.  The plane's vectors and g-values are Python floats.
     """
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
     for v in (L, S_candidate, U):
         v.validate(spec)
     form, (l, s_cand, u) = _one_plane(g, L, S_candidate, U)
+    g_UU = _frame_norm(form, u)
     with np.errstate(over="ignore", invalid="ignore"):
-        g_UU = form(u, u)
         s, g_LL, g_LU, g_LS, g_SS, refused, normalized = _project(
             form, l, u, g_UU, s_cand, True)
-        values = [x.items()[0] for x in (g_LL, g_LU, g_UU, g_LS, g_SS)]
+        values = np.concatenate([g_LL, g_LU, g_UU, g_LS, g_SS]).tolist()
         if refused[0]:
             raise PlaneError(_REFUSALS[refused[0] - 1].format(*values))
-        return _plane(g, L, tangent(spec, tuple(a.items()[0] for a in s)),
-                      U if normalized[0] else None, values[0],
-                      form(l, s).items()[0], values[4], values[1])
+        return _plane(g, _vector(spec, l), _vector(spec, s),
+                      _vector(spec, u) if normalized[0] else None, values[0],
+                      form(l, s).tolist()[0], values[4], values[1])
 
-# The plane arithmetic runs on _Lanes (core_types): the batched try runs it
-# on a batch of planes, normalize_null and make_degenerate_plane on one.
+# The plane arithmetic runs on lanes, one float64 array per scalar
+# (core_types): the batched try runs it on a batch of planes,
+# normalize_null and make_degenerate_plane on one.
 
 def _one_plane(g: PointContext, *vectors: TangentVector):
     """The metric at g and each vector's flat components as lanes, for a
@@ -178,14 +182,19 @@ def _one_plane(g: PointContext, *vectors: TangentVector):
     return _Metric(g.spec, [g], one), [_lanes([components(v)], one)
                                        for v in vectors]
 
-def _frame_norm(form: _Metric, u: list) -> _Lanes:
+def _vector(spec: ManifoldSpec, lanes: list) -> TangentVector:
+    """The tangent vector of a batch of one plane's lanes, its components
+    Python floats."""
+    return tangent(spec, tuple(np.concatenate(lanes).tolist()))
+
+def _frame_norm(form: _Metric, u: list) -> np.ndarray:
     """g(U, U) per plane; the first frame U that is not timelike, or not
     finite, raises."""
     with np.errstate(over="ignore", invalid="ignore"):
         g_UU = form(u, u)
-    bad = ~(np.isfinite(g_UU.v) & (g_UU.v < 0.0))
+    bad = ~(np.isfinite(g_UU) & (g_UU < 0.0))
     if bad.any():
-        g_UU = g_UU.items()[int(bad.argmax())]
+        g_UU = g_UU.tolist()[int(bad.argmax())]
         if not all_finite(g_UU):
             raise PlaneError(f"frame is not finite: g(U,U) = {g_UU}")
         raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
@@ -195,22 +204,23 @@ def _direction_not_finite(g_DU: float, n2: float) -> PlaneError:
     return PlaneError(f"direction is not finite: g(D,U) = {g_DU}, "
                       f"g(D_perp,D_perp) = {n2}")
 
-def _complete_null(form: _Metric, u: list, g_UU: _Lanes, d: list):
+def _complete_null(form: _Metric, u: list, g_UU: np.ndarray, d: list):
     """The null L = beta U + gamma D_perp with g(L,U) = -1, D_perp the
     U-orthogonal part of the direction d: (L, g(D,U), g(D_perp,D_perp),
     where those two are finite, where D_perp is spacelike).  A plane whose
-    direction is not finite goes on from a zero D_perp."""
+    direction is not finite goes on from a zero D_perp, and one whose
+    D_perp is not spacelike from a spared g(D_perp,D_perp)."""
     with np.errstate(invalid="ignore"):
         g_DU = form(d, u)
-        c = (g_DU / g_UU).py()
+        c = g_DU / g_UU
         d_perp = [a - c * b for a, b in zip(d, u)]
         n2 = form(d_perp, d_perp)
-    finite = np.isfinite(g_DU.v) & np.isfinite(n2.v)
+    finite = np.isfinite(g_DU) & np.isfinite(n2)
     if not finite.all():
-        d_perp = [_Lanes(np.where(finite, a.v, 0.0), a.np) for a in d_perp]
-    spacelike = finite & ~(n2.v <= 1e-24)
-    beta = (-1.0 / g_UU).py()
-    gamma = (-1.0 / (g_UU * _spare(n2, spacelike))).sqrt()
+        d_perp = [np.where(finite, a, 0.0) for a in d_perp]
+    spacelike = finite & ~(n2 <= 1e-24)
+    beta = -1.0 / g_UU
+    gamma = np.sqrt(-1.0 / (g_UU * np.where(spacelike, n2, 1.0)))
     l = [beta * a + gamma * b for a, b in zip(u, d_perp)]
     return l, g_DU, n2, finite, spacelike
 
@@ -224,8 +234,8 @@ _REFUSALS = (
     "projected S is not spacelike (g(S,S) = {4:.3e}); "
     "candidate was parallel to L or timelike")
 
-def _project(form: _Metric, l: list, u: list, g_UU: _Lanes, s_cand: list,
-             live):
+def _project(form: _Metric, l: list, u: list, g_UU: np.ndarray,
+             s_cand: list, live):
     """S = S_candidate - (g(L,S_candidate) / g(L,U)) U, so g(L,S) = 0:
     (S, g(L,L), g(L,U), g(L,S_candidate), g(S,S), per plane the number of
     the first check of :data:`_REFUSALS` it fails or 0, and where
@@ -233,19 +243,19 @@ def _project(form: _Metric, l: list, u: list, g_UU: _Lanes, s_cand: list,
     the division, is spared."""
     g_LL = form(l, l)
     g_LU = form(l, u)
-    scale = np.where(np.abs(g_UU.v) > 1.0, np.abs(g_UU.v), 1.0)
-    checks = [np.isfinite(g_LL.v) & np.isfinite(g_LU.v) & np.isfinite(g_UU.v),
-              ~(np.abs(g_LL.v) > 1e-9 * scale), ~(np.abs(g_LU.v) < 1e-12)]
+    scale = np.where(np.abs(g_UU) > 1.0, np.abs(g_UU), 1.0)
+    checks = [np.isfinite(g_LL) & np.isfinite(g_LU) & np.isfinite(g_UU),
+              ~(np.abs(g_LL) > 1e-9 * scale), ~(np.abs(g_LU) < 1e-12)]
     g_LS = form(l, s_cand)
-    c = (g_LS / _spare(g_LU, live & np.logical_and.reduce(checks))).py()
+    c = g_LS / np.where(live & np.logical_and.reduce(checks), g_LU, 1.0)
     s = [a - c * b for a, b in zip(s_cand, u)]
     g_SS = form(s, s)
-    checks += [np.isfinite(g_LS.v) & np.isfinite(g_SS.v),
-               ~(g_SS.v <= 1e-12 * scale)]
+    checks += [np.isfinite(g_LS) & np.isfinite(g_SS),
+               ~(g_SS <= 1e-12 * scale)]
     checks = np.array(checks)
     refused = np.where(checks.all(axis=0), 0, checks.argmin(axis=0) + 1)
     return (s, g_LL, g_LU, g_LS, g_SS, refused,
-            np.abs(g_LU.v + 1.0) <= 1e-9)
+            np.abs(g_LU + 1.0) <= 1e-9)
 
 def _plane(g: PointContext, L: TangentVector, S: TangentVector,
            U: TangentVector | None, g_LL: float, g_LS: float, g_SS: float,
@@ -286,7 +296,8 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
     frame; a spacetime of dimension 2, which has no degenerate plane, and
     fibers of dimension 1 in all, since L and S are drawn in the fibers;
     a frame that is not timelike, or not finite (:class:`PlaneError`).
-    A plane carries its point's context.
+    A plane carries its point's context; every component of its L, S and
+    frame and every g-value is a Python float.
 
     The planes are those of one plane drawn at a time, in order, bit for
     bit, and each generator ends where it would: a generator may feed
@@ -320,6 +331,7 @@ def sample_planes(spec: ManifoldSpec, contexts, rngs,
                 "base_free=True needs a frame_U along the base, but frame_U "
                 f"has the fiber part {frame_U.fiber_parts}: no base-free S "
                 "is then orthogonal to L")
+        frame_U = split(flatten(frame_U), spec)  # Python float components
     if not gs:
         return []
     if frame_U is None and spec.kind == "SSST":
@@ -387,9 +399,8 @@ def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
     draw.  Then each generator draws a whole try per plane it feeds, in
     order; the solves with the Cholesky factors are one stacked ``solve``
     per fiber dimension.  L is :func:`_complete_null`'s, and S
-    :func:`_project`'s unless ``base_free``.  Context values are Python
-    floats (``hyperdual.value``); a numpy frame component is typed per
-    plane."""
+    :func:`_project`'s unless ``base_free``.  Every component of L and S
+    and every g-value of a plane is a Python float."""
     n = len(gs)
     index: dict = {}
     inv = np.array([index.setdefault(id(g), len(index)) for g in gs])
@@ -422,40 +433,40 @@ def _tries(spec: ManifoldSpec, gs: list, frames: list, rngs: list,
     if spec.kind != "SSST":  # SSST's one fiber is unwarped
         parts = [[p / form.warps[:, i:i + 1] for i, p in enumerate(ps)]
                  for ps in parts]
-    zero = _Lanes(np.zeros(n))
+    zero = np.zeros(n)
     d, w = ([zero] * spec.base_dim
-            + [_Lanes(p[:, j], True) for p in ps for j in range(p.shape[1])]
+            + [p[:, j] for p in ps for j in range(p.shape[1])]
             for ps in parts)
 
     l, g_DU, n2, finite, spacelike = _complete_null(form, u, g_UU, d)
     if base_free:
         g_LL = form(l, l)
         g_LU = form(l, u)
-        c = (g_LU / g_UU).py()
+        c = g_LU / g_UU
         v = [a - c * b for a, b in zip(l, u)]
-        c = (form(v, w) / _spare(form(v, v), spacelike)).py()
+        c = form(v, w) / np.where(spacelike, form(v, v), 1.0)
         s = [a - c * b for a, b in zip(w, v)]
         g_SS = form(s, s)
-        ok = spacelike & ~(g_SS.v <= 1e-12)
+        ok = spacelike & ~(g_SS <= 1e-12)
         normalized = np.ones(n, dtype=bool)
     else:
         g_ww = form(w, w)
-        w_norm = _Lanes(np.where(0.0 > g_ww.v, 0.0, g_ww.v)).sqrt()
-        h = 0.9 * _Lanes(uniform) * w_norm
+        w_norm = np.sqrt(np.where(0.0 > g_ww, 0.0, g_ww))
+        h = 0.9 * uniform * w_norm
         s_cand = [h * a + b for a, b in zip(u, w)]
         s, g_LL, g_LU, _, g_SS, refused, normalized = _project(
             form, l, u, g_UU, s_cand, spacelike)
         ok = spacelike & (refused == 0)
     g_LS = form(l, s)
 
-    ls = list(zip(*(a.items() for a in l)))
-    ss = list(zip(*(a.items() for a in s)))
-    g_values = zip(g_LL.items(), g_LS.items(), g_SS.items(), g_LU.items())
+    ls = list(zip(*(a.tolist() for a in l)))
+    ss = list(zip(*(a.tolist() for a in s)))
+    g_values = zip(g_LL.tolist(), g_LS.tolist(), g_SS.tolist(), g_LU.tolist())
     planes = []
     for k, (g, U, values) in enumerate(zip(gs, frames, g_values)):
         plane = None
         if not finite[k]:
-            plane = _direction_not_finite(g_DU.v[k], n2.v[k])
+            plane = _direction_not_finite(g_DU[k], n2[k])
         elif ok[k]:
             try:
                 plane = _plane(g, tangent(spec, ls[k]), tangent(spec, ss[k]),

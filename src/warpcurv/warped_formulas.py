@@ -259,7 +259,7 @@ def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
     g = _Metric(spec, [ctx], 0 * pairs)(
         _lanes(np.repeat(basis, n, axis=0), pairs),
         _lanes(np.tile(basis, (n, 1)), pairs))
-    return split(np.linalg.solve(g.v.reshape(n, n), lowered), spec)
+    return split(np.linalg.solve(g.reshape(n, n), lowered), spec)
 
 
 def _flat(spec: ManifoldSpec, v: TangentVector) -> np.ndarray:

@@ -6,8 +6,10 @@ with the fiber metrics' Cholesky factors (``np.linalg.solve``), and
 iteration of a loop.  A second draw loop grown back elsewhere fails here.
 So does a second copy of the plane arithmetic: ``normalize_null``,
 ``make_degenerate_plane`` and the batched try must call the shared null
-completion and projection, and ``PointContext.form`` the batched metric.
-The source is read with ``ast``; nothing is patched."""
+completion and projection, and ``PointContext.form`` the batched metric,
+which runs on float64 arrays: no class of ``src`` wraps a lane, and no
+code there tests for a numpy scalar type.  The source is read with
+``ast``; nothing is patched."""
 
 import ast
 from pathlib import Path
@@ -137,9 +139,25 @@ def _functions(tree) -> dict:
     return found
 
 
+def _numpy_scalar_tests(tree) -> list[int]:
+    """The lines that name ``np.generic`` (or ``numpy.generic``)."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "generic"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")]
+
+
+def test_the_guard_sees_a_numpy_scalar_test():
+    tree = ast.parse("import numpy as np\n"
+                     "def typed(c):\n"
+                     "    return isinstance(c, np.generic)\n")
+    assert _numpy_scalar_tests(tree) == [3]
+
+
 def test_the_plane_arithmetic_is_stated_once():
     """The library's plane functions, the batched try and the metric form
-    run the shared lane statements; the scalar copies are gone."""
+    run the shared lane statements on float64 arrays; the scalar copies
+    and the lane wrapper that typed their results are gone."""
     for (module, function), helpers in SHARED.items():
         called = {name for name in helpers
                   if _calls(_functions(_tree(module))[function],
@@ -149,6 +167,8 @@ def test_the_plane_arithmetic_is_stated_once():
                for node in ast.parse(path.read_text()).body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
     assert not {name for _, name in defined} & {
-        "_null", "_degenerate_plane", "_fiber_inner"}
-    assert [d for d in defined if d[1] in ("_Lanes", "_Metric")] == [
-        ("core_types.py", "_Lanes"), ("core_types.py", "_Metric")]
+        "_null", "_degenerate_plane", "_fiber_inner", "_Lanes"}
+    assert [d for d in defined if d[1] == "_Metric"] == [
+        ("core_types.py", "_Metric")]
+    assert {path.name: _numpy_scalar_tests(ast.parse(path.read_text()))
+            for path in MODULES} == {path.name: [] for path in MODULES}

@@ -17,6 +17,9 @@ generator seeded afresh) pass them, and when a first try is rejected in
 the middle of a batch.  It refuses a plane after 32 rejected tries as the
 reference does, a bad frame before any draw, and a direction that is not
 finite with its own error, in the order of the planes.
+
+Every number the plane functions hand back is a Python float, whatever
+numeric types the components of their inputs have.
 """
 
 import math
@@ -100,9 +103,12 @@ def ref_normalize_null(spec, p, U, direction):
 def ref_make_degenerate_plane(spec, p, L, S_candidate, frame_U=None):
     g = PointContext.of(spec, p)
     U = frame_U if frame_U is not None else default_frame(spec, g)
+    g_UU = ref_inner(g, U, U)
+    if g_UU >= 0.0:
+        raise ValidationError(f"frame must be timelike, g(U,U) = {g_UU}")
     g_LL = ref_inner(g, L, L)
     g_LU = ref_inner(g, L, U)
-    scale = max(1.0, abs(ref_inner(g, U, U)))
+    scale = max(1.0, abs(g_UU))
     if abs(g_LL) > 1e-9 * scale:
         raise PlaneError(f"L is not null: g(L,L) = {g_LL:.3e}")
     if abs(g_LU) < 1e-12:
@@ -171,8 +177,9 @@ def reference_sample_plane(spec, p, rng, frame_U=None, base_free=False):
 # ---------------------------------------------------------------------------
 
 def bits(x):
-    """A float's type and its 64 bits (the sign of a zero included)."""
-    return type(x), struct.pack("<d", x)
+    """A float's 64 bits (the sign of a zero included); its type is pinned
+    by ``test_every_number_handed_back_is_a_python_float``."""
+    return struct.pack("<d", x)
 
 
 def vector_bits(v):
@@ -354,8 +361,8 @@ def test_batches(entry, side, base_free):
 
 
 def test_batch_with_a_numpy_frame():
-    """A frame whose components are numpy floats gives numpy-typed
-    results where the scalar arithmetic does."""
+    """A frame with a numpy float component draws the reference's planes,
+    bit for bit."""
     entry = CATALOG[0]
 
     def frame(ctx):
@@ -511,11 +518,15 @@ def spacelike_frame(spec):
     return TangentVector.fiber_direction(spec, 0, [1.0] + [0.0] * (dim - 1))
 
 
-@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
-@pytest.mark.parametrize("frame, error, message", [
-    (spacelike_frame, ValidationError, "frame must be timelike"),
+# a frame that is not timelike or not finite: its error type and message
+BAD_FRAMES = pytest.mark.parametrize("frame, error, message", [
+    (spacelike_frame, ValidationError, "^frame must be timelike"),
     (lambda spec: TangentVector.base_direction(spec, math.nan), PlaneError,
-     "frame is not finite")], ids=["spacelike", "nan"])
+     "^frame is not finite")], ids=["spacelike", "nan"])
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@BAD_FRAMES
 def test_bad_frame_raises_before_any_draw(entry, frame, error, message):
     """A batch of 3 planes fed by one generator, in the congruence of a
     frame that is not timelike or not finite: the frame's error, and the
@@ -627,3 +638,96 @@ def test_plane_functions_at_one_plane_on_a_chart_base():
     spec = generic_spec()
     for seed in SEEDS:
         assert_one_plane(spec, generic_point, seed)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+@BAD_FRAMES
+def test_make_degenerate_plane_refuses_a_bad_frame(entry, frame, error,
+                                                   message):
+    """make_degenerate_plane reads g(U,U) as normalize_null and the
+    sampler do: a frame that is not timelike or not finite raises that
+    frame's error, before L is checked."""
+    spec = entry.spec
+    g = PointContext(spec, entry.default_point())
+    L = normalize_null(spec, g, default_frame(spec, g), spacelike_frame(spec))
+    with pytest.raises(error, match=message) as raised:
+        make_degenerate_plane(spec, g, L, spacelike_frame(spec), frame(spec))
+    assert type(raised.value) is error
+
+
+# ---------------------------------------------------------------------------
+# every number handed back is a Python float
+# ---------------------------------------------------------------------------
+
+TYPES = (float, np.float64, np.float32, int)
+
+
+def retyped(spec, v, shift, exact=False):
+    """v with component k cast to ``TYPES[(k + shift) % 4]``; a component
+    that the cast would change is cast to float instead where it is not a
+    whole number (to int), or where ``exact`` (to np.float32)."""
+    comps = []
+    for k, c in enumerate(components(v)):
+        cast = TYPES[(k + shift) % len(TYPES)]
+        if (cast is int or exact) and float(cast(c)) != c:
+            cast = float
+        comps.append(cast(c))
+    return tangent(spec, tuple(comps))
+
+
+def assert_floats(got):
+    """Every number of ``got`` is a Python float: a plane's components of
+    L, S and frame_U and its g-values, a vector's components, a scalar."""
+    if isinstance(got, NullPlane):
+        for v in (got.L, got.S, got.frame_U):
+            if v is not None:
+                assert_floats(v)
+        for k in ("g_LL", "g_LS", "g_SS", "g_LU"):
+            assert type(getattr(got, k)) is float, k
+    elif isinstance(got, TangentVector):
+        assert {type(c) for c in components(got)} == {float}
+    else:
+        assert type(got) is float
+
+
+def assert_float_contract(spec, point, seed):
+    """The plane functions, on inputs whose components are Python floats,
+    np.float64s, np.float32s and ints, hand back Python floats."""
+    rng = np.random.default_rng(seed)
+    g = PointContext(spec, point(rng))
+    seen = set()
+    for shift in range(len(TYPES)):
+        U = retyped(spec, tilted_frame(g), shift)
+        F = retyped(spec, default_frame(spec, g), shift)  # along the base
+        X = retyped(spec, mixed_vector(spec, rng), shift)
+        Y = retyped(spec, tangent(spec, tuple(rng.standard_normal(spec.dim))),
+                    shift)
+        seen.update(type(c) for v in (U, F, X, Y) for c in components(v))
+        assert_floats(g.inner(X, Y))
+        assert_floats(g.form(components(X), components(Y)))
+        L = normalize_null(spec, g, U, X)
+        assert_floats(L)
+        L = retyped(spec, L, shift, exact=True)
+        for frame in (U, None):
+            assert_floats(make_degenerate_plane(spec, g, L, Y, frame))
+            assert_floats(NullPlane.build(spec, g.point, L, Y, frame))
+        for frame in (U, None):
+            for plane in sample_planes(spec, [g] * 3,
+                                       [np.random.default_rng(seed)] * 3,
+                                       frame_U=frame):
+                assert_floats(plane)
+        assert_floats(sample_plane(spec, g, np.random.default_rng(seed),
+                                   frame_U=F, base_free=True))
+    assert seen == set(TYPES)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_every_number_handed_back_is_a_python_float(entry):
+    for seed in range(3):
+        assert_float_contract(entry.spec, entry.random_point, seed)
+
+
+def test_every_number_handed_back_is_a_python_float_on_a_chart_base():
+    spec = generic_spec()
+    for seed in range(3):
+        assert_float_contract(spec, generic_point, seed)
