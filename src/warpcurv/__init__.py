@@ -19,15 +19,11 @@ from .errors import (ConstraintError, ConstructionError,
                      DegenerateMetricError, DomainError, GeometryError,
                      PlaneError, ShapeError, ValidationError)
 from .models import CatalogEntry, KnownFact, by_name, catalog, validate_entry
-from .null_sectional import (NullCurvatureResult, default_frame, formula_paths,
-                             grw_null_curvature, grw_remark_value,
-                             isotropy_scan, kasner_null_curvature,
-                             make_degenerate_plane, mgrw_null_curvature,
-                             normalize_null, null_curvature_generic,
-                             sample_plane, sample_planes,
-                             specialized_null_curvature,
-                             ssst_null_curvature, type1_null_curvature,
-                             type2_null_curvature, type3_null_curvature)
+from .null_sectional import (NullCurvatureResult, closed_form, default_frame,
+                             formula_paths, isotropy_scan,
+                             make_degenerate_plane, normalize_null,
+                             null_curvature_generic, sample_plane,
+                             sample_planes, specialized_null_curvature)
 from .tensor_oracle import (CoordinateChart, CurvatureTensors,
                             curvature_residuals, lowered_riemann,
                             metric_partials, null_sectional_oracle,

@@ -1197,9 +1197,10 @@ class NullPlane(Frozen):
     ``context`` is the :class:`PointContext` the plane was built at, which
     the evaluators reuse.  ``form_inputs`` is a read-only slot for the
     inputs of the plane's closed forms:
-    :func:`~warpcurv.null_sectional.specialized_null_curvature` fills it
-    from ``context`` on first use, so every formula path of one plane
-    shares them.  Neither takes part in comparisons.
+    :func:`~warpcurv.null_sectional.closed_form` fills it from
+    ``context`` on first use, after it validates the plane, so every
+    formula path and display of one plane shares them.  Neither takes
+    part in comparisons.
     """
 
     __slots__ = ("point", "L", "S", "frame_U", "g_LL", "g_LS", "g_SS",

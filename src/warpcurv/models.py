@@ -20,8 +20,8 @@ from .core_types import (Interval, ManifoldSpec, Point, PointContext,
                          kasner_spec, mgrw_spec, schwarzschild_spatial_fiber,
                          sphere_fiber, split, ssst_spec)
 from .errors import ValidationError
-from .null_sectional import (formula_paths, isotropy_scan, sample_plane,
-                             specialized_null_curvature, ssst_remark_value)
+from .null_sectional import (closed_form, formula_paths, isotropy_scan,
+                             sample_plane, specialized_null_curvature)
 from .tensor_oracle import null_sectional_oracle, riemann_oracle
 from .warped_formulas import ricci_general
 
@@ -327,7 +327,7 @@ def _check_static_offset(entry, fact, seed, n_planes, rows, paths):
     rng = np.random.default_rng(np.uint64(seed))
     p = entry.random_point(rng)
     plane = sample_plane(spec, p, rng, base_free=True)
-    k_r = ssst_remark_value(spec, p, plane, "derived")
+    k_r = closed_form(spec, plane, "SSST remark")
     resid = abs((k_f - k_r) - fact.expected)
     rows.append(_row(fact, "oracle", resid, resid <= fact.tol))
 

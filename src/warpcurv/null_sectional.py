@@ -19,12 +19,13 @@ Every specialized evaluator here carries two formula paths:
   cancel); the compare machinery in :mod:`warpcurv.cli` records every
   such disagreement in a machine-readable ledger.
 
-The closed forms live in one table, display -> path -> term function.
-The multi-fiber derived sum is written once and serves MGRW, Kasner and
-the type 2/3 displays; the single-fiber sum serves GRW and type 1.  The
-public evaluators are thin wrappers that keep their own guards (fiber
-signature, Kasner constraints, plane validation) and read the table;
-``formula_paths`` and ``specialized_null_curvature`` read the entries
+The closed forms live in one table: each display has its paths (path ->
+term function) and its guards as data (the model kinds it describes, a
+single fiber, a fiber signature, the Kasner constraint, a base-free
+plane).  The multi-fiber derived sum is written once and serves MGRW,
+Kasner and the type 2/3 displays; the single-fiber sum serves GRW and
+type 1.  :func:`closed_form` evaluates any display on a plane;
+``formula_paths`` and ``specialized_null_curvature`` read the displays
 named after the model kinds.
 
 Breakdown keys are shared between paths so mismatches line up term by
@@ -42,9 +43,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._frozen import Frozen, set_field
-from .core_types import (ManifoldSpec, NullPlane, Point, PointContext,
-                         TangentVector, _lanes, _Metric, all_finite,
-                         components, flatten, split, tangent)
+from .core_types import (_TIME_BASE_KINDS, ManifoldSpec, NullPlane, Point,
+                         PointContext, TangentVector, _lanes, _Metric,
+                         all_finite, components, flatten, split, tangent)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .hyperdual import value
@@ -59,14 +60,7 @@ __all__ = [
     "sample_plane",
     "sample_planes",
     "null_curvature_generic",
-    "mgrw_null_curvature",
-    "grw_null_curvature",
-    "grw_remark_value",
-    "kasner_null_curvature",
-    "type1_null_curvature",
-    "type2_null_curvature",
-    "type3_null_curvature",
-    "ssst_null_curvature",
+    "closed_form",
     "specialized_null_curvature",
     "formula_paths",
     "isotropy_summary",
@@ -518,7 +512,8 @@ def _oriented_time_L(L: TangentVector, unit: float) -> TangentVector:
     return L if a < 0 else -L
 
 class _TimeData(Frozen):
-    """Per-fiber scalars entering the time-base closed forms."""
+    """Per-fiber scalars entering the time-base closed forms, on a plane
+    with L = -d_t + sum V_i and S = h d_t + sum W_j."""
 
     __slots__ = ("b", "db", "ddb", "gVV", "gVW", "gWW", "rF", "h", "v", "w",
                  "ps", "phi")
@@ -549,14 +544,15 @@ class _TimeData(Frozen):
         return -self.h * self.h + sum(
             self.b[j] ** 2 * self.gWW[j] for j in range(len(self.b)))
 
-def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
-               S: TangentVector) -> _TimeData:
-    if not spec.is_time_base:
-        raise ValidationError(f"{spec.kind} is not a time-base kind")
-    ctx = PointContext.of(spec, p)
+def _time_data(ctx: PointContext, plane: NullPlane) -> _TimeData:
+    """The time-base closed forms' inputs; the plane is validated after
+    L's shape is checked."""
+    spec = ctx.spec
+    L, S = plane.L, plane.S
     L.validate(spec)
     S.validate(spec)
     L = _oriented_time_L(L, 1.0)
+    plane.validate(tol=1e-9)
     b, db, ddb, gvv, gvw, gww, rf, vs, ws = [], [], [], [], [], [], [], [], []
     # b, b', b'' from the warp bundle: spec.warping_derivatives' call, once
     for i, (fib, wd) in enumerate(zip(WarpedGeometry(spec).fibers,
@@ -579,7 +575,9 @@ def _time_data(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
                      tuple(ws), spec.kasner_exponents, phi)
 
 def _multi_derived(d: _TimeData) -> NullCurvatureResult:
-    """The oracle-verified multi-fiber sum (MGRW, Kasner, types 2 and 3)."""
+    """The oracle-verified multi-fiber sum (MGRW, Kasner, types 2 and 3).
+    On Kasner it carries the full chain rule: phi' and phi'' enter every
+    differentiated warping phi**p_i through b' and b''."""
     idx = range(len(d.b))
     h = d.h
     terms = {
@@ -618,6 +616,7 @@ def _single_derived(d: _TimeData) -> NullCurvatureResult:
 # the printed displays, transcribed literally, typos included
 
 def _mgrw_printed(d: _TimeData) -> NullCurvatureResult:
+    """The published MGRW theorem display."""
     idx = range(len(d.b))
     h = d.h
     terms = {
@@ -641,6 +640,9 @@ def _mgrw_printed(d: _TimeData) -> NullCurvatureResult:
         terms, d.g_SS, extra={"denominator_alt_product": alt})
 
 def _mgrw_corollary(d: _TimeData) -> NullCurvatureResult:
+    """The published h d_t specialization: its denominator prints a second
+    derivative of h where the bilinear expansion forces -h^2, and its
+    bracket term carries an extra (b')^2 b'' factor."""
     idx = range(len(d.b))
     h = d.h
     terms = {
@@ -663,6 +665,10 @@ def _mgrw_corollary(d: _TimeData) -> NullCurvatureResult:
     return NullCurvatureResult.from_terms(terms, denominator)
 
 def _grw_printed(d: _TimeData) -> NullCurvatureResult:
+    """The printed single-fiber corollary drops the mixed Hessian term,
+    flips the sign of the H(Y,Y) term, and evaluates the warp-rate
+    bracket with ``g(V,W)^2 - g_F(W,W)/b^2`` under a plus sign; all three
+    mismatches are oracle-adjudicated in favor of the derived form."""
     b, db, ddb = d.b[0], d.db[0], d.ddb[0]
     gvv, gvw, gww, r = d.gVV[0], d.gVW[0], d.gWW[0], d.rF[0]
     h = d.h
@@ -676,10 +682,12 @@ def _grw_printed(d: _TimeData) -> NullCurvatureResult:
     return NullCurvatureResult.from_terms(terms, -h * h + b * b * gww)
 
 def _grw_remark(sign: float):
-    """The base-free value K_F/b^2 + sign (b''/b - (b'/b)^2)."""
+    """The base-free (Y = 0) value K_F/b^2 + sign (b''/b - (b'/b)^2).
+
+    The published remark attaches the correction with a plus sign; the
+    oracle fixes it to minus.  Both orientations vanish exactly when the
+    warping is c * e^(k t), which is the remark's characterization."""
     def form(d: _TimeData) -> float:
-        if abs(d.h) > _SHAPE_TOL:
-            raise ValidationError("remark form applies to planes with no base part")
         b, db, ddb = d.b[0], d.db[0], d.ddb[0]
         qf = d.gVV[0] * d.gWW[0] - d.gVW[0] ** 2
         kf = d.rF[0] / qf
@@ -688,6 +696,10 @@ def _grw_remark(sign: float):
     return form
 
 def _kasner_printed(d: _TimeData) -> NullCurvatureResult:
+    """The printed Kasner corollary with warpings phi**p_i reads as if
+    phi' = 1 and phi'' = 0 in its explicit terms, keeps symbolic Hessians
+    in the mixed terms, and its bracket term accretes an extra
+    p_i (p_i - 1) phi**(p_i - 2) factor."""
     phi, ps = d.phi, d.ps
     idx = range(len(ps))
     h = d.h
@@ -784,37 +796,48 @@ def _type3_printed(d: _TimeData) -> NullCurvatureResult:
     return NullCurvatureResult.unchecked(terms, denominator, 1e-300)
 
 class _StaticData(Frozen):
-    """The scalars entering the static closed forms (see
-    :func:`ssst_null_curvature`)."""
+    """The scalars entering the static closed forms, on a plane with
+    L = -f^-1 d_t + V and S = h d_t + W."""
 
-    __slots__ = ("f", "h", "hVV", "hVW", "hWW", "rF", "grad_sq", "g_SS")
+    __slots__ = ("f", "h", "gVV", "gVW", "gWW", "hVV", "hVW", "hWW", "rF",
+                 "grad_sq")
 
     def __init__(self,
                  f: float,        # the potential
                  h: float,        # base coefficient of S
+                 gVV: float,      # g_F(V,V), g_F(V,W), g_F(W,W)
+                 gVW: float,
+                 gWW: float,
                  hVV: float,      # H(V,V), H(V,W), H(W,W): the potential's
                  hVW: float,      # fiber Hessian
                  hWW: float,
                  rF: float,       # g_F(R_F(V,W)W, V)
-                 grad_sq: float,  # g_F(grad f, grad f)
-                 g_SS: float):
+                 grad_sq: float):  # g_F(grad f, grad f)
         set_field(self, "f", f)
         set_field(self, "h", h)
+        set_field(self, "gVV", gVV)
+        set_field(self, "gVW", gVW)
+        set_field(self, "gWW", gWW)
         set_field(self, "hVV", hVV)
         set_field(self, "hVW", hVW)
         set_field(self, "hWW", hWW)
         set_field(self, "rF", rF)
         set_field(self, "grad_sq", grad_sq)
-        set_field(self, "g_SS", g_SS)
+
+    @property
+    def g_SS(self) -> float:
+        return -self.f * self.f * self.h * self.h + self.gWW
 
 def _static_data(ctx: PointContext, plane: NullPlane) -> _StaticData:
-    """The static closed forms' inputs on a plane with L = +-f^-1 d_t + V."""
+    """The static closed forms' inputs on a plane with L = +-f^-1 d_t + V;
+    the plane is validated after L's shape is checked."""
     f = ctx.warps[0]
     L = plane.L
     a = float(L.base_part)
     if abs(abs(a) - 1.0 / f) > _SHAPE_TOL:
         raise ShapeError(
             f"L must have base coefficient +-1/f = {1.0 / f:.6g}, got {a:.6g}")
+    plane.validate(tol=1e-9)
     if a > 0:
         L = -L
     h = float(plane.S.base_part)
@@ -822,16 +845,26 @@ def _static_data(ctx: PointContext, plane: NullPlane) -> _StaticData:
     v = np.asarray(L.fiber_parts[0], float)
     w = np.asarray(plane.S.fiber_parts[0], float)
     G = ctx.fiber_metrics[0]
-    return _StaticData(f, h, float(v @ wd.hess @ v), float(v @ wd.hess @ w),
-                       float(w @ wd.hess @ w),
-                       _spatial_curvature_quadratic(ctx, v, w, G), wd.grad_sq,
-                       -f * f * h * h + float(w @ G @ w))
+    gvv = float(v @ G @ v)
+    gvw = float(v @ G @ w)
+    gww = float(w @ G @ w)
+    k = ctx.spec.fibers[0].constant_curvature
+    if k is not None:
+        rf = k * (gvv * gww - gvw * gvw)
+    else:  # the spatial factor is the structural base
+        rf = float(riemann_apply(ctx.base_tensors, v, w, w) @ G @ v)
+    return _StaticData(f, h, gvv, gvw, gww, float(v @ wd.hess @ v),
+                       float(v @ wd.hess @ w), float(w @ wd.hess @ w), rf,
+                       wd.grad_sq)
 
 # the gradient-squared prefactor multiplies (g_I(Y, d_t)^2 + g_I(Y, Y))
 # = h^2 - h^2, identically zero for a time-directed base part
 _GRAD_BRACKET = 0.0
 
 def _ssst_derived(d: _StaticData) -> NullCurvatureResult:
+    """The oracle-verified static numerator
+    f h^2 H(V,V) + 2 h H(V,W) + H(W,W)/f + g_F(R_F(V,W)W, V),
+    H the potential's fiber Hessian."""
     f, h = d.f, d.h
     terms = {"grad_sq": _GRAD_BRACKET, "hess_VV": f * h * h * d.hVV,
              "hess_VW": 2.0 * h * d.hVW, "hess_WW": d.hWW / f,
@@ -839,7 +872,12 @@ def _ssst_derived(d: _StaticData) -> NullCurvatureResult:
     return NullCurvatureResult.from_terms(terms, d.g_SS)
 
 def _ssst_printed(flip: float):
-    """``flip`` is the display's H(W,W) sign."""
+    """The printed static corollary keeps a gradient-squared term that
+    vanishes identically for time-directed Y, drops the mixed Hessian pair
+    as if it cancelled, and orders the fiber curvature slots so its
+    curvature term enters with the opposite sign.  ``flip`` is the
+    display's H(W,W) sign: the unit-normalized display flips it
+    (``printed_unit_s``, meaningful on planes with g(S,S) = 1)."""
     def form(d: _StaticData) -> NullCurvatureResult:
         f, h = d.f, d.h
         terms = {"grad_sq": -d.grad_sq * _GRAD_BRACKET,
@@ -848,184 +886,122 @@ def _ssst_printed(flip: float):
         return NullCurvatureResult.from_terms(terms, d.g_SS)
     return form
 
-# display -> path -> term function.  The displays named after a model kind
-# are that kind's formula paths (``formula_paths``, ``compare``); the type
-# 1/2/3 displays and the remark are library-only.  The time-base term
-# functions take a _TimeData, the static ones a _StaticData.
-_FORMS = {
-    "MGRW": {"derived": _multi_derived, "printed": _mgrw_printed,
-             "printed_corollary": _mgrw_corollary},
-    "GRW": {"derived": _single_derived, "printed": _grw_printed},
-    "Kasner": {"derived": _multi_derived, "printed": _kasner_printed},
-    "SSST": {"derived": _ssst_derived, "printed": _ssst_printed(1.0),
-             "printed_unit_s": _ssst_printed(-1.0)},
-    "GRW remark": {"derived": _grw_remark(-1.0), "printed": _grw_remark(1.0)},
-    "type1": {"derived": _single_derived, "printed": _type1_printed},
-    "type2": {"derived": _multi_derived, "printed": _type2_printed},
-    "type3": {"derived": _multi_derived, "printed": _type3_printed},
-}
-
-def _form(display: str, path: str):
-    try:
-        return _FORMS[display][path]
-    except KeyError:
-        raise ValidationError(f"unknown path {path!r}") from None
-
-def _time_form(spec: ManifoldSpec, p: Point | PointContext, L: TangentVector,
-               S: TangentVector, display: str, path: str):
-    """One time-base display's path, evaluated on the plane (L, S) at p."""
-    form = _form(display, path)
-    return form(_time_data(spec, p, L, S))
-
-def mgrw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                        L: TangentVector, S: TangentVector,
-                        path: str = "derived") -> NullCurvatureResult:
-    """Closed-form K for L = -d_t + sum V_i, S = h d_t + sum W_j.
-
-    ``path='derived'`` evaluates the oracle-verified term sum;
-    ``path='printed'`` the published theorem display; ``path='printed_corollary'``
-    the published h d_t specialization (whose denominator prints a second
-    derivative of h where the bilinear expansion forces -h^2, and whose
-    bracket term carries an extra (b')^2 b'' factor).
-    """
-    return _time_form(spec, p, L, S, "MGRW", path)
-
-def grw_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                       plane: NullPlane,
-                       path: str = "derived") -> NullCurvatureResult:
-    """Single-fiber closed form on a validated plane.
-
-    The printed corollary drops the mixed Hessian term, flips the sign of
-    the H(Y,Y) term, and evaluates the warp-rate bracket with
-    ``g(V,W)^2 - g_F(W,W)/b^2`` under a plus sign; all three mismatches
-    are oracle-adjudicated in favor of the derived form.
-    """
-    if spec.kind not in ("GRW", "MGRW", "Kasner") or spec.m != 1:
-        raise ValidationError("grw_null_curvature requires a single-fiber model")
-    plane.validate(tol=1e-9)
-    return _time_form(spec, p, plane.L, plane.S, "GRW", path)
-
-def grw_remark_value(spec: ManifoldSpec, p: Point | PointContext,
-                     plane: NullPlane,
-                     path: str = "derived") -> float:
-    """The base-free (Y = 0) value K_F/b^2 +- (b''/b - (b'/b)^2).
-
-    The published remark attaches the correction with a plus sign; the
-    oracle fixes it to minus.  Both orientations vanish exactly when the
-    warping is c * e^(k t), which is the remark's characterization.
-    """
-    if spec.kind not in ("GRW", "MGRW", "Kasner") or spec.m != 1:
-        raise ValidationError("grw_remark_value requires a single-fiber model")
-    return _time_form(spec, p, plane.L, plane.S, "GRW remark", path)
-
-def kasner_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                          L: TangentVector, S: TangentVector,
-                          path: str = "derived") -> NullCurvatureResult:
-    """Kasner closed form with warpings phi**p_i.
-
-    The derived path carries the full chain rule (phi' and phi'' enter
-    every differentiated warping).  The printed corollary reads as if
-    phi' = 1 and phi'' = 0 in its explicit terms, keeps symbolic Hessians
-    in the mixed terms, and its bracket term accretes an extra
-    p_i (p_i - 1) phi**(p_i - 2) factor; transcribed literally.
-    """
-    if spec.kind != "Kasner":
-        raise ValidationError("kasner_null_curvature requires kind='Kasner'")
-    return _time_form(spec, p, L, S, "Kasner", path)
-
-def _require_signature(spec: ManifoldSpec, dims: tuple[int, ...], who: str) -> None:
-    got = tuple(f.dim for f in spec.fibers)
-    if got != dims:
-        raise ValidationError(f"{who} requires fiber signature {dims}, got {got}")
-
-def type1_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                         L: TangentVector, S: TangentVector,
-                         path: str = "derived") -> NullCurvatureResult:
-    """Single 3-dimensional fiber; the derived path is the GRW sum."""
-    _require_signature(spec, (3,), "type1_null_curvature")
-    return _time_form(spec, p, L, S, "type1", path)
-
-def type2_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                         L: TangentVector, S: TangentVector,
-                         path: str = "derived") -> NullCurvatureResult:
-    """Fiber signature (1, 2): a line fiber plus a surface fiber; the
-    derived path is the MGRW sum."""
-    _require_signature(spec, (1, 2), "type2_null_curvature")
-    return _time_form(spec, p, L, S, "type2", path)
-
-def type3_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                         L: TangentVector, S: TangentVector,
-                         path: str = "derived") -> NullCurvatureResult:
-    """Three line fibers with Kasner warpings; exponents must satisfy
-    sum p_i = sum p_i^2 = 1 (checked to 1e-12).  The derived path is the
-    MGRW sum."""
-    _require_signature(spec, (1, 1, 1), "type3_null_curvature")
-    ps = spec.kasner_exponents
-    if ps is None:
-        raise ConstraintError("type3 requires Kasner exponents")
-    if abs(sum(ps) - 1.0) > 1e-12 or abs(sum(q * q for q in ps) - 1.0) > 1e-12:
-        raise ConstraintError(
-            f"Kasner constraint violated: sum p = {sum(ps)}, "
-            f"sum p^2 = {sum(q * q for q in ps)}")
-    return _time_form(spec, p, L, S, "type3", path)
-
-def ssst_null_curvature(spec: ManifoldSpec, p: Point | PointContext,
-                        plane: NullPlane,
-                        path: str = "derived") -> NullCurvatureResult:
-    """Standard static closed form on a plane normalized with U = f^-1 d_t.
-
-    Derived numerator:
-        f h^2 H(V,V) + 2 h H(V,W) + H(W,W)/f + g_F(R_F(V,W)W, V)
-    with H the potential's fiber Hessian.  The printed corollary keeps a
-    gradient-squared term that vanishes identically for time-directed Y,
-    drops the mixed Hessian pair as if it cancelled, and orders the fiber
-    curvature slots so its curvature term enters with the opposite sign;
-    its unit-normalized display additionally flips the H(W,W) sign
-    (``path='printed_unit_s'``, meaningful on planes with g(S,S) = 1).
-    """
-    if spec.kind != "SSST":
-        raise ValidationError("ssst_null_curvature requires kind='SSST'")
-    plane.validate(tol=1e-9)
-    form = _form("SSST", path)
-    return form(_static_data(PointContext.of(spec, p), plane))
-
-def _spatial_curvature_quadratic(ctx: PointContext, v, w, G) -> float:
-    """g_F(R_F(V,W)W, V) on the static model's spatial factor."""
-    k = ctx.spec.fibers[0].constant_curvature
-    if k is not None:
-        gvv = float(v @ G @ v)
-        gvw = float(v @ G @ w)
-        gww = float(w @ G @ w)
-        return k * (gvv * gww - gvw * gvw)
-    # the spatial factor is the structural base
-    rww = riemann_apply(ctx.base_tensors, v, w, w)
-    return float(rww @ G @ v)
-
-def ssst_remark_value(spec: ManifoldSpec, p: Point | PointContext,
-                      plane: NullPlane,
-                      path: str = "derived") -> float:
-    """Base-free (Y = 0) static value: K_F(V,W) +- H(W,W)/(f g_F(W,W)).
+def _ssst_remark(sign: float):
+    """The base-free (Y = 0) static value K_F(V,W) + sign H(W,W)/(f g_F(W,W)).
 
     The published remark subtracts the Hessian ratio; the oracle fixes the
     sign to plus.  Under H = k f g_F the derived value is K_F + k."""
-    if spec.kind != "SSST":
-        raise ValidationError("ssst_remark_value requires kind='SSST'")
-    if abs(float(plane.S.base_part)) > _SHAPE_TOL:
-        raise ValidationError("remark form applies to planes with no base part")
-    ctx = PointContext.of(spec, p)
-    f = ctx.warps[0]
-    wd = ctx.warp_bundle[0]
-    G = ctx.fiber_metrics[0]
-    v = np.asarray(plane.L.fiber_parts[0], float)
-    w = np.asarray(plane.S.fiber_parts[0], float)
-    gvv = float(v @ G @ v)
-    gvw = float(v @ G @ w)
-    gww = float(w @ G @ w)
-    hww = float(w @ wd.hess @ w)
-    qf = gvv * gww - gvw * gvw
-    kf = _spatial_curvature_quadratic(ctx, v, w, G) / qf
-    ratio = hww / (f * gww)
-    return kf + ratio if path == "derived" else kf - ratio
+    def form(d: _StaticData) -> float:
+        kf = d.rF / (d.gVV * d.gWW - d.gVW * d.gVW)
+        return kf + sign * (d.hWW / (d.f * d.gWW))
+    return form
+
+class _Display(Frozen):
+    """One display of the closed-form table: its paths and the guards
+    :func:`closed_form` checks before it evaluates one of them."""
+
+    __slots__ = ("paths", "kinds", "single_fiber", "signature", "kasner",
+                 "base_free")
+
+    def __init__(self,
+                 paths: dict,                      # path -> term function
+                 kinds: tuple = _TIME_BASE_KINDS,  # the model kinds it describes
+                 single_fiber: bool = False,       # one fiber, of any dimension
+                 signature: tuple | None = None,   # the fibers' dimensions
+                 kasner: bool = False,             # sum p = sum p^2 = 1, to 1e-12
+                 base_free: bool = False):         # an S with no base part
+        set_field(self, "paths", paths)
+        set_field(self, "kinds", kinds)
+        set_field(self, "single_fiber", single_fiber)
+        set_field(self, "signature", signature)
+        set_field(self, "kasner", kasner)
+        set_field(self, "base_free", base_free)
+
+    def check(self, display: str, spec: ManifoldSpec,
+              plane: NullPlane) -> None:
+        """Raise unless ``display`` describes ``spec`` and ``plane``."""
+        if spec.kind not in self.kinds:
+            wanted = " or ".join(f"kind={k!r}" for k in self.kinds)
+            raise ValidationError(
+                f"{display} requires {wanted}, got kind={spec.kind!r}")
+        if self.single_fiber and spec.m != 1:
+            raise ValidationError(f"{display} requires a single-fiber model")
+        if self.signature is not None:
+            dims = tuple(f.dim for f in spec.fibers)
+            if dims != self.signature:
+                raise ValidationError(f"{display} requires fiber signature "
+                                      f"{self.signature}, got {dims}")
+        if self.kasner:
+            ps = spec.kasner_exponents
+            s1, s2 = sum(ps), sum(q * q for q in ps)
+            if abs(s1 - 1.0) > 1e-12 or abs(s2 - 1.0) > 1e-12:
+                raise ConstraintError(
+                    f"{display} requires the Kasner constraint sum p = "
+                    f"sum p^2 = 1, got sum p = {s1}, sum p^2 = {s2}")
+        if self.base_free and abs(float(plane.S.base_part)) > _SHAPE_TOL:
+            raise ValidationError(
+                f"{display} applies to planes with no base part")
+
+# display -> its paths and guards.  The displays named after a model kind
+# are that kind's formula paths (``formula_paths``, ``compare``); the type
+# 1/2/3 displays and the two remarks are library-only.  The time-base term
+# functions take a _TimeData, the static ones a _StaticData.
+_FORMS = {
+    "MGRW": _Display({"derived": _multi_derived, "printed": _mgrw_printed,
+                      "printed_corollary": _mgrw_corollary}),
+    "GRW": _Display({"derived": _single_derived, "printed": _grw_printed},
+                    single_fiber=True),
+    "Kasner": _Display({"derived": _multi_derived, "printed": _kasner_printed},
+                       kinds=("Kasner",)),
+    "SSST": _Display({"derived": _ssst_derived, "printed": _ssst_printed(1.0),
+                      "printed_unit_s": _ssst_printed(-1.0)},
+                     kinds=("SSST",)),
+    "GRW remark": _Display({"derived": _grw_remark(-1.0),
+                            "printed": _grw_remark(1.0)},
+                           single_fiber=True, base_free=True),
+    "SSST remark": _Display({"derived": _ssst_remark(1.0),
+                             "printed": _ssst_remark(-1.0)},
+                            kinds=("SSST",), base_free=True),
+    # one 3-dimensional fiber; derived by the GRW sum
+    "type1": _Display({"derived": _single_derived, "printed": _type1_printed},
+                      signature=(3,)),
+    # a line fiber and a surface fiber; derived by the MGRW sum
+    "type2": _Display({"derived": _multi_derived, "printed": _type2_printed},
+                      signature=(1, 2)),
+    # three line fibers with Kasner warpings; derived by the MGRW sum
+    "type3": _Display({"derived": _multi_derived, "printed": _type3_printed},
+                      kinds=("Kasner",), signature=(1, 1, 1), kasner=True),
+}
+
+def closed_form(spec: ManifoldSpec, plane: NullPlane, display: str,
+                path: str = "derived"):
+    """One path of one display of the closed-form table, on a plane.
+
+    The display's guards come first: the model kinds it describes and,
+    where the display has them, a single fiber, a fiber signature, the
+    Kasner constraint and an S with no base part.  Its inputs (a
+    _TimeData, or a _StaticData on the static model) are built from the
+    plane's context on first use: L's shape is checked, the plane is
+    validated, and the inputs are kept in the plane's ``form_inputs``
+    slot, so every path and display of one plane shares them.  A display
+    gives a :class:`NullCurvatureResult`, a remark its value alone.
+    """
+    try:
+        row = _FORMS[display]
+    except KeyError:
+        raise ValidationError(f"unknown display {display!r}") from None
+    try:
+        form = row.paths[path]
+    except KeyError:
+        raise ValidationError(f"unknown path {path!r}") from None
+    row.check(display, spec, plane)
+    p = PointContext.of(spec, plane.context or plane.point)
+    data = plane.form_inputs
+    if data is None:
+        data = (_static_data if spec.kind == "SSST" else _time_data)(p, plane)
+        if p is plane.context:  # the inputs belong to the plane's own context
+            object.__setattr__(plane, "form_inputs", data)
+    return form(data)
 
 # ---------------------------------------------------------------------------
 # dispatch, paths, and the isotropy diagnostic
@@ -1034,30 +1010,18 @@ def ssst_remark_value(spec: ManifoldSpec, p: Point | PointContext,
 def formula_paths(spec: ManifoldSpec) -> tuple[str, ...]:
     """Formula paths available for this spec's specialized evaluator: its
     kind's display in the closed-form table, else the generic expansion."""
-    return tuple(_FORMS[spec.kind]) if spec.kind in _FORMS else ("derived",)
+    return tuple(_FORMS[spec.kind].paths) if spec.kind in _FORMS else ("derived",)
 
 def specialized_null_curvature(spec: ManifoldSpec, plane: NullPlane,
                                path: str = "derived") -> NullCurvatureResult:
-    """Route a plane to its model kind's display in the closed-form table.
-
-    The display's inputs (a _TimeData, or the static scalars) are built
-    from the plane's context on first use and kept in the plane's
-    ``form_inputs`` slot, so every path of one plane shares them."""
-    p = PointContext.of(spec, plane.context or plane.point)
-    if spec.kind not in _FORMS:
-        if path != "derived":
-            raise ValidationError(f"{spec.kind} has no printed closed form")
-        return null_curvature_generic(spec, plane)
-    form = _form(spec.kind, path)
-    data = plane.form_inputs
-    if data is None:
-        if spec.kind in ("SSST", "GRW"):  # as their public evaluators do
-            plane.validate(tol=1e-9)
-        data = (_static_data(p, plane) if spec.kind == "SSST"
-                else _time_data(spec, p, plane.L, plane.S))
-        if p is plane.context:  # the inputs belong to the plane's own context
-            object.__setattr__(plane, "form_inputs", data)
-    return form(data)
+    """The closed form of the plane's model kind: :func:`closed_form` at
+    the display named after ``spec.kind``, else the generic expansion,
+    which has the derived path alone."""
+    if spec.kind in _FORMS:
+        return closed_form(spec, plane, spec.kind, path)
+    if path != "derived":
+        raise ValidationError(f"{spec.kind} has no printed closed form")
+    return null_curvature_generic(spec, plane)
 
 def isotropy_summary(values) -> dict:
     """Mean K over a set of planes at one point and the largest deviation

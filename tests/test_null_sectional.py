@@ -3,6 +3,7 @@ reference expansion vs the chart oracle, and the closed-form identities
 (exponential warping, static offsets, scaling laws)."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,19 +12,15 @@ from test_sampler_bits import tilted_frame
 from warpcurv import (CoordinateChart, Interval, NullPlane, PlaneError,
                       Point, PointContext, ShapeError, TangentVector,
                       ValidationError, WarpingFunction,
-                      assemble_chart, by_name, catalog, default_frame,
-                      euclidean_fiber, flatten, formula_paths,
-                      generic_warped_spec,
-                      grw_null_curvature, grw_remark_value, grw_spec,
-                      isotropy_scan, kasner_null_curvature, kasner_spec,
-                      make_degenerate_plane, metric_eval,
-                      mgrw_null_curvature, mgrw_spec, normalize_null,
-                      null_curvature_generic, null_sectional_oracle,
-                      sample_plane, specialized_null_curvature, sphere_fiber,
-                      split, ssst_null_curvature, type1_null_curvature,
-                      type2_null_curvature, type3_null_curvature)
+                      assemble_chart, by_name, catalog, closed_form,
+                      default_frame, euclidean_fiber, flatten, formula_paths,
+                      generic_warped_spec, grw_spec, isotropy_scan,
+                      kasner_spec, make_degenerate_plane, metric_eval,
+                      mgrw_spec, normalize_null, null_curvature_generic,
+                      null_sectional_oracle, sample_plane,
+                      specialized_null_curvature, sphere_fiber, split)
 from warpcurv.errors import ConstraintError, ConstructionError
-from warpcurv.null_sectional import isotropy_summary, ssst_remark_value
+from warpcurv.null_sectional import _FORMS, isotropy_summary
 
 
 def minkowski():
@@ -372,7 +369,7 @@ class TestExponentialCharacterization:
                     p = Point(float(t), ((1.2, 1.0, 0.5),))
                     plane = sample_plane(spec, p, rng)
                     b = c * math.exp(k * t)
-                    kv = grw_null_curvature(spec, p, plane, "derived").value
+                    kv = closed_form(spec, plane, "GRW", "derived").value
                     assert abs(kv - 1.0 / (b * b)) <= 1e-10
 
     @pytest.mark.parametrize("q", [1.0, 2.0, -1.0])
@@ -387,7 +384,7 @@ class TestExponentialCharacterization:
             p = Point(t, ((1.2, 1.0, 0.5),))
             plane = sample_plane(spec, p, rng)
             b = t ** q
-            kv = grw_null_curvature(spec, p, plane, "derived").value
+            kv = closed_form(spec, plane, "GRW", "derived").value
             residual = 1.0 / (b * b) - kv
             assert abs(residual - (-q / (t * t))) <= 1e-10 * max(1.0, abs(q / t / t))
 
@@ -400,7 +397,7 @@ class TestExponentialCharacterization:
         t = 2.0
         p = Point(t, ((0.1, 0.2, 0.3),))
         plane = sample_plane(spec, p, rng)
-        kv = grw_null_curvature(spec, p, plane, "derived").value
+        kv = closed_form(spec, plane, "GRW", "derived").value
         assert (0.0 - kv) == pytest.approx(-1.0 / (t * t), abs=1e-10)
 
     def test_remark_orientations(self):
@@ -416,8 +413,8 @@ class TestExponentialCharacterization:
         plane = sample_plane(spec, p, rng, base_free=True)
         k_oracle = null_sectional_oracle(chart, list(p.flat(spec)),
                                          flatten(plane.L), flatten(plane.S))
-        derived = grw_remark_value(spec, p, plane, "derived")
-        printed = grw_remark_value(spec, p, plane, "printed")
+        derived = closed_form(spec, plane, "GRW remark", "derived")
+        printed = closed_form(spec, plane, "GRW remark", "printed")
         assert derived == pytest.approx(k_oracle, rel=1e-10)
         assert printed != pytest.approx(k_oracle, rel=1e-3)
         assert derived - printed == pytest.approx(2.0 / (t * t), rel=1e-10)
@@ -437,7 +434,7 @@ class TestKasner:
         rng = np.random.default_rng(14)
         p = Point(1.0, ((0.1,), (0.2,), (0.3,)))
         plane = sample_plane(spec, p, rng)
-        assert kasner_null_curvature(spec, p, plane.L, plane.S).value == \
+        assert closed_form(spec, plane, "Kasner").value == \
             pytest.approx(0.0, abs=1e-12)
 
     def test_derived_equals_generic(self):
@@ -447,7 +444,7 @@ class TestKasner:
         for _ in range(25):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            k1 = kasner_null_curvature(spec, p, plane.L, plane.S).value
+            k1 = closed_form(spec, plane, "Kasner").value
             k2 = null_curvature_generic(spec, plane).value
             assert k1 == pytest.approx(k2, rel=1e-10, abs=1e-12)
 
@@ -460,7 +457,7 @@ class TestKasner:
             rng = np.random.default_rng(42)
             p = Point(t, ((0.1,), (0.2,), (0.3,)))
             plane = sample_plane(spec, p, rng)
-            vals[t] = kasner_null_curvature(spec, p, plane.L, plane.S).value
+            vals[t] = closed_form(spec, plane, "Kasner").value
         ratio = vals[0.01] / vals[0.1]
         assert abs(ratio - 100.0) <= 1.0
 
@@ -473,7 +470,7 @@ class TestKasner:
         plane = sample_plane(spec, p, rng)
         k_oracle = null_sectional_oracle(chart, list(p.flat(spec)),
                                          flatten(plane.L), flatten(plane.S))
-        printed = kasner_null_curvature(spec, p, plane.L, plane.S, "printed")
+        printed = closed_form(spec, plane, "Kasner", "printed")
         assert abs(printed.value - k_oracle) > 1e-6
 
 
@@ -489,8 +486,8 @@ class TestFourDimensionalTypes:
         rng = np.random.default_rng(17)
         p = entry.random_point(rng)
         plane = sample_plane(spec, p, rng, base_free=True)
-        r1 = type1_null_curvature(spec, p, plane.L, plane.S)
-        assert r1.value == pytest.approx(grw_remark_value(spec, p, plane, "derived"),
+        r1 = closed_form(spec, plane, "type1")
+        assert r1.value == pytest.approx(closed_form(spec, plane, "GRW remark", "derived"),
                                          rel=1e-10)
 
     def test_type1_matches_grw_on_general_planes(self):
@@ -500,8 +497,8 @@ class TestFourDimensionalTypes:
         for _ in range(20):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            r1 = type1_null_curvature(spec, p, plane.L, plane.S).value
-            rg = grw_null_curvature(spec, p, plane, "derived").value
+            r1 = closed_form(spec, plane, "type1").value
+            rg = closed_form(spec, plane, "GRW", "derived").value
             assert r1 == pytest.approx(rg, rel=1e-12)
 
     def test_type2_merged_fiber_consistency(self):
@@ -517,13 +514,13 @@ class TestFourDimensionalTypes:
             p2 = Point(t, ((0.1,), (0.2, 0.3)))
             p1 = Point(t, ((0.1, 0.2, 0.3),))
             plane = sample_plane(split_spec, p2, rng)
-            k2 = type2_null_curvature(split_spec, p2, plane.L, plane.S).value
+            k2 = closed_form(split_spec, plane, "type2").value
             flat_L = flatten(plane.L)
             flat_S = flatten(plane.S)
             merged_plane = NullPlane.build(
                 merged_spec, p1,
                 split(flat_L, merged_spec), split(flat_S, merged_spec))
-            k1 = grw_null_curvature(merged_spec, p1, merged_plane, "derived").value
+            k1 = closed_form(merged_spec, merged_plane, "GRW", "derived").value
             assert k2 == pytest.approx(k1, rel=1e-11)
 
     def test_type3_flat_exponents_vanish(self):
@@ -534,7 +531,7 @@ class TestFourDimensionalTypes:
         for _ in range(25):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            k = type3_null_curvature(spec, p, plane.L, plane.S).value
+            k = closed_form(spec, plane, "type3").value
             assert abs(k) <= 1e-9
 
     def test_type3_matches_kasner_evaluator(self):
@@ -544,21 +541,14 @@ class TestFourDimensionalTypes:
         for _ in range(20):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            k3 = type3_null_curvature(spec, p, plane.L, plane.S).value
-            kk = kasner_null_curvature(spec, p, plane.L, plane.S).value
+            k3 = closed_form(spec, plane, "type3").value
+            kk = closed_form(spec, plane, "Kasner").value
             assert k3 == pytest.approx(kk, rel=1e-11)
 
     def test_type3_constraint_enforced(self):
-        spec = kasner_spec(Interval(0.0, math.inf),
-                           WarpingFunction.from_form("power", {"c": 1, "q": 1}),
-                           (0.5, 0.5, 0.5),
-                           [euclidean_fiber(1, ("x",)), euclidean_fiber(1, ("y",)),
-                            euclidean_fiber(1, ("z",))])
-        p = Point(1.0, ((0.1,), (0.2,), (0.3,)))
-        L = TangentVector(-1.0, ((1.0,), (0.0,), (0.0,)))
-        S = TangentVector(0.0, ((0.0,), (1.0,), (0.0,)))
+        spec, plane = _unconstrained_kasner()
         with pytest.raises(ConstraintError):
-            type3_null_curvature(spec, p, L, S)
+            closed_form(spec, plane, "type3")
 
     def test_signature_mismatch_rejected(self):
         entry = by_name("grw_exponential")
@@ -566,8 +556,9 @@ class TestFourDimensionalTypes:
         p = Point(0.0, ((1.2, 1.0, 0.5),))
         L = TangentVector(-1.0, ((1.0, 0.0, 0.0),))
         S = TangentVector(0.0, ((0.0, 1.0, 0.0),))
+        plane = NullPlane.build(spec, p, L, S)
         with pytest.raises(ValidationError):
-            type2_null_curvature(spec, p, L, S)
+            closed_form(spec, plane, "type2")
 
     def test_shape_validation(self):
         entry = by_name("grw_exponential")
@@ -575,8 +566,9 @@ class TestFourDimensionalTypes:
         p = Point(0.0, ((1.2, 1.0, 0.5),))
         bad_L = TangentVector(-0.5, ((1.0, 0.0, 0.0),))
         S = TangentVector(0.0, ((0.0, 1.0, 0.0),))
+        plane = NullPlane.build(spec, p, bad_L, S)
         with pytest.raises(ShapeError):
-            type1_null_curvature(spec, p, bad_L, S)
+            closed_form(spec, plane, "type1")
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +584,7 @@ class TestStaticModels:
         for _ in range(25):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            k = ssst_null_curvature(spec, p, plane).value
+            k = closed_form(spec, plane, "SSST").value
             assert k == pytest.approx(1.0, rel=1e-10)
 
     def test_anti_de_sitter_constant_zero(self):
@@ -604,7 +596,7 @@ class TestStaticModels:
         for _ in range(20):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            assert abs(ssst_null_curvature(spec, p, plane).value) <= 1e-8
+            assert abs(closed_form(spec, plane, "SSST").value) <= 1e-8
 
     def test_hessian_eigenvalue_offset(self):
         """Potential with H = k f g: the offset K_F - K equals -k over 50
@@ -616,7 +608,7 @@ class TestStaticModels:
         for _ in range(50):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng, base_free=True)
-            k = ssst_null_curvature(spec, p, plane).value
+            k = closed_form(spec, plane, "SSST").value
             assert (k_f - k) == pytest.approx(-1.0, abs=1e-8)
 
     def test_remark_orientations(self):
@@ -625,9 +617,9 @@ class TestStaticModels:
         rng = np.random.default_rng(25)
         p = entry.random_point(rng)
         plane = sample_plane(spec, p, rng, base_free=True)
-        assert ssst_remark_value(spec, p, plane, "derived") == pytest.approx(
+        assert closed_form(spec, plane, "SSST remark", "derived") == pytest.approx(
             0.0, abs=1e-10)
-        assert ssst_remark_value(spec, p, plane, "printed") == pytest.approx(
+        assert closed_form(spec, plane, "SSST remark", "printed") == pytest.approx(
             -2.0, abs=1e-10)
 
     def test_printed_unit_s_path_on_normalized_planes(self):
@@ -640,8 +632,8 @@ class TestStaticModels:
         unit_S = (1.0 / math.sqrt(plane.g_SS)) * plane.S
         unit_plane = NullPlane.build(spec, p, plane.L, unit_S,
                                      frame_U=plane.frame_U)
-        derived = ssst_null_curvature(spec, p, unit_plane, "derived")
-        printed3 = ssst_null_curvature(spec, p, unit_plane, "printed_unit_s")
+        derived = closed_form(spec, unit_plane, "SSST", "derived")
+        printed3 = closed_form(spec, unit_plane, "SSST", "printed_unit_s")
         diff = derived.breakdown["hess_WW"] - printed3.breakdown["hess_WW"]
         assert diff == pytest.approx(2.0 * derived.breakdown["hess_WW"], rel=1e-12)
 
@@ -653,7 +645,7 @@ class TestStaticModels:
         S = TangentVector(0.0, ((0.0, 1.0, 0.0),))
         with pytest.raises((ShapeError, PlaneError)):
             plane = NullPlane.build(spec, p, L, S)
-            ssst_null_curvature(spec, p, plane)
+            closed_form(spec, plane, "SSST")
 
 
 # ---------------------------------------------------------------------------
@@ -673,8 +665,8 @@ def test_ssst_remark_refuses_a_time_base_model(name):
     spec, p, plane = _base_free_plane(name)
     for path in ("derived", "printed"):
         with pytest.raises(ValidationError,
-                           match="ssst_remark_value requires kind='SSST'"):
-            ssst_remark_value(spec, p, plane, path)
+                           match="SSST remark requires kind='SSST'"):
+            closed_form(spec, plane, "SSST remark", path)
 
 
 @pytest.mark.parametrize("name", ["kasner_vacuum",
@@ -685,8 +677,117 @@ def test_grw_remark_refuses_a_multi_fiber_model(name):
     spec, p, plane = _base_free_plane(name)
     for path in ("derived", "printed"):
         with pytest.raises(ValidationError,
-                           match="grw_remark_value requires a single-fiber"):
-            grw_remark_value(spec, p, plane, path)
+                           match="GRW remark requires a single-fiber model"):
+            closed_form(spec, plane, "GRW remark", path)
+
+
+@pytest.mark.parametrize("display,name", [("GRW remark", "grw_exponential"),
+                                          ("SSST remark", "anti_de_sitter_cover")])
+def test_remark_refuses_an_unknown_path(display, name):
+    spec, p, plane = _base_free_plane(name)
+    with pytest.raises(ValidationError, match="unknown path 'bogus'"):
+        closed_form(spec, plane, display, "bogus")
+
+
+# ---------------------------------------------------------------------------
+# every display's guards and the plane validation of the closed-form entry
+# ---------------------------------------------------------------------------
+
+def _sampled(name):
+    """A catalog model and a plane drawn on it, whose S has a base part."""
+    entry = by_name(name)
+    rng = np.random.default_rng(29)
+    return entry.spec, sample_plane(entry.spec, entry.random_point(rng), rng)
+
+
+def _unconstrained_kasner():
+    """Kasner exponents (0.5, 0.5, 0.5): sum p = 1.5, sum p^2 = 0.75."""
+    spec = kasner_spec(Interval(0.0, math.inf),
+                       WarpingFunction.from_form("power", {"c": 1, "q": 1}),
+                       (0.5, 0.5, 0.5),
+                       [euclidean_fiber(1, ("x",)), euclidean_fiber(1, ("y",)),
+                        euclidean_fiber(1, ("z",))])
+    p = Point(1.0, ((0.1,), (0.2,), (0.3,)))
+    L = TangentVector(-1.0, ((1.0,), (0.0,), (0.0,)))
+    S = TangentVector(0.0, ((0.0,), (1.0,), (0.0,)))
+    return spec, NullPlane.build(spec, p, L, S)
+
+
+TIME_KINDS = "kind='MGRW' or kind='GRW' or kind='Kasner'"
+
+# display -> (a model and plane it refuses, the error type, its message)
+REFUSALS = {
+    "MGRW": (lambda: _sampled("einstein_static"), ValidationError,
+             f"MGRW requires {TIME_KINDS}, got kind='SSST'"),
+    "GRW": (lambda: _sampled("generalized_reissner_nordstrom_demo"),
+            ValidationError, "GRW requires a single-fiber model"),
+    "Kasner": (lambda: _sampled("grw_exponential"), ValidationError,
+               "Kasner requires kind='Kasner', got kind='GRW'"),
+    "SSST": (lambda: _sampled("kasner_vacuum"), ValidationError,
+             "SSST requires kind='SSST', got kind='Kasner'"),
+    "GRW remark": (lambda: _sampled("grw_exponential"), ValidationError,
+                   "GRW remark applies to planes with no base part"),
+    "SSST remark": (lambda: _sampled("anti_de_sitter_cover"), ValidationError,
+                    "SSST remark applies to planes with no base part"),
+    "type1": (lambda: _sampled("einstein_static"), ValidationError,
+              f"type1 requires {TIME_KINDS}, got kind='SSST'"),
+    "type2": (lambda: _sampled("grw_exponential"), ValidationError,
+              "type2 requires fiber signature (1, 2), got (3,)"),
+    "type3": (_unconstrained_kasner, ConstraintError,
+              "type3 requires the Kasner constraint sum p = sum p^2 = 1, "
+              "got sum p = 1.5, sum p^2 = 0.75"),
+}
+
+
+@pytest.mark.parametrize("display", list(_FORMS))
+def test_every_display_refuses_what_it_does_not_describe(display):
+    make, error, message = REFUSALS[display]
+    spec, plane = make()
+    for path in _FORMS[display].paths:
+        with pytest.raises(error, match=re.escape(message)):
+            closed_form(spec, plane, display, path)
+
+
+def _non_null_plane(display):
+    """A model the display describes and a plane it would accept but for
+    L, which has the display's base coefficient and is not null."""
+    if display.startswith("SSST"):
+        spec = by_name("anti_de_sitter_cover").spec
+        p = Point(0.0, ((0.8, 1.1, 0.4),))
+        f = spec.potential_value(p.fiber_coords[0])
+        L = TangentVector(-1.0 / f, ((0.1, 0.0, 0.0),))
+        S = TangentVector(0.0, ((0.0, 1.0, 0.0),))
+    elif display in ("Kasner", "type3"):
+        spec = by_name("kasner_vacuum").spec
+        p = Point(1.0, ((0.1,), (0.2,), (0.3,)))
+        L = TangentVector(-1.0, ((3.0,), (0.0,), (0.0,)))
+        S = TangentVector(0.0, ((0.0,), (1.0,), (0.0,)))
+    elif display == "type2":
+        spec = _type2_spec()
+        p = Point(1.0, ((0.1,), (1.2, 0.5)))
+        L = TangentVector(-1.0, ((3.0,), (0.0, 0.0)))
+        S = TangentVector(0.0, ((0.0,), (1.0, 0.0)))
+    else:
+        spec = by_name("grw_exponential").spec
+        p = Point(0.0, ((1.2, 1.0, 0.5),))
+        L = TangentVector(-1.0, ((3.0, 0.0, 0.0),))
+        S = TangentVector(0.0, ((0.0, 1.0, 0.0),))
+    return spec, NullPlane.build(spec, p, L, S)
+
+
+@pytest.mark.parametrize("display", list(_FORMS))
+def test_every_display_refuses_a_non_null_plane(display):
+    spec, plane = _non_null_plane(display)
+    assert abs(plane.g_LL) > 0.5
+    for path in _FORMS[display].paths:
+        with pytest.raises(PlaneError, match="L not null"):
+            closed_form(spec, plane, display, path)
+
+
+def test_unknown_display_is_refused():
+    spec, plane = _sampled("grw_exponential")
+    with pytest.raises(ValidationError, match="unknown display 'bogus'"):
+        closed_form(spec, plane, "bogus")
 
 
 # ---------------------------------------------------------------------------
@@ -738,18 +839,19 @@ class TestMgrwSingleFiber:
         for _ in range(25):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            k_m = mgrw_null_curvature(spec, p, plane.L, plane.S).value
-            k_g = grw_null_curvature(spec, p, plane, "derived").value
+            k_m = closed_form(spec, plane, "MGRW").value
+            k_g = closed_form(spec, plane, "GRW", "derived").value
             assert abs(k_m - k_g) <= 1e-12 * max(1.0, abs(k_g))
 
     def test_constant_flat_numerator_vanishes(self):
         """Unit warpings and flat fibers: only fiber curvature terms
-        survive, and they are zero."""
+        survive, and they are zero.  S keeps its base part 0.3 and leans
+        into L's spatial direction so that g(L,S) = 0."""
         spec = by_name("minkowski").spec
         p = Point(0.0, ((0.1, 0.2, 0.3),))
         L = TangentVector(-1.0, ((1.0, 0.0, 0.0),))
-        S = TangentVector(0.3, ((0.0, 1.0, 0.0),))
-        res = mgrw_null_curvature(spec, p, L, S)
+        S = TangentVector(0.3, ((-0.3, 1.0, 0.0),))
+        res = closed_form(spec, NullPlane.build(spec, p, L, S), "MGRW")
         assert res.numerator == 0.0
         assert res.breakdown["fiber_curvature"] == 0.0
 
@@ -771,8 +873,8 @@ class TestPrintedPaths:
         rng = np.random.default_rng(28)
         p = entry.random_point(rng)
         plane = sample_plane(spec, p, rng)
-        derived = mgrw_null_curvature(spec, p, plane.L, plane.S, "derived")
-        cor = mgrw_null_curvature(spec, p, plane.L, plane.S, "printed_corollary")
+        derived = closed_form(spec, plane, "MGRW", "derived")
+        cor = closed_form(spec, plane, "MGRW", "printed_corollary")
         h = plane.S.base_part
         assert cor.denominator - derived.denominator == pytest.approx(
             h * h, rel=1e-12)
@@ -793,9 +895,9 @@ def _fiber_scalars(spec, plane, i):
     return b, db, ddb, v @ G @ v, v @ G @ w, w @ G @ w
 
 
-def _displays(evaluator, spec, plane):
-    """The derived and printed results of one evaluator on a plane."""
-    return [evaluator(spec, plane.point, plane.L, plane.S, path)
+def _displays(display, spec, plane):
+    """The derived and printed results of one display on a plane."""
+    return [closed_form(spec, plane, display, path)
             for path in ("derived", "printed")]
 
 
@@ -834,7 +936,7 @@ class TestTypePrintedDisplays:
     def test_type1_hess_YY_sign_flip(self):
         spec, planes = self._type1_planes()
         for plane in planes:
-            d, pr = _displays(type1_null_curvature, spec, plane)
+            d, pr = _displays("type1", spec, plane)
             assert d.breakdown["hess_YY"] != 0.0
             assert pr.breakdown["hess_YY"] == pytest.approx(
                 -d.breakdown["hess_YY"], **CLOSE)
@@ -842,7 +944,7 @@ class TestTypePrintedDisplays:
     def test_type1_unchanged_terms(self):
         spec, planes = self._type1_planes()
         for plane in planes:
-            d, pr = _displays(type1_null_curvature, spec, plane)
+            d, pr = _displays("type1", spec, plane)
             for key in ("warp_acc_WW", "fiber_curvature", "denominator"):
                 assert pr.breakdown[key] == d.breakdown[key]
 
@@ -851,7 +953,7 @@ class TestTypePrintedDisplays:
         spec, planes = self._type1_planes()
         for plane in planes:
             h = plane.S.base_part
-            d, pr = _displays(type1_null_curvature, spec, plane)
+            d, pr = _displays("type1", spec, plane)
             assert abs(h) > 1e-3
             assert -2.0 * h * pr.breakdown["hess_mixed"] == pytest.approx(
                 _mixed(d), **CLOSE)
@@ -860,7 +962,7 @@ class TestTypePrintedDisplays:
         spec, planes = self._type1_planes()
         for plane in planes:
             b, db, _, gvv, gvw, gww = _fiber_scalars(spec, plane, 0)
-            d, pr = _displays(type1_null_curvature, spec, plane)
+            d, pr = _displays("type1", spec, plane)
             assert pr.breakdown["warp_rate_bracket"] - \
                 d.breakdown["warp_rate_bracket"] == pytest.approx(
                     b * b * db * db * gvv * (gvw - gww), **CLOSE)
@@ -880,7 +982,7 @@ class TestTypePrintedDisplays:
         spec, planes = self._type2_planes()
         for plane in planes:
             h = plane.S.base_part
-            d, pr = _displays(type2_null_curvature, spec, plane)
+            d, pr = _displays("type2", spec, plane)
             assert pr.breakdown["line_mixed_lead"] == pr.breakdown["line_mixed_trail"]
             assert pr.breakdown["line_mixed_lead"] != 0.0
             assert (-pr.breakdown["line_mixed_lead"] - pr.breakdown["line_mixed_trail"]
@@ -892,14 +994,14 @@ class TestTypePrintedDisplays:
         for plane in planes:
             h = plane.S.base_part
             b1, _, ddb1, f1f1, _, _ = _fiber_scalars(spec, plane, 0)
-            d, pr = _displays(type2_null_curvature, spec, plane)
+            d, pr = _displays("type2", spec, plane)
             assert d.breakdown["hess_YY"] + pr.breakdown["hess_YY"] == \
                 pytest.approx(-h * h * b1 * ddb1 * f1f1, **CLOSE)
 
     def test_type2_drops_cross_fiber_terms(self):
         spec, planes = self._type2_planes()
         for plane in planes:
-            d, pr = _displays(type2_null_curvature, spec, plane)
+            d, pr = _displays("type2", spec, plane)
             assert d.breakdown["cross_fiber_VV_WW"] != 0.0
             assert not any(k.startswith("cross_fiber") for k in pr.breakdown)
             for key in ("warp_acc_WW", "fiber_curvature", "warp_rate_bracket",
@@ -919,7 +1021,7 @@ class TestTypePrintedDisplays:
         spec, planes = self._type3_planes()
         for plane in planes:
             h = plane.S.base_part
-            d, pr = _displays(type3_null_curvature, spec, plane)
+            d, pr = _displays("type3", spec, plane)
             lead = 0.0
             for i in range(3):
                 b, _, _, _, gvw, _ = _fiber_scalars(spec, plane, i)
@@ -938,7 +1040,7 @@ class TestTypePrintedDisplays:
         spec, planes = self._type3_planes()
         for plane in planes:
             h = plane.S.base_part
-            d, pr = _displays(type3_null_curvature, spec, plane)
+            d, pr = _displays("type3", spec, plane)
             assert pr.denominator == pytest.approx(
                 -h * h * (d.denominator + h * h), **CLOSE)
             assert math.isfinite(pr.value)
@@ -946,7 +1048,7 @@ class TestTypePrintedDisplays:
     def test_type3_product_denominator_is_nan_on_base_free_planes(self):
         spec, planes = self._type3_planes(base_free=True)
         for plane in planes:
-            d, pr = _displays(type3_null_curvature, spec, plane)
+            d, pr = _displays("type3", spec, plane)
             assert math.isfinite(d.value)
             assert pr.denominator == 0.0
             assert math.isnan(pr.value)

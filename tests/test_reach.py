@@ -43,12 +43,6 @@ LIBRARY_ONLY = {
     "sample_plane": "sample_planes at a batch of one; a warpbench span",
     "isotropy_scan": "the frame-isotropy diagnostic at one point; a "
                      "warpbench span",
-    "grw_remark_value": "the published base-free remark and its sign "
-                        "erratum, pinned by the tests",
-    **{f"{kind}_null_curvature": "a per-kind evaluator with its own guards "
-                                 "(ROADMAP item 4), pinned by the tests"
-       for kind in ("mgrw", "grw", "kasner", "type1", "type2", "type3",
-                    "ssst")},
 }
 
 

@@ -55,8 +55,8 @@ FIELDS = {
                            gamma=_A3, riemann=_A3, ricci=_A33, dmetric=_A3),
     _TimeData: dict(b=_T3, db=_T3, ddb=_T3, gVV=_T3, gVW=_T3, gWW=_T3, rF=_T3,
                     h=0.5, v=_T3, w=_T3, ps=None, phi=None),
-    _StaticData: dict(f=1.0, h=0.5, hVV=0.1, hVW=0.2, hWW=0.3, rF=0.4,
-                      grad_sq=0.5, g_SS=0.6),
+    _StaticData: dict(f=1.0, h=0.5, gVV=0.6, gVW=0.7, gWW=0.8, hVV=0.1,
+                      hVW=0.2, hWW=0.3, rF=0.4, grad_sq=0.5),
 }
 # the types whose instances hash; the others hold a dict or an array
 HASHABLE = {Interval, WarpingFunction, StaticPotential, Point, TangentVector,
