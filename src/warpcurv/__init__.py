@@ -3,7 +3,8 @@
 Closed-form Riemann and Ricci curvature and null sectional curvature of
 multiply warped products (cosmological time-base models and standard
 static spacetimes), every formula cross-checked against an independent
-coordinate-chart tensor oracle driven by hyper-dual differentiation.
+coordinate-chart tensor oracle driven by second-order jets
+(exact forward-mode derivatives).
 """
 
 from .core_types import (FiberSpec, Interval, ManifoldSpec, NullPlane, Point,

@@ -95,19 +95,23 @@ def _fallback_entry(name: str, spec: ManifoldSpec) -> CatalogEntry:
 
 
 def _parse_point(spec: ManifoldSpec, text: str, default: Point) -> Point:
-    """Named coordinates override the model's default point; bare
-    comma-separated values must list every coordinate."""
+    """Named coordinates, each given at most once, override the model's
+    default point; bare comma-separated values must list every
+    coordinate."""
     names = spec.flat_coord_names()
     if "=" in text:
-        values = dict(zip(names, default.flat(spec)))
+        given = {}
         for item in text.split(","):
             key, _, val = item.partition("=")
             key = key.strip()
-            if key not in values:
+            if key not in names:
                 raise ValidationError(
                     f"unknown coordinate {key!r}; expected {names}")
-            values[key] = _coordinate(key, val)
-        coords = [values[k] for k in names]
+            if key in given:
+                raise ValidationError(
+                    f"--point: coordinate {key!r} given twice")
+            given[key] = _coordinate(key, val)
+        coords = [given.get(k, c) for k, c in zip(names, default.flat(spec))]
     else:
         coords = [_coordinate(names[i] if i < len(names) else f"#{i + 1}", v)
                   for i, v in enumerate(text.split(","))]
@@ -668,16 +672,16 @@ def cmd_scan(args) -> int:
     for start in range(0, len(points), CHUNK):
         chunk = points[start:start + CHUNK]
         batch = riemann_oracle_batch(chart, [p.flat(spec) for p in chunk])
-        contexts, ricci = [], []
+        contexts = []
         for p in chunk:
             # only t moves along the sweep; each step's context shares the
             # work that does not depend on it with the step before
             ctx = PointContext(spec, p) if ctx is None else ctx.at_base(p.t)
             contexts.append(ctx)
-            if args.quantity == "ricci":
-                ricci.append(ricci_matrix(spec, ctx))
+        PointContext.fill_warp_bundles(contexts)
         # (value, oracle value) at each step
         if args.quantity == "ricci":
+            ricci = [ricci_matrix(spec, c) for c in contexts]
             # max |Ric| of the whole chunk in one reduction per side; a
             # max is exact, so each step's value is its own max
             pairs = zip(*(np.max(np.abs(np.array(m)), axis=(1, 2)).tolist()

@@ -26,7 +26,6 @@ import numpy as np
 from . import hyperdual as hd
 from ._frozen import Frozen, set_field
 from .errors import DomainError, PlaneError, ShapeError, ValidationError
-from .hyperdual import value
 from .tensor_oracle import (MAX_CHART_DIM, CoordinateChart, CurvatureTensors,
                             chart_hessian, riemann_oracle_batch,
                             sectional_curvature_oracle)
@@ -90,7 +89,8 @@ class Interval(Frozen):
 
     def require(self, t: float) -> None:
         if not self.contains(t):
-            raise DomainError(f"t = {t} is not strictly inside ({self.t1}, {self.t2})")
+            raise DomainError(f"t = {t} is not at least {INTERIOR_MARGIN} "
+                              f"inside ({self.t1}, {self.t2})")
 
     def sample_points(self, n: int = 25) -> list[float]:
         """Interior sample points for positivity/validity spot checks."""
@@ -150,7 +150,7 @@ def _spot_value(fn, arg, what: str, where: str) -> float:
     argument outside a form's real domain stays a DomainError, any other
     failure to evaluate becomes a ValidationError."""
     try:
-        return value(fn(arg))
+        return float(fn(arg))
     except (ArithmeticError, ValueError, DomainError) as exc:
         error = DomainError if isinstance(exc, DomainError) else ValidationError
         raise error(f"{what} cannot be evaluated at {where}: {exc}") from None
@@ -159,8 +159,9 @@ def _spot_value(fn, arg, what: str, where: str) -> float:
 class WarpingFunction(Frozen):
     """Smooth positive scalar on the base interval, with exact b', b''.
 
-    Derivatives come from hyper-dual evaluation of ``fn``, so ``fn`` must be
-    written against the generic math helpers in :mod:`warpcurv.hyperdual`.
+    Derivatives come from evaluating ``fn`` on jets
+    (:func:`warpcurv.hyperdual.jet`), so ``fn`` must be written against the
+    generic math helpers in :mod:`warpcurv.hyperdual`.
     """
 
     __slots__ = ("fn", "form", "params")
@@ -182,10 +183,6 @@ class WarpingFunction(Frozen):
     def __call__(self, t):
         return self.fn(t)
 
-    def derivatives(self, t: float) -> tuple[float, float, float]:
-        """(b, b', b'') at t."""
-        return hd.scalar_derivatives(self.fn, t)
-
     def check_positive(self, interval: Interval, n: int = 25) -> None:
         for t in map(float, interval.sample_points(n)):
             b = _spot_value(self.fn, t, "warping", f"t = {t}")
@@ -196,7 +193,7 @@ class WarpingFunction(Frozen):
 class StaticPotential(Frozen):
     """Positive scalar f on the fiber of a standard static spacetime.
 
-    ``fn`` maps fiber coordinates (floats or hyper-duals) to a scalar;
+    ``fn`` maps fiber coordinates (floats or jets) to a scalar;
     gradient and Hessian data is obtained through the fiber chart oracle.
     """
 
@@ -278,7 +275,7 @@ class FiberSpec(Frozen):
 
     def metric_matrix(self, x: Sequence[float]) -> np.ndarray:
         rows = self.metric(list(x))
-        return np.array([[value(rows[i][j]) for j in range(self.dim)]
+        return np.array([[float(rows[i][j]) for j in range(self.dim)]
                          for i in range(self.dim)], dtype=float)
 
     def check_spd(self, x: Sequence[float], tol: float = 1e-10) -> None:
@@ -467,12 +464,8 @@ class ManifoldSpec(Frozen):
     def is_time_base(self) -> bool:
         return self.kind in _TIME_BASE_KINDS
 
-    def warping_derivatives(self, i: int, t: float) -> tuple[float, float, float]:
-        """(b_i, b_i', b_i'') at base coordinate t."""
-        return self.warpings[i].derivatives(t)
-
     def potential_value(self, fiber_coords: Sequence[float]) -> float:
-        return value(self.potential(list(fiber_coords)))
+        return float(self.potential(list(fiber_coords)))
 
     def flat_coord_names(self) -> list[str]:
         names = ["t"] if self.base_chart is None else [f"b{i}" for i in range(self.base_dim)]
@@ -538,7 +531,8 @@ def generic_warped_spec(base_chart: CoordinateChart,
     """Multiply warped product over an arbitrary base chart (library API only).
 
     Each warping is a positive scalar function of the base coordinates,
-    hyper-dual evaluable.
+    written against the generic math helpers of :mod:`warpcurv.hyperdual`
+    so that it evaluates on jets.
     """
     return ManifoldSpec(kind="MultiplyWarped-generic",
                         base=Interval(-math.inf, math.inf),
@@ -831,7 +825,7 @@ class PointContext:
         self.spec = spec
         coords = tuple(tuple(map(float, x)) for x in p.fiber_coords)
         self.fiber_rows = tuple(
-            tuple(tuple(value(e) for e in row) for row in f.metric(list(x)))
+            tuple(tuple(float(e) for e in row) for row in f.metric(list(x)))
             for f, x in zip(spec.fibers, coords))
         self.fiber_metrics = tuple(np.array(rows, dtype=float)
                                    for rows in self.fiber_rows)
@@ -858,7 +852,7 @@ class PointContext:
         if spec.base_chart is not None:
             self.base_point = tuple(map(float, p.t))
             self.base_rows = np.array(
-                [[value(e) for e in row]
+                [[float(e) for e in row]
                  for row in spec.base_chart.metric_at(list(p.t))], dtype=float)
         else:
             self.base_point = (float(p.t),)
@@ -934,7 +928,7 @@ class PointContext:
             spec = self.spec
             arg = (self.base_point[0] if spec.is_time_base
                    else list(self.base_point))
-            self._warps = tuple(value(w(arg)) for w in spec.warpings)
+            self._warps = tuple(float(w(arg)) for w in spec.warpings)
         return self._warps
 
     @property
@@ -1023,15 +1017,16 @@ class PointContext:
 
     @property
     def warp_bundle(self) -> tuple[WarpData, ...]:
-        """:meth:`scalar_data` of each warping (the potential for SSST)."""
+        """The derivative bundle of each warping (the potential for SSST)
+        at the point."""
         if self._warp_bundle is None:
             PointContext.fill_warp_bundles([self])
         return self._warp_bundle
 
     @staticmethod
     def fill_warp_bundles(contexts: Sequence["PointContext"]) -> None:
-        """Fill the warp bundle of every context that has none yet; on a
-        chart base each warping's jets come from one batched ``jet`` call.
+        """Fill the warp bundle of every context that has none yet; each
+        warping's jets come from one batched ``jet`` call.
 
         All contexts must belong to one spec.  This is the only way the
         slot is filled, and a jet at many points has the bits of one at
@@ -1040,11 +1035,16 @@ class PointContext:
         if not empty:
             return
         fns = [getattr(w, "fn", w) for w in empty[0].spec.warpings]
+        points = [c.base_point for c in empty]
         PointContext.fill_base_tensors(empty)
         if empty[0].base_tensors is None:
-            bundles = [tuple(c.scalar_data(fn) for fn in fns) for c in empty]
+            # a warping of the base line takes t itself
+            jets = [hd.jet(lambda x, fn=fn: fn(x[0]), points) for fn in fns]
+            bundles = [tuple(_line_data(float(val[k]), grad[k], hess[k])
+                             for val, grad, hess in jets)
+                       for k in range(len(empty))]
         else:
-            jets = [hd.jet(fn, [c.base_point for c in empty]) for fn in fns]
+            jets = [hd.jet(fn, points) for fn in fns]
             bundles = [tuple(_chart_data(c.base_tensors, float(val[k]),
                                          grad[k], hess[k])
                              for val, grad, hess in jets)
@@ -1081,21 +1081,15 @@ class PointContext:
             if c._riemann is None:
                 c._riemann = r
 
-    def scalar_data(self, fn) -> WarpData:
-        """Derivative bundle of a scalar ``fn`` of the base coordinates.
 
-        On the base line -dt^2 every object is closed form, and its three
-        signs are decided here once: ``|grad b|^2 = -(b')^2``,
-        ``H^b(d_t, d_t) = b''``, ``lap b = -b''``.
-        A chart base contracts with its oracle tensors.
-        """
-        t = self.base_tensors
-        if t is None:
-            b, db, ddb = hd.scalar_derivatives(fn, self.base_point[0])
-            return WarpData(value=b, dcomps=np.array([db]),
-                            hess=np.array([[ddb]]), lap=-ddb,
-                            grad_sq=-db * db)
-        return _chart_data(t, *hd.jet(fn, self.base_point))
+def _line_data(val: float, db: np.ndarray, ddb: np.ndarray) -> WarpData:
+    """A scalar's bundle on the base line -dt^2, from its jet at t.
+
+    Every object is closed form there, and its three signs are decided
+    here once: ``|grad b|^2 = -(b')^2``, ``H^b(d_t, d_t) = b''``,
+    ``lap b = -b''``."""
+    d1, d2 = float(db[0]), float(ddb[0, 0])
+    return WarpData(value=val, dcomps=db, hess=ddb, lap=-d2, grad_sq=-d1 * d1)
 
 
 def _chart_data(t: CurvatureTensors, val: float, dphi: np.ndarray,

@@ -1,4 +1,4 @@
-"""Hyper-dual numbers: exact first and second derivatives in one evaluation.
+"""Second-order jets: exact first and second derivatives in one evaluation.
 
 A hyper-dual number ``a + b e1 + c e2 + d e1e2`` carries two nilpotent
 units (``e1**2 == e2**2 == 0``) whose product survives.  Evaluating
@@ -7,19 +7,21 @@ units (``e1**2 == e2**2 == 0``) whose product survives.  Evaluating
 multivariate function yields the mixed partial instead.  There is no step
 size and hence no truncation error: derivatives are exact to roundoff.
 
-A :class:`Jet` carries the same data for many points and all coordinate
+A :class:`Jet` carries that data for many points and all coordinate
 directions at once: value ``(N,)``, gradient ``(N, n)`` and Hessian
 ``(N, n, n)``, the multi-directional second-order forward mode of
 Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13.  One
 evaluation of ``f`` on the coordinate jets of :func:`seed` replaces
-n(n+1)/2 hyper-dual evaluations per point; charts and batches are seeded
-there only, scalar functions through :func:`jet`.  A :class:`HyperDual`
-is seeded only by :func:`scalar_derivatives`, for functions of the base
-coordinate t, where it costs an order of magnitude less than a jet.
+n(n+1)/2 hyper-dual evaluations per point.  It is the package's one
+derivative type: charts and batches are seeded through :func:`seed` only,
+and scalar functions, those of the base coordinate t included, through
+:func:`jet`.
 
 Metric evaluators in this package are written against the generic math
-helpers at the bottom of this module (``sin``, ``cosh``, ...) so the same
-code runs on floats, :class:`HyperDual` and :class:`Jet` coordinates.
+helpers at the bottom of this module (``sin``, ``cosh``, ...).  A helper
+sends a float through :mod:`math` and any other argument through its
+``_lift(rule)`` method, so the same code runs on floats and :class:`Jet`
+coordinates.
 """
 
 from __future__ import annotations
@@ -31,14 +33,10 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = [
-    "HyperDual",
     "Jet",
     "seed",
     "jet",
     "mirror_upper",
-    "value",
-    "scalar_derivatives",
-    "partials",
     "sin",
     "cos",
     "tan",
@@ -52,138 +50,13 @@ __all__ = [
 ]
 
 
-class HyperDual:
-    """Second-order dual scalar ``re + e1*eps1 + e2*eps2 + e12*eps1*eps2``."""
-
-    __slots__ = ("re", "e1", "e2", "e12")
-
-    def __init__(self, re, e1=0.0, e2=0.0, e12=0.0):
-        self.re = float(re)
-        self.e1 = float(e1)
-        self.e2 = float(e2)
-        self.e12 = float(e12)
-
-    def __repr__(self):
-        return f"HyperDual({self.re}, {self.e1}, {self.e2}, {self.e12})"
-
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(self.re + other.re, self.e1 + other.e1,
-                             self.e2 + other.e2, self.e12 + other.e12)
-        return HyperDual(self.re + other, self.e1, self.e2, self.e12)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return HyperDual(-self.re, -self.e1, -self.e2, -self.e12)
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, HyperDual) else -float(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, HyperDual):
-            return HyperDual(
-                self.re * other.re,
-                self.re * other.e1 + self.e1 * other.re,
-                self.re * other.e2 + self.e2 * other.re,
-                self.re * other.e12 + self.e12 * other.re
-                + self.e1 * other.e2 + self.e2 * other.e1,
-            )
-        return HyperDual(self.re * other, self.e1 * other,
-                         self.e2 * other, self.e12 * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, HyperDual):
-            return self * other._reciprocal()
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
-    def _reciprocal(self):
-        if self.re == 0.0:
-            raise ZeroDivisionError("hyper-dual division by zero real part")
-        inv = 1.0 / self.re
-        return _chain(self, inv, -inv * inv, 2.0 * inv * inv * inv)
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, HyperDual):
-            # x**y = exp(y*log(x)); rare path, used by generic warpings
-            return exp(log(self) * exponent)
-        q = float(exponent)
-        if q == 0.0:
-            return HyperDual(1.0)
-        return _chain(self, *_power_rule(self.re, q))
-
-    def __rpow__(self, base):
-        return exp(self * math.log(base))
-
-    # -- comparisons act on the real part ----------------------------------
-
-    def __lt__(self, other):
-        return self.re < _real(other)
-
-    def __le__(self, other):
-        return self.re <= _real(other)
-
-    def __gt__(self, other):
-        return self.re > _real(other)
-
-    def __ge__(self, other):
-        return self.re >= _real(other)
-
-    def __float__(self):
-        raise TypeError("refusing to silently truncate a HyperDual; "
-                        "use hyperdual.value()")
-
-
-def _real(x):
-    return x.re if isinstance(x, HyperDual) else float(x)
-
-
-def _chain(x: HyperDual, f, df, d2f) -> HyperDual:
-    """Lift f through x given f(a), f'(a), f''(a) at a = x.re."""
-    return HyperDual(
-        f,
-        df * x.e1,
-        df * x.e2,
-        df * x.e12 + d2f * x.e1 * x.e2,
-    )
-
-
-def value(x):
-    """Real part of a float or HyperDual."""
-    return _real(x)
-
-
-def scalar_derivatives(f, t):
-    """Return (f(t), f'(t), f''(t)) for a scalar function of one variable."""
-    y = f(HyperDual(t, 1.0, 1.0, 0.0))
-    if isinstance(y, HyperDual):
-        return y.re, y.e1, y.e12
-    return float(y), 0.0, 0.0
-
-
-def partials(f, x, i, j):
-    """Return (f, d_i f, d_j f, d_i d_j f) for f of a coordinate sequence."""
-    val, grad, hess = jet(f, x)
-    return val, float(grad[i]), float(grad[j]), float(hess[i, j])
-
-
 # -- batched jets -------------------------------------------------------------
 
 class Jet:
     """Second-order jets of one scalar at N points in n coordinates.
 
     ``val`` is ``(N,)``, ``grad`` ``(N, n)`` and ``hess`` ``(N, n, n)``.
-    Each operation applies, slot by slot, the formula :class:`HyperDual`
+    Each operation applies, slot by slot, the formula a hyper-dual number
     applies: ``grad[:, k]`` evolves like ``e1`` seeded along k and
     ``hess[:, k, l]`` like ``e12`` seeded along (k, l).  Elementary
     functions run their scalar rule point by point through :mod:`math`,
@@ -272,7 +145,8 @@ class Jet:
                    + curv[:, :, None] * self.grad[:, None, :])
 
     def _lift(self, rule):
-        """Apply a scalar rule a -> (f, f', f'') at every point."""
+        """Apply a scalar rule a -> (f, f', f'') at every point; the
+        generic math helpers below dispatch on this method."""
         table = np.array([rule(a) for a in self.val.tolist()],
                          dtype=float).reshape(-1, 3)
         return self._chain(table[:, 0], table[:, 1], table[:, 2])
@@ -321,18 +195,15 @@ def mirror_upper(a) -> None:
     a[..., j, i] = a[..., i, j]
 
 
-# -- generic math helpers (float, HyperDual or Jet argument) -----------------
+# -- generic math helpers (float or Jet argument) ----------------------------
 #
-# Each rule maps a float a to (f(a), f'(a), f''(a)); HyperDual and Jet both
-# lift through the same rule, so the two paths agree bit for bit and raise
-# the same exceptions.
+# Each rule maps a float a to (f(a), f'(a), f''(a)).  A Jet lifts through
+# the rule point by point, so it agrees bit for bit with a lone point and
+# raises the exceptions the float path raises.
 
 def _apply(x, rule, plain):
-    if isinstance(x, HyperDual):
-        return _chain(x, *rule(x.re))
-    if isinstance(x, Jet):
-        return x._lift(rule)
-    return plain(x)
+    lift = getattr(x, "_lift", None)
+    return plain(x) if lift is None else lift(rule)
 
 
 def _sin_rule(a):
@@ -425,8 +296,8 @@ def tanh(x):
 
 
 def power(x, q):
-    """x**q for float, HyperDual or Jet x and real exponent q."""
-    if isinstance(x, (HyperDual, Jet)):
+    """x**q for float or Jet x and real exponent q."""
+    if hasattr(x, "_lift"):
         return x ** q
     a = float(x)
     _real_power_domain(a, q)

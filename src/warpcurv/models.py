@@ -303,9 +303,9 @@ def _check_exp_identity(entry, fact, seed, n_planes, rows, paths):
     k_f = spec.fibers[0].constant_curvature
     worst = {path: 0.0 for path in paths}
     for _ in range(n_planes):
-        p = entry.random_point(rng)
-        b, _, _ = spec.warping_derivatives(0, float(p.t))
-        plane = sample_plane(spec, p, rng)
+        ctx = PointContext(spec, entry.random_point(rng))
+        b = ctx.warp_bundle[0].value
+        plane = sample_plane(spec, ctx, rng)
         for path in paths:
             k = specialized_null_curvature(spec, plane, path).value
             worst[path] = max(worst[path], abs(k - k_f / (b * b)))

@@ -48,7 +48,6 @@ from .core_types import (_TIME_BASE_KINDS, ManifoldSpec, NullPlane, Point,
                          all_finite, components, flatten, split, tangent)
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
-from .hyperdual import value
 from .tensor_oracle import riemann_apply
 from .warped_formulas import WarpedGeometry
 
@@ -554,7 +553,6 @@ def _time_data(ctx: PointContext, plane: NullPlane) -> _TimeData:
     L = _oriented_time_L(L, 1.0)
     plane.validate(tol=1e-9)
     b, db, ddb, gvv, gvw, gww, rf, vs, ws = [], [], [], [], [], [], [], [], []
-    # b, b', b'' from the warp bundle: spec.warping_derivatives' call, once
     for i, (fib, wd) in enumerate(zip(WarpedGeometry(spec).fibers,
                                       ctx.warp_bundle)):
         v = np.asarray(L.fiber_parts[i], float)
@@ -569,7 +567,7 @@ def _time_data(ctx: PointContext, plane: NullPlane) -> _TimeData:
         rf.append(float(np.asarray(rcomp) @ fib.metric(ctx) @ v))
         vs.append(L.fiber_parts[i])
         ws.append(S.fiber_parts[i])
-    phi = None if spec.phi is None else value(spec.phi.fn(ctx.base_point[0]))
+    phi = None if spec.phi is None else float(spec.phi.fn(ctx.base_point[0]))
     return _TimeData(tuple(b), tuple(db), tuple(ddb), tuple(gvv), tuple(gvw),
                      tuple(gww), tuple(rf), float(S.base_part), tuple(vs),
                      tuple(ws), spec.kasner_exponents, phi)

@@ -24,8 +24,8 @@ structural views in this module always refer to that decomposition; the
 static model's blocks are permuted back to chart order (time first).
 
 On the one-dimensional base -dt^2 every base-level object reduces to
-closed form in one place
-(:meth:`~warpcurv.core_types.PointContext.scalar_data`):
+closed form in one place, where the warp bundles are filled
+(:meth:`~warpcurv.core_types.PointContext.fill_warp_bundles`):
 ``|grad_B b|^2 = -(b')^2``, ``H_B^b(d_t, d_t) = b''``,
 ``lap_B b = -b''``.  Getting these signs wrong flips every spacetime
 formula downstream, so they are decided there exactly once.
@@ -61,7 +61,7 @@ __all__ = [
 
 class LineBase:
     """One-dimensional base with metric -dt^2; the warpings' closed-form
-    base data comes from :meth:`PointContext.scalar_data`."""
+    base data comes from :attr:`PointContext.warp_bundle`."""
 
     dim = 1
     sign = -1.0

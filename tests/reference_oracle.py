@@ -4,10 +4,11 @@
 batched jet path of ``riemann_oracle_batch`` and ``null_sectional_batch``,
 whose per-point functions are a batch of one.  This module keeps the
 per-point path that batch replaced, verbatim: ``metric_partials`` seeds
-``HyperDual`` coordinates along each pair (k, l) of directions, n(n+1)/2
-metric evaluations per point, and ``riemann_oracle`` contracts the
-partials with its own einsum chain; ``null_sectional_from_tensors`` and
-``lowered_riemann`` are the scalar contractions.  Tests use it as an
+``HyperDual`` coordinates (``tests/reference_hyperdual.py``) along each
+pair (k, l) of directions, n(n+1)/2 metric evaluations per point, and
+``riemann_oracle`` contracts the partials with its own einsum chain;
+``null_sectional_from_tensors`` and ``lowered_riemann`` are the scalar
+contractions.  Tests use it as an
 independent reference for the batch, as ``tests/reference_lifts.py`` keeps
 the lift-by-lift curvature expansion.
 """
@@ -18,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from reference_hyperdual import HyperDual
 from warpcurv.errors import DegenerateMetricError, PlaneError
-from warpcurv.hyperdual import HyperDual
 from warpcurv.tensor_oracle import (CoordinateChart, CurvatureTensors,
                                     riemann_apply)
 

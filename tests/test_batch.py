@@ -1,6 +1,6 @@
 """Batched jets, the batched chart oracle and the block-form Ricci matrix,
-each checked against the scalar path it stands in for: the scalar
-HyperDual arithmetic and the per-point oracle of
+each checked against the scalar path it stands in for: the hyper-dual
+arithmetic of ``tests/reference_hyperdual.py`` and the per-point oracle of
 ``tests/reference_oracle.py`` are the references."""
 
 import math
@@ -10,15 +10,18 @@ import sys
 import numpy as np
 import pytest
 
+from reference_hyperdual import HyperDual
 from reference_lifts import ricci_general
 from reference_oracle import metric_partials, riemann_oracle
 from warpcurv import (CoordinateChart, DegenerateMetricError, DomainError,
-                      Interval, Point, WarpingFunction, assemble_chart,
-                      catalog, euclidean_fiber, generic_warped_spec, grw_spec,
-                      hyperbolic_fiber, ricci_matrix, riemann_oracle_batch,
+                      Interval, Point, PointContext, WarpingFunction,
+                      assemble_chart, catalog, euclidean_fiber,
+                      generic_warped_spec, grw_spec, hyperbolic_fiber,
+                      ricci_matrix, riemann_oracle_batch,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
 from warpcurv import hyperdual as hd
 from warpcurv.cli import CHUNK
+from warpcurv.cli import main as cli_main
 from warpcurv.tensor_oracle import _metric_partials_batch
 
 BATCH_TOL = 1e-13
@@ -92,10 +95,10 @@ class TestJet:
         val, grad, hess = hd.jet(fn, x)
         for i in range(2):
             for j in range(i, 2):
-                y = fn([hd.HyperDual(x[m], float(m == i), float(m == j))
+                y = fn([HyperDual(x[m], float(m == i), float(m == j))
                         for m in range(2)])
-                if not isinstance(y, hd.HyperDual):
-                    y = hd.HyperDual(y)
+                if not isinstance(y, HyperDual):
+                    y = HyperDual(y)
                 assert (val, grad[i], grad[j], hess[i, j], hess[j, i]) == \
                     (y.re, y.e1, y.e2, y.e12, y.e12)
 
@@ -117,12 +120,6 @@ class TestJet:
             assert val[k] == v1
             assert np.array_equal(grad[k], g1) and np.array_equal(hess[k], h1)
 
-    def test_partials_wrapper(self):
-        f = lambda c: c[0] ** 2 * c[1] ** 3
-        assert hd.partials(f, (1.5, 0.8), 0, 1) == pytest.approx(
-            (1.5 ** 2 * 0.8 ** 3, 2 * 1.5 * 0.8 ** 3, 3 * 1.5 ** 2 * 0.8 ** 2,
-             6 * 1.5 * 0.8 ** 2), rel=1e-14)
-
     def test_power_dispatches_on_jets(self):
         val, grad, hess = hd.jet(lambda c: hd.power(c[0], 2.0 / 3.0), [2.0])
         assert grad[0] == pytest.approx((2.0 / 3.0) * 2.0 ** (-1.0 / 3.0), rel=1e-15)
@@ -139,8 +136,9 @@ def _raised(fn, arg):
 
 
 class TestJetErrors:
-    """Where the scalar path raises, the batch raises the same class; it
-    never returns a non-finite value with a numpy warning instead."""
+    """Where the scalar hyper-dual path raises, the batch raises the same
+    class; it never returns a non-finite value with a numpy warning
+    instead."""
 
     @pytest.mark.parametrize("fn,bad", [
         (lambda x: hd.power(x, 0.5), 0.0),
@@ -155,13 +153,13 @@ class TestJetErrors:
         (lambda x: hd.cosh(x), 1000.0),
     ])
     def test_same_exception_class(self, fn, bad):
-        scalar = _raised(lambda t: hd.scalar_derivatives(fn, t), bad)
+        scalar = _raised(lambda t: fn(HyperDual(t, 1.0, 1.0, 0.0)), bad)
         batch = _raised(lambda t: hd.jet(lambda c: fn(c[0]), [[1.0], [t]]), bad)
         assert scalar is not None
         assert batch is not None and batch[0] is scalar[0]
 
     def test_power_zero_base_message(self):
-        scalar = _raised(lambda t: hd.scalar_derivatives(lambda x: x ** 0.5, t), 0.0)
+        scalar = _raised(lambda t: HyperDual(t, 1.0, 1.0, 0.0) ** 0.5, 0.0)
         batch = _raised(lambda t: hd.jet(lambda c: c[0] ** 0.5, [[t]]), 0.0)
         assert scalar == batch == (ZeroDivisionError, "power at zero base")
 
@@ -337,6 +335,24 @@ class TestChunkedScan:
                      "--out", str(path))
         assert a.read_bytes() == b.read_bytes()
         assert len(a.read_text().splitlines()) == 71
+
+    def test_fills_each_chunk_at_once(self, tmp_path, monkeypatch):
+        """The warp bundles of a chunk's steps are filled by one call, not
+        one lone context at a time through ``ricci_matrix``."""
+        sizes = []
+        fill = PointContext.fill_warp_bundles
+
+        def counted(contexts):
+            sizes.append(len(contexts))
+            fill(contexts)
+
+        monkeypatch.setattr(PointContext, "fill_warp_bundles",
+                            staticmethod(counted))
+        steps = 2 * CHUNK + 2
+        assert cli_main(["scan", "kasner_vacuum", "--from", "0.5", "--to", "2",
+                         "--steps", str(steps), "--quantity", "ricci",
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        assert sizes == [CHUNK, CHUNK, 2]
 
     def test_domain_error_writes_no_rows(self, tmp_path):
         out = tmp_path / "scan.csv"

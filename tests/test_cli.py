@@ -191,6 +191,14 @@ class TestExitCodes:
                       "--steps", "3")
         assert out.returncode == 3
 
+    def test_scan_inside_the_margin_is_3(self):
+        """t = 1e-300 is inside (0, inf) but within the interior margin."""
+        out = run_cli("scan", "kasner_vacuum", "--from=1e-300", "--to=1",
+                      "--steps", "100")
+        assert out.returncode == 3
+        assert out.stderr.splitlines() == [
+            "error: t = 1e-300 is not at least 1e-12 inside (0.0, inf)"]
+
 
 class TestInputErrors:
     """Bad input ends in exit 2 (validation) or 3 (domain) with a one-line
@@ -216,12 +224,15 @@ class TestInputErrors:
         assert out.returncode == 0
         assert json.loads(ledger.read_text()) == []
 
-    @pytest.mark.parametrize("point", ["t=abc", "abc,1,2,3"])
-    def test_unparsable_point_is_2(self, point):
+    @pytest.mark.parametrize("point,message", [
+        ("t=abc", "--point: coordinate 't' is not a number: 'abc'"),
+        ("abc,1,2,3", "--point: coordinate 't' is not a number: 'abc'"),
+        ("t=1,t=2", "--point: coordinate 't' given twice"),
+    ], ids=["t=abc", "abc,1,2,3", "t=1,t=2"])
+    def test_unparsable_point_is_2(self, point, message):
         out = run_cli("report", "minkowski", "--point", point)
         assert out.returncode == 2
-        assert out.stderr.splitlines() == [
-            "error: --point: coordinate 't' is not a number: 'abc'"]
+        assert out.stderr.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("model,coord", [("kasner_flat", "x"),

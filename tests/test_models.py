@@ -4,8 +4,8 @@ JSON round trips, plane-construction robustness."""
 import numpy as np
 import pytest
 
-from warpcurv import (by_name, catalog, sample_plane, spec_from_json,
-                      spec_to_json, validate_entry)
+from warpcurv import (Point, PointContext, by_name, catalog, sample_plane,
+                      spec_from_json, spec_to_json, validate_entry)
 from warpcurv.errors import ValidationError
 
 EXPECTED_NAMES = {
@@ -80,10 +80,15 @@ class TestSerializationRoundTrip:
     def test_clone_behaves_identically(self):
         entry = by_name("kasner_vacuum")
         clone = spec_from_json(spec_to_json(entry.spec))
-        t = 1.3
-        for i in range(3):
-            assert clone.warping_derivatives(i, t) == \
-                entry.spec.warping_derivatives(i, t)
+        p = Point(1.3, entry.default_point().fiber_coords)
+
+        def derivatives(spec):
+            """(b_i, b_i', b_i'') of each warping at p."""
+            return [(w.value, float(w.dcomps[0]), float(w.hess[0, 0]))
+                    for w in PointContext(spec, p).warp_bundle]
+
+        assert len(derivatives(clone)) == 3
+        assert derivatives(clone) == derivatives(entry.spec)
 
 
 class TestPlaneRobustness:

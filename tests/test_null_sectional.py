@@ -20,6 +20,7 @@ from warpcurv import (CoordinateChart, Interval, NullPlane, PlaneError,
                       null_sectional_oracle, sample_plane,
                       specialized_null_curvature, sphere_fiber, split)
 from warpcurv.errors import ConstraintError, ConstructionError
+from warpcurv.hyperdual import jet
 from warpcurv.null_sectional import _FORMS, isotropy_summary
 
 
@@ -110,7 +111,7 @@ class TestMakeDegeneratePlane:
         for _ in range(50):
             p = entry.random_point(rng)
             plane = sample_plane(spec, p, rng)
-            b, _, _ = spec.warping_derivatives(0, float(p.t))
+            b = spec.warpings[0](float(p.t))
             # reorient to base coefficient -1 (value-neutral for K)
             L = plane.L if plane.L.base_part < 0 else -plane.L
             v = np.array(L.fiber_parts[0])
@@ -888,7 +889,8 @@ def _fiber_scalars(spec, plane, i):
     """(b, b', b'', g_F(V,V), g_F(V,W), g_F(W,W)) of fiber i, recomputed
     from the spec with L oriented to base coefficient -1."""
     L = plane.L if plane.L.base_part < 0 else -plane.L
-    b, db, ddb = spec.warpings[i].derivatives(plane.point.t)
+    b, db, ddb = jet(lambda c: spec.warpings[i](c[0]), [plane.point.t])
+    db, ddb = float(db[0]), float(ddb[0, 0])
     G = spec.fibers[i].metric_matrix(plane.point.fiber_coords[i])
     v = np.array(L.fiber_parts[i])
     w = np.array(plane.S.fiber_parts[i])

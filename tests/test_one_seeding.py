@@ -1,13 +1,15 @@
 """One way to seed derivatives: charts and batches seed ``Jet`` coordinates
-through ``hyperdual.seed``, and a ``HyperDual`` is built only inside
-``hyperdual.py`` (its arithmetic, and the seeding in
-``scalar_derivatives``).  A second seeding loop in another module, or a
-per-point path back in the chart oracle, fails here."""
+through ``hyperdual.seed``, and scalar functions, those of the base line
+included, go through ``hyperdual.jet``.  ``Jet`` is the package's one
+derivative type: no module of ``src`` names a ``HyperDual``, whose one
+copy is the tests' reference (``tests/reference_hyperdual.py``).  A second
+derivative type or seeding loop back in the package fails here."""
 
 import ast
 from pathlib import Path
 
 import warpcurv
+from warpcurv import hyperdual
 
 SRC = Path(warpcurv.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
@@ -34,19 +36,21 @@ def test_modules_found():
     assert {"hyperdual.py", "tensor_oracle.py"} <= {p.name for p in MODULES}
 
 
-def test_only_hyperdual_constructs_a_hyperdual():
+def test_no_module_names_hyperdual():
     found = {}
     for path in MODULES:
-        if path.name != "hyperdual.py":
-            calls, _ = _hyperdual_uses(ast.parse(path.read_text()))
-            if calls:
-                found[path.name] = calls
+        text = path.read_text()
+        calls, names = _hyperdual_uses(ast.parse(text))
+        if calls or names or "HyperDual" in text:
+            found[path.name] = calls + names
     assert found == {}
 
 
-def test_tensor_oracle_does_not_import_hyperdual():
-    _, names = _hyperdual_uses(ast.parse((SRC / "tensor_oracle.py").read_text()))
-    assert names == []
+def test_hyperdual_exports_one_derivative_type():
+    gone = {"HyperDual", "scalar_derivatives", "partials", "value"}
+    assert "Jet" in hyperdual.__all__
+    assert gone.isdisjoint(hyperdual.__all__)
+    assert not any(hasattr(hyperdual, name) for name in gone)
 
 
 def test_the_guard_sees_a_seeding_loop():

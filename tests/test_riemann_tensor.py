@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from reference_hyperdual import HyperDual
 from reference_lifts import (WarpedGeometry, _riemann_struct, _split_struct,
                              from_structural, riemann_general, to_structural)
 from reference_oracle import lowered_riemann, null_sectional_from_tensors
@@ -23,6 +24,7 @@ from warpcurv import (CoordinateChart, Interval, NullPlane, Point,
                       riemann_oracle_batch, sample_plane,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
 from warpcurv import cli, core_types
+from warpcurv.core_types import WarpData
 from warpcurv import hyperdual as hd
 from warpcurv.cli import CHUNK
 from warpcurv.tensor_oracle import lowered_riemann_batch, null_sectional_batch
@@ -95,8 +97,7 @@ def cases():
 
 
 CASES = cases()
-CHART_BASE_CASES = [c for c in CASES
-                    if c.values[0].kind in ("SSST", "MultiplyWarped-generic")]
+LINE_BASE_CASES = [c for c in CASES if c.values[0].is_time_base]
 
 
 def contexts(spec, draw, count, seed=3):
@@ -230,26 +231,45 @@ def test_batched_fill_equals_a_fill_of_one(spec, draw):
     assert mixed[2].riemann_tensor is first
 
 
-@pytest.mark.parametrize("spec,draw", CHART_BASE_CASES)
+def assert_same_bundle(got, want):
+    for field in ("dcomps", "hess"):
+        assert_same_array(getattr(got, field), getattr(want, field))
+    for field in ("value", "lap", "grad_sq"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert type(a) is float and a == b
+        assert math.copysign(1, a) == math.copysign(1, b)
+
+
+@pytest.mark.parametrize("spec,draw", CASES)
 def test_batched_warp_bundles_equal_scalar_data(spec, draw):
-    """On a chart base one batched jet per warping gives each context the
-    bits of its own jet, the per-context bundle the fill replaced."""
+    """One batched jet per warping gives each context of a chunk the bits
+    of a lone fill of its own, on the base line and on a chart base."""
     chunk = contexts(spec, draw, CHUNK)
     PointContext.fill_warp_bundles(chunk)
-    fns = [getattr(w, "fn", w) for w in spec.warpings]
     for ctx in chunk:
-        fresh = PointContext(spec, ctx.point)
-        for got, fn in zip(ctx.warp_bundle, fns):
-            want = fresh.scalar_data(fn)
-            for field in ("dcomps", "hess"):
-                assert_same_array(getattr(got, field), getattr(want, field))
-            for field in ("value", "lap", "grad_sq"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert type(a) is float and a == b
-                assert math.copysign(1, a) == math.copysign(1, b)
+        alone = PointContext(spec, ctx.point).warp_bundle
+        for got, want in zip(ctx.warp_bundle, alone, strict=True):
+            assert_same_bundle(got, want)
     before = [ctx.warp_bundle for ctx in chunk]
     PointContext.fill_warp_bundles(chunk)
     assert all(ctx.warp_bundle is w for ctx, w in zip(chunk, before))
+
+
+@pytest.mark.parametrize("spec,draw", LINE_BASE_CASES)
+def test_line_warp_bundles_hold_the_hyperdual_bits(spec, draw):
+    """On the base line a chunk's bundles hold the bits the reference
+    hyper-dual gives at each t: b, b' and b'', with the line's signs
+    lap = -b'' and |grad b|^2 = -(b')^2."""
+    chunk = contexts(spec, draw, CHUNK)
+    PointContext.fill_warp_bundles(chunk)
+    for ctx in chunk:
+        for got, w in zip(ctx.warp_bundle, spec.warpings, strict=True):
+            y = w(HyperDual(ctx.base_point[0], 1.0, 1.0, 0.0))
+            b, db, ddb = ((y.re, y.e1, y.e12) if isinstance(y, HyperDual)
+                          else (float(y), 0.0, 0.0))
+            assert_same_bundle(got, WarpData(
+                value=b, dcomps=np.array([db]), hess=np.array([[ddb]]),
+                lap=-ddb, grad_sq=-db * db))
 
 
 @pytest.mark.parametrize("fill", [PointContext.fill_riemann_tensors,
