@@ -153,6 +153,32 @@ def _seed_from(args) -> int:
 
 
 # ---------------------------------------------------------------------------
+# output files
+# ---------------------------------------------------------------------------
+
+def _check_output(path: str) -> None:
+    """Refuse, before any work, an output path that is a directory or
+    whose directory does not exist.  Nothing is created; the final
+    ``open`` still reports any other error."""
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path!r}: it is a directory")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValidationError(
+            f"cannot write {path!r}: {folder!r} is not a directory")
+
+
+@contextlib.contextmanager
+def _output(path: str | None):
+    """stdout, or the file at ``path``, closed afterwards."""
+    if not path:
+        yield sys.stdout
+        return
+    with open(path, "w") as fh:
+        yield fh
+
+
+# ---------------------------------------------------------------------------
 # the plane evaluator
 # ---------------------------------------------------------------------------
 
@@ -194,6 +220,8 @@ def cmd_report(args) -> int:
     default = entry.default_point()
     p = _parse_point(spec, args.point, default) if args.point else default
     ctx = PointContext(spec, p)  # shared by every plane of the report
+    if args.out:
+        _check_output(args.out)
 
     chart = assemble_chart(spec)
     x = list(p.flat(spec))
@@ -244,11 +272,10 @@ def cmd_report(args) -> int:
 
 
 def _emit_report(doc, args) -> None:
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         if args.format == "json":
-            for text in _report_texts(doc):
-                out.write(text)
+            json.dump(doc, out, indent=2)
+            out.write("\n")
         elif args.format == "csv":
             out.write("quantity,path,value\r\n")
             out.write(f"ricci_max_abs_diff,both,{_csv(doc['ricci']['max_abs_diff'])}\r\n")
@@ -278,85 +305,6 @@ def _emit_report(doc, args) -> None:
                     out.write(f"  {f}\n")
             else:
                 out.write("flags: none\n")
-    finally:
-        if args.out:
-            out.close()
-
-
-def _report_texts(doc: dict):
-    """The report as ``json.dump(doc, indent=2)`` spells it, and a newline,
-    in pieces: the head, each plane's row, and the tail.  The pieces come
-    from a fixed template of the report's fields, as :func:`_ledger_texts`
-    spells ledger rows; each distinct key is spelled once."""
-    point, ricci, iso = doc["point"], doc["ricci"], doc["isotropy"]
-    spelled: dict[str, str] = {}
-
-    def field(pad: str, name: str, text: str) -> str:
-        if name not in spelled:
-            spelled[name] = json.dumps(name)
-        return f"{pad}{spelled[name]}: {text}"
-
-    def numbers(values, pad: str) -> str:
-        return _json_block([f"{pad}  {_json_number(v)}" for v in values],
-                           "[]", pad)
-
-    def matrix(rows) -> str:
-        return _json_block([f"      {numbers(r, '      ')}" for r in rows],
-                           "[]", "    ")
-
-    def plane(row: dict) -> str:
-        fields = []
-        for name, val in row.items():
-            if name == "breakdown":
-                val = _json_block([field("        ", k, _json_number(v))
-                                   for k, v in val.items()], "{}", "      ")
-            else:
-                val = _json_number(val)
-            fields.append(field("      ", name, val))
-        return _json_block(fields, "{}", "    ")
-
-    names = _json_block([f"      {json.dumps(n)}" for n in point["names"]],
-                        "[]", "    ")
-    yield ("{\n"
-           f'  "tool": {json.dumps(doc["tool"])},\n'
-           f'  "version": {json.dumps(doc["version"])},\n'
-           f'  "model": {json.dumps(doc["model"])},\n'
-           f'  "spec_sha256": {json.dumps(doc["spec_sha256"])},\n'
-           f'  "seed": {_json_number(doc["seed"])},\n'
-           '  "point": {\n'
-           f'    "names": {names},\n'
-           f'    "coords": {numbers(point["coords"], "    ")}\n'
-           '  },\n'
-           '  "ricci": {\n'
-           f'    "specialized": {matrix(ricci["specialized"])},\n'
-           f'    "oracle": {matrix(ricci["oracle"])},\n'
-           f'    "max_abs_diff": {_json_number(ricci["max_abs_diff"])}\n'
-           '  },\n'
-           '  "isotropy": {\n'
-           f'    "mean": {_json_number(iso["mean"])},\n'
-           f'    "max_deviation": {_json_number(iso["max_deviation"])},\n'
-           f'    "n_planes": {_json_number(iso["n_planes"])}\n'
-           '  },\n'
-           '  "planes": ')
-    sep = "[\n"
-    for row in doc["planes"]:
-        yield f"{sep}    {plane(row)}"
-        sep = ",\n"
-    close = "[]" if sep == "[\n" else "\n  ]"
-    flags = _json_block([f"    {json.dumps(f)}"
-                         for f in doc["discrepancy_flags"]], "[]", "  ")
-    yield (f"{close},\n"
-           f'  "discrepancy_flags": {flags}\n'
-           "}\n")
-
-
-def _json_block(lines: list[str], brackets: str, pad: str) -> str:
-    """Lines, each already indented, inside ``brackets`` as ``json.dump``
-    with ``indent=2`` frames them, the closing bracket indented by
-    ``pad``."""
-    if not lines:
-        return brackets
-    return f"{brackets[0]}\n" + ",\n".join(lines) + f"\n{pad}{brackets[1]}"
 
 
 def _csv(x: float) -> str:
@@ -378,12 +326,15 @@ def cmd_compare(args) -> int:
     evaluates the first block and a forked worker each of the others.  A
     block returns its rows already spelled as ledger text, and a sample's
     rows never straddle two blocks, so the joined ledger has the bytes of
-    a run in one process.  The ledger is written only once every block
-    has succeeded; an error in a block is raised here as it would be in
-    one process, the first block's before any worker's.
+    a run in one process.  A ledger path that cannot be written
+    (:func:`_check_output`) is refused before the first sample.  The
+    ledger is written only once every block has succeeded; an error in a
+    block is raised here as it would be in one process, the first block's
+    before any worker's.
     """
     name, spec, entry = _resolve_model(args.model)
     seed = _seed_from(args)
+    _check_output(args.ledger)
     chart = assemble_chart(spec)
     paths = formula_paths(spec) if args.path == "as-printed" else ("derived",)
 
@@ -418,7 +369,23 @@ def _compare_chunks(name, spec, entry, chart, paths,
     closed-form ``paths``, the derived one first: (a fragment of ledger
     text per chunk with rows, its rows' texts joined by ``",\\n"``; the
     number of rows; whether the derived closed forms agree with the
-    oracle at every sample)."""
+    oracle at every sample).  A sample with rows has its head spelled
+    once (:func:`_ledger_head`) and each row from it
+    (:func:`_ledger_text`); each distinct string is spelled once."""
+    spelled: dict[str, str] = {}
+
+    def spell(text: str) -> str:
+        if text not in spelled:
+            spelled[text] = json.dumps(text)
+        return spelled[text]
+
+    model = spell(name)
+    value, oracle, as_derived, generic = map(
+        spell, ("value", "oracle", "as-derived", "generic"))
+    labels = {}  # each printed path's label, spelled
+    for path in paths[1:]:
+        suffix = path.removeprefix("printed").lstrip("_") or "main"
+        labels[path] = spell(f"as-printed:{suffix}")
     fragments = []
     entries = 0
     derived_ok = True
@@ -441,45 +408,58 @@ def _compare_chunks(name, spec, entry, chart, paths,
         del batch  # before the next chunk's batch is built
         for plane_seed, (plane, k_oracle, tol, forms, gen) in zip(
                 plane_seeds, evaluations, strict=True):
-            x = list(plane.context.point.flat(spec))
-            coords = {"model": name, "point": x, "plane_seed": plane_seed}
+            found = []  # (term, path_a, path_b, value_a, value_b), spelled
             derived = forms["derived"]
-            for label, res in (("as-derived", derived), ("generic", gen)):
+            for label, res in ((as_derived, derived), (generic, gen)):
                 if _disagree(res.value, k_oracle, tol):
                     derived_ok = False
-                    ledger.append(_ledger_row(coords, "value", label,
-                                              "oracle", res.value, k_oracle))
-            for path in paths[1:]:
+                    found.append((value, label, oracle, res.value, k_oracle))
+            for path, label in labels.items():
                 printed = forms[path]
-                label = ("as-printed:"
-                         f"{path.removeprefix('printed').lstrip('_') or 'main'}")
                 keys = sorted(set(derived.breakdown) | set(printed.breakdown))
                 for key in keys:
                     va = printed.breakdown.get(key, 0.0)
                     vb = derived.breakdown.get(key, 0.0)
                     if _disagree(va, vb, tol):
-                        ledger.append(_ledger_row(coords, key, label,
-                                                  "as-derived", va, vb))
+                        found.append((spell(key), label, as_derived, va, vb))
                 if _disagree(printed.value, k_oracle, tol):
-                    ledger.append(_ledger_row(coords, "value", label,
-                                              "oracle", printed.value,
-                                              k_oracle))
+                    found.append((value, label, oracle, printed.value,
+                                  k_oracle))
+            if found:
+                head = _ledger_head(model, plane.context.point.flat(spec),
+                                    plane_seed)
+                ledger += [_ledger_text(head, *f) for f in found]
         if ledger:
-            fragments.append(",\n".join(_ledger_texts(ledger)))
+            fragments.append(",\n".join(ledger))
             entries += len(ledger)
     return fragments, entries, derived_ok
 
 
-def _ledger_row(coords: dict, term: str, path_a: str, path_b: str,
-                va: float, vb: float) -> dict:
-    return {**coords, "term": term, "path_a": path_a, "path_b": path_b,
-            "value_a": va, "value_b": vb, "abs_diff": abs(va - vb)}
+def _ledger_head(model: str, point, plane_seed: int) -> str:
+    """The opening of each ledger row of one sample, up to its
+    ``plane_seed``, as ``json.dump(rows, indent=2)`` spells it inside the
+    list; ``model`` is already spelled."""
+    coords = ",\n      ".join(map(_json_number, point))
+    listed = f"[\n      {coords}\n    ]" if coords else "[]"
+    return (f'  {{\n'
+            f'    "model": {model},\n'
+            f'    "point": {listed},\n'
+            f'    "plane_seed": {_json_number(plane_seed)},\n')
 
 
-def write_ledger(fh, rows) -> None:
-    """Write ledger rows, one at a time from a fixed template; the bytes
-    are those of ``json.dump(rows, fh, indent=2)`` and a newline."""
-    _write_framed(fh, _ledger_texts(rows))
+def _ledger_text(head: str, term: str, path_a: str, path_b: str,
+                 va: float, vb: float) -> str:
+    """A ledger row, from its sample's :func:`_ledger_head` and its
+    strings already spelled, as ``json.dump(rows, indent=2)`` spells it
+    inside the list; ``abs_diff`` is |va - vb|."""
+    return (f'{head}'
+            f'    "term": {term},\n'
+            f'    "path_a": {path_a},\n'
+            f'    "path_b": {path_b},\n'
+            f'    "value_a": {_json_number(va)},\n'
+            f'    "value_b": {_json_number(vb)},\n'
+            f'    "abs_diff": {_json_number(abs(va - vb))}\n'
+            f'  }}')
 
 
 def _write_framed(fh, texts) -> None:
@@ -490,41 +470,6 @@ def _write_framed(fh, texts) -> None:
         fh.write(sep + text)
         sep = ",\n"
     fh.write("[]\n" if sep == "[\n" else "\n]\n")
-
-
-def _ledger_texts(rows):
-    """Each row's text as ``json.dump(rows, indent=2)`` spells it inside
-    the list.  The head of a row (model, point, plane_seed) is formatted
-    once for a run of rows of one sample, and each distinct string is
-    spelled once."""
-    spelled: dict[str, str] = {}
-
-    def spell(text: str) -> str:
-        if text not in spelled:
-            spelled[text] = json.dumps(text)
-        return spelled[text]
-
-    sample = head = None
-    for row in rows:
-        model, point, plane_seed = row["model"], row["point"], row["plane_seed"]
-        # rows of one sample share its point list
-        if sample is None or point is not sample[1] \
-                or (model, plane_seed) != (sample[0], sample[2]):
-            coords = ",\n      ".join(map(_json_number, point))
-            listed = f"[\n      {coords}\n    ]" if coords else "[]"
-            head = (f'  {{\n'
-                    f'    "model": {spell(model)},\n'
-                    f'    "point": {listed},\n'
-                    f'    "plane_seed": {_json_number(plane_seed)},\n')
-            sample = (model, point, plane_seed)
-        yield (f'{head}'
-               f'    "term": {spell(row["term"])},\n'
-               f'    "path_a": {spell(row["path_a"])},\n'
-               f'    "path_b": {spell(row["path_b"])},\n'
-               f'    "value_a": {_json_number(row["value_a"])},\n'
-               f'    "value_b": {_json_number(row["value_b"])},\n'
-               f'    "abs_diff": {_json_number(row["abs_diff"])}\n'
-               f'  }}')
 
 
 def _json_number(x) -> str:
@@ -666,6 +611,8 @@ def cmd_scan(args) -> int:
               for t in np.linspace(args.start, args.stop, args.steps)]
     for p in points:
         p.validate(spec)
+    if args.out:
+        _check_output(args.out)
 
     rows = []
     ctx = None
@@ -675,8 +622,15 @@ def cmd_scan(args) -> int:
         contexts = []
         for p in chunk:
             # only t moves along the sweep; each step's context shares the
-            # work that does not depend on it with the step before
-            ctx = PointContext(spec, p) if ctx is None else ctx.at_base(p.t)
+            # work that does not depend on it with the step before.  On a
+            # static model t moves nothing, so the first context is filled
+            # before it is shared and every step reads its slots
+            if ctx is None:
+                ctx = PointContext(spec, p)
+                if spec.kind == "SSST":
+                    PointContext.fill_warp_bundles([ctx])
+            else:
+                ctx = ctx.at_base(p.t)
             contexts.append(ctx)
         PointContext.fill_warp_bundles(contexts)
         # (value, oracle value) at each step
@@ -705,14 +659,10 @@ def cmd_scan(args) -> int:
             rows.append(f"{_csv(p.t)},{args.quantity},{_csv(val)},"
                         f"{_csv(oval)},{_csv(abs(val - oval))}\r\n")
 
-    out = open(args.out, "w") if args.out else sys.stdout
-    try:
+    with _output(args.out) as out:
         out.write("coordinate,quantity,value,oracle_value,abs_diff\r\n")
         for row in rows:
             out.write(row)
-    finally:
-        if args.out:
-            out.close()
     return 0
 
 

@@ -794,8 +794,8 @@ class PointContext:
     The caller that owns a point builds its context once and passes it
     down; every evaluator that takes a point also accepts its context
     (:meth:`of`).  Building one validates the point, fixes its structural
-    coordinates ``base_point`` and ``fiber_points`` (for a static model
-    the spatial factor is the structural base and time the one fiber; see
+    base coordinates ``base_point`` (for a static model the spatial factor
+    is the structural base and time the one fiber; see
     :mod:`warpcurv.warped_formulas`) and evaluates each fiber metric.  The
     warping values (the potential f for SSST), their derivative bundle and
     the chart-oracle tensors of the base and of each fiber, and the
@@ -816,9 +816,9 @@ class PointContext:
     vectors.
     """
 
-    __slots__ = ("spec", "point", "base_point", "fiber_points", "fiber_rows",
-                 "fiber_metrics", "base_rows", "_warps", "_warp_bundle",
-                 "_base_tensors", "_fiber_tensors", "_riemann", "_chol_t")
+    __slots__ = ("spec", "point", "base_point", "fiber_rows", "fiber_metrics",
+                 "base_rows", "_warps", "_warp_bundle", "_base_tensors",
+                 "_fiber_tensors", "_riemann", "_chol_t")
 
     def __init__(self, spec: ManifoldSpec, p: Point):
         p.validate(spec)
@@ -836,8 +836,6 @@ class PointContext:
         self._riemann = self.base_rows = None
         if spec.kind == "SSST":
             self.base_point = coords[0]
-        else:
-            self.fiber_points = coords
         self._set_base(p)
 
     def _set_base(self, p: Point) -> None:
@@ -845,7 +843,6 @@ class PointContext:
         spec = self.spec
         self.point = p
         if spec.kind == "SSST":  # t is the structural fiber; nothing moves
-            self.fiber_points = ((float(p.t),),)
             return
         self._base_tensors = self._warp_bundle = self._warps = None
         self._riemann = None

@@ -1,6 +1,9 @@
 """Command-line interface: output formats, determinism, ledger schema,
 exit codes, environment seeding."""
 
+import argparse
+import contextlib
+import io
 import json
 import math
 import os
@@ -469,8 +472,8 @@ class TestTwoDimensionalSpacetime:
 
 
 class TestReportWriter:
-    """``report --format json`` spells its document from a template, byte
-    for byte as ``json.dump(doc, indent=2)`` and a newline do."""
+    """``report --format json`` writes its document as
+    ``json.dump(doc, indent=2)`` and a newline do."""
 
     MODELS = ("minkowski", "einstein_static", "anti_de_sitter_cover",
               "schwarzschild_exterior", "kasner_vacuum", "kasner_flat",
@@ -486,22 +489,28 @@ class TestReportWriter:
         from warpcurv import cli
 
         docs = []
-        spell = cli._report_texts
+        emit = cli._emit_report
 
-        def recorded(doc):
+        def recorded(doc, args):
             docs.append(doc)
-            return spell(doc)
-        monkeypatch.setattr(cli, "_report_texts", recorded)
+            return emit(doc, args)
+        monkeypatch.setattr(cli, "_emit_report", recorded)
         out = tmp_path / "report.json"
         assert cli.main(["report", model, "--planes", "70", "--path", path,
                          "--seed", "3", "--out", str(out)]) == 0
         assert len(docs) == 1
         assert out.read_text() == self.reference(docs[0])
 
-    def test_special_values_and_flags(self):
+    def test_special_values_and_flags(self, tmp_path):
         """NaN and the infinities, strings that need escapes, an empty
         breakdown and flags, and empty lists."""
         from warpcurv import cli
+
+        def written(doc) -> str:
+            out = tmp_path / "report.json"
+            cli._emit_report(doc, argparse.Namespace(format="json",
+                                                     out=str(out)))
+            return out.read_text()
 
         doc = {
             "tool": "warpcurv", "version": "0.1.0", "model": 'a "b" \u00e9',
@@ -524,11 +533,11 @@ class TestReportWriter:
                                   "plane 0: printed K deviates from oracle",
                                   "quote \" and \u2603"],
         }
-        assert "".join(cli._report_texts(doc)) == self.reference(doc)
+        assert written(doc) == self.reference(doc)
         empty = {**doc, "point": {"names": [], "coords": []},
                  "ricci": {**doc["ricci"], "specialized": [], "oracle": [[]]},
                  "planes": [], "discrepancy_flags": []}
-        assert "".join(cli._report_texts(empty)) == self.reference(empty)
+        assert written(empty) == self.reference(empty)
 
 
 class TestInternalError:
@@ -544,3 +553,69 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert err.rstrip().endswith("RuntimeError: boom")
+
+
+class TestOutputPathUpFront:
+    """An output path in a missing directory, or one that is a directory,
+    exits 2 with one line naming it before any plane or oracle work, and
+    nothing is created."""
+
+    COMMANDS = {
+        "report": ["report", "kasner_vacuum", "--planes", "200", "--out"],
+        "compare": ["compare", "kasner_vacuum", "--samples", "300",
+                    "--ledger"],
+        "scan": ["scan", "kasner_vacuum", "--from", "0.5", "--to", "2.5",
+                 "--steps", "200", "--out"],
+    }
+
+    @pytest.mark.parametrize("where", ["missing_directory", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_refused_before_the_work(self, monkeypatch, tmp_path, command,
+                                     where):
+        from warpcurv import cli, tensor_oracle
+
+        calls = {"sample_planes": 0, "riemann_oracle_batch": 0}
+        # report's riemann_oracle reaches the batch through tensor_oracle
+        for module, name in [(cli, "sample_planes"),
+                             (cli, "riemann_oracle_batch"),
+                             (tensor_oracle, "riemann_oracle_batch")]:
+            real = getattr(module, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        path = (tmp_path / "missing" / "out.json" if where != "directory"
+                else tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(self.COMMANDS[command] + [str(path)])
+        assert code == 2
+        assert calls == {"sample_planes": 0, "riemann_oracle_batch": 0}
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and repr(str(path)) in lines[0]
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("quantity", ["ricci", "KU"])
+@pytest.mark.parametrize("model", ["schwarzschild_exterior", "einstein_static",
+                                   "anti_de_sitter_cover"])
+def test_static_scan_fills_its_spatial_point_once(monkeypatch, model,
+                                                  quantity):
+    """A scan moves t only, and on a static model t moves nothing: the
+    spatial factor's tensors are filled at one point for the whole
+    sweep, over several chunks."""
+    from warpcurv import cli, core_types
+
+    points = []
+    real = core_types._oracle
+
+    def counted(chart, batch):
+        points.extend(batch)
+        return real(chart, batch)
+    monkeypatch.setattr(core_types, "_oracle", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["scan", model, "--quantity", quantity, "--from",
+                         "-2", "--to", "2", "--steps", "130"]) == 0
+    assert len(points) == 1

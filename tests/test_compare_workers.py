@@ -252,3 +252,33 @@ def test_unwritable_ledger_exits_2_after_the_workers(monkeypatch, tmp_path):
     assert runs[0] == runs[1]
     assert runs[0][0] == 2 and str(ledger) in runs[0][1]
     assert not Path(ledger).parent.exists()
+
+
+def test_ledger_directory_gone_during_the_run_exits_2(monkeypatch, tmp_path):
+    """The ledger's directory passes the up-front check and is removed
+    while the first block runs: the final ``open`` fails on its own, after
+    the workers, with the same exit code and stderr on one and two CPUs."""
+    folder = tmp_path / "gone"
+    ledger = folder / "ledger.json"
+    real = cli._compare_chunks
+
+    def removing(*args):
+        result = real(*args)
+        with contextlib.suppress(FileNotFoundError):
+            folder.rmdir()
+        return result
+    monkeypatch.setattr(cli, "_compare_chunks", removing)
+    runs = []
+    for cpus in (ONE_CPU, TWO_CPUS):
+        folder.mkdir()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(["compare", "einstein_static", "--samples",
+                             "200", "--path", "as-printed",
+                             "--ledger", str(ledger)])
+        assert_no_children()
+        runs.append((code, err.getvalue()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2 and str(ledger) in runs[0][1]
+    assert "Errno" in runs[0][1] and not folder.exists()

@@ -4,8 +4,6 @@ expansion it replaces; the batched fills of a `compare` chunk against a
 fill of one; and the chunk's batched oracle contraction against the
 scalar one."""
 
-import io
-import json
 import math
 
 import numpy as np
@@ -23,7 +21,7 @@ from warpcurv import (CoordinateChart, Interval, NullPlane, Point,
                       null_curvature_generic, ricci_matrix,
                       riemann_oracle_batch, sample_plane,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
-from warpcurv import cli, core_types
+from warpcurv import core_types
 from warpcurv.core_types import WarpData
 from warpcurv import hyperdual as hd
 from warpcurv.cli import CHUNK
@@ -367,26 +365,3 @@ def test_batched_oracle_contraction_raises_for_the_first_bad_plane():
         null_sectional_batch(batch, L, S)
     assert str(batched.value) == str(scalar.value)
     assert null_sectional_batch([], [], []).shape == (0,)
-
-
-# ---------------------------------------------------------------------------
-# the ledger writer's per-sample head
-# ---------------------------------------------------------------------------
-
-def test_ledger_head_follows_each_sample():
-    """A row's head is reused only for the rows of its own sample: the
-    same point list with another seed or model, or another point list
-    with the same seed, gets a head of its own."""
-    shared = [1.0, -0.0, 2.5]
-    rows = [{"model": model, "point": point, "plane_seed": seed,
-             "term": term, "path_a": "as-printed:main", "path_b": "oracle",
-             "value_a": 0.5, "value_b": math.nan, "abs_diff": math.nan}
-            for model, point, seed, term in [
-                ("a", shared, 1, "value"), ("a", shared, 1, "hess_YY"),
-                ("a", shared, 2, "value"), ("b", shared, 2, "value"),
-                ("b", [1.0, -0.0, 2.5], 2, "value"), ("b", [3.0], 2, "é"),
-                ("b", [], 2, "value")]]
-    buf, want = io.StringIO(), io.StringIO()
-    cli.write_ledger(buf, rows)
-    json.dump(rows, want, indent=2)
-    assert buf.getvalue() == want.getvalue() + "\n"
