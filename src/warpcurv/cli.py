@@ -226,7 +226,7 @@ def cmd_report(args) -> int:
     chart = assemble_chart(spec)
     x = list(p.flat(spec))
     tensors = riemann_oracle(chart, x)
-    ric_s, ric_o = ricci_matrix(spec, ctx), tensors.ricci
+    ric_s, ric_o = ricci_matrix(spec, [ctx])[0], tensors.ricci
     paths = formula_paths(spec) if args.path == "all" else (args.path,)
 
     rng = np.random.default_rng(np.uint64(seed))
@@ -635,11 +635,12 @@ def cmd_scan(args) -> int:
         PointContext.fill_warp_bundles(contexts)
         # (value, oracle value) at each step
         if args.quantity == "ricci":
-            ricci = [ricci_matrix(spec, c) for c in contexts]
-            # max |Ric| of the whole chunk in one reduction per side; a
-            # max is exact, so each step's value is its own max
-            pairs = zip(*(np.max(np.abs(np.array(m)), axis=(1, 2)).tolist()
-                          for m in (ricci, [t.ricci for t in batch])))
+            # the chunk's Ricci matrices in one build, and max |Ric| of
+            # each step in one reduction per side; a max is exact, so each
+            # step's value is its own max
+            pairs = zip(*(np.max(np.abs(m), axis=(1, 2)).tolist()
+                          for m in (ricci_matrix(spec, contexts),
+                                    np.array([t.ricci for t in batch]))))
         else:
             # every step draws its plane from a generator seeded afresh;
             # the chunk's planes are one batched draw

@@ -79,7 +79,7 @@ _R3_WIN = ((-2.0, 2.0),) * 3
 _LINE_WIN = ((-2.0, 2.0),)
 
 
-def _entries() -> list[CatalogEntry]:
+def _entries() -> tuple[CatalogEntry, ...]:
     one = WarpingFunction.constant(1.0)
     t_linear = WarpingFunction.from_form("power", {"c": 1.0, "q": 1.0})
 
@@ -215,15 +215,16 @@ def _entries() -> list[CatalogEntry]:
         fiber_windows=(_S2_WIN, _LINE_WIN),
     )
 
-    return [minkowski, einstein_static, anti_de_sitter, schwarzschild,
-            kasner_vacuum, kasner_flat, grw_exponential, rn_demo]
+    return (minkowski, einstein_static, anti_de_sitter, schwarzschild,
+            kasner_vacuum, kasner_flat, grw_exponential, rn_demo)
 
 
-_CATALOG: list[CatalogEntry] | None = None
+_CATALOG: tuple[CatalogEntry, ...] | None = None
 
 
-def catalog() -> list[CatalogEntry]:
-    """All named models, built once and reused."""
+def catalog() -> tuple[CatalogEntry, ...]:
+    """All named models, built once and reused; a tuple, so no caller can
+    change what the next one reads."""
     global _CATALOG
     if _CATALOG is None:
         _CATALOG = _entries()

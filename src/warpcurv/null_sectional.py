@@ -49,7 +49,6 @@ from .core_types import (_TIME_BASE_KINDS, ManifoldSpec, NullPlane, Point,
 from .errors import (ConstraintError, ConstructionError, PlaneError,
                      ShapeError, ValidationError)
 from .tensor_oracle import riemann_apply
-from .warped_formulas import WarpedGeometry
 
 __all__ = [
     "NullCurvatureResult",
@@ -553,18 +552,24 @@ def _time_data(ctx: PointContext, plane: NullPlane) -> _TimeData:
     L = _oriented_time_L(L, 1.0)
     plane.validate(tol=1e-9)
     b, db, ddb, gvv, gvw, gww, rf, vs, ws = [], [], [], [], [], [], [], [], []
-    for i, (fib, wd) in enumerate(zip(WarpedGeometry(spec).fibers,
-                                      ctx.warp_bundle)):
+    for i, (fiber, wd) in enumerate(zip(spec.fibers, ctx.warp_bundle)):
+        G = ctx.fiber_metrics[i]
         v = np.asarray(L.fiber_parts[i], float)
         w = np.asarray(S.fiber_parts[i], float)
         b.append(wd.value)
         db.append(float(wd.dcomps[0]))
         ddb.append(float(wd.hess[0, 0]))
-        gvv.append(fib.inner(ctx, v, v))
-        gvw.append(fib.inner(ctx, v, w))
-        gww.append(fib.inner(ctx, w, w))
-        rcomp = fib.riemann(ctx, v, w, w)
-        rf.append(float(np.asarray(rcomp) @ fib.metric(ctx) @ v))
+        gvv.append(float(v @ G @ v))
+        gvw.append(float(v @ G @ w))
+        gww.append(float(w @ G @ w))
+        # R_F(V, W) W
+        if fiber.dim == 1:
+            rcomp = np.zeros(1)
+        elif fiber.constant_curvature is not None:
+            rcomp = fiber.constant_curvature * (gww[-1] * v - gvw[-1] * w)
+        else:
+            rcomp = riemann_apply(ctx.fiber_tensors(i), v, w, w)
+        rf.append(float(rcomp @ G @ v))
         vs.append(L.fiber_parts[i])
         ws.append(S.fiber_parts[i])
     phi = None if spec.phi is None else float(spec.phi.fn(ctx.base_point[0]))

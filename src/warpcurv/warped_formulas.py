@@ -44,7 +44,7 @@ import numpy as np
 
 from .core_types import (ManifoldSpec, Point, PointContext, TangentVector,
                          _lanes, _Metric, flatten, split)
-from .tensor_oracle import lowered_riemann_batch, riemann_apply
+from .tensor_oracle import lowered_riemann_batch
 
 __all__ = [
     "WarpedGeometry",
@@ -66,13 +66,6 @@ class LineBase:
     dim = 1
     sign = -1.0
 
-    def cometric(self, ctx, a, b) -> float:
-        """g_B^{-1}(a, b) for covectors a, b."""
-        return self.sign * a[0] * b[0]
-
-    def ricci_matrix(self, ctx) -> np.ndarray:
-        return np.zeros((1, 1))
-
 
 class ChartBase:
     """General pseudo-Riemannian base, read from the context's chart-oracle
@@ -80,12 +73,6 @@ class ChartBase:
 
     def __init__(self, dim: int):
         self.dim = dim
-
-    def cometric(self, ctx, a, b) -> float:
-        return float(a @ ctx.base_tensors.metric_inv @ b)
-
-    def ricci_matrix(self, ctx) -> np.ndarray:
-        return ctx.base_tensors.ricci
 
 
 _TIME_METRIC = np.array([[-1.0]])
@@ -109,33 +96,12 @@ class _StructFiber:
             return _TIME_METRIC
         return ctx.fiber_metrics[self.index]
 
-    def inner(self, ctx, v, w) -> float:
-        return float(np.asarray(v) @ self.metric(ctx) @ np.asarray(w))
-
-    def riemann(self, ctx, v, w, u) -> np.ndarray:
-        """Components of R_F(V, W) U."""
-        if self.dim == 1:
-            return np.zeros(1)
-        if self.k is not None:
-            g = self.metric(ctx)
-            v, w, u = np.asarray(v), np.asarray(w), np.asarray(u)
-            return self.k * (float(w @ g @ u) * v - float(v @ g @ u) * w)
-        return riemann_apply(ctx.fiber_tensors(self.index), v, w, u)
-
-    def ricci_matrix(self, ctx) -> np.ndarray:
-        """Ric_F in fiber coordinates."""
-        if self.dim == 1:
-            return np.zeros((1, 1))
-        if self.k is not None:
-            return self.k * (self.dim - 1) * self.metric(ctx)
-        return ctx.fiber_tensors(self.index).ricci
-
 
 class WarpedGeometry:
     """Structural view of a :class:`ManifoldSpec` as base + warped fibers.
 
-    Stateless: it holds no point data, which every method reads from the
-    :class:`~warpcurv.core_types.PointContext` it is given.
+    Stateless: it holds no point data, which the builders read from the
+    :class:`~warpcurv.core_types.PointContext` of each point.
     """
 
     def __init__(self, spec: ManifoldSpec):
@@ -148,11 +114,6 @@ class WarpedGeometry:
             self.fibers = [_StructFiber(i, f.dim, f.constant_curvature)
                            for i, f in enumerate(spec.fibers)]
         self.m = len(self.fibers)
-
-    def inner_grads(self, ctx, i, k) -> float:
-        """g_B(grad b_i, grad b_k)."""
-        wds = ctx.warp_bundle
-        return self.base.cometric(ctx, wds[i].dcomps, wds[k].dcomps)
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +138,12 @@ def riemann_tensor(spec: ManifoldSpec,
       and ``R_{F_i} = k Q_i`` on a fiber of constant curvature k.
 
     Every other block is zero; a static model's structural blocks are
-    permuted back to chart order (time first), as in
-    :func:`ricci_matrix`.  The inputs are those the lift-by-lift expansion
-    in ``tests/reference_lifts.py`` reads: the warp bundles, the fiber
-    metrics and curvatures and the base tensors, never the assembled
-    chart's oracle.  Every product runs
-    elementwise on arrays stacked over the points, in a fixed order, so
-    each point's bits do not depend on the other points in the batch.
+    permuted back to chart order (time first).  The inputs are those the
+    lift-by-lift expansion in ``tests/reference_lifts.py`` reads: the warp
+    bundles, the fiber metrics and curvatures and the base tensors, never
+    the assembled chart's oracle.  Every product runs elementwise on arrays
+    stacked over the points, in a fixed order, so each point's bits do not
+    depend on the other points in the batch.
     """
     contexts = [PointContext.of(spec, c) for c in contexts]
     geom = WarpedGeometry(spec)
@@ -236,11 +196,7 @@ def riemann_tensor(spec: ManifoldSpec,
                  * metrics[k][:, :, None, None, :])
             out[:, U, V, V, U] = -c
             out[:, V, U, V, U] = c.transpose(0, 2, 1, 3, 4)
-    if spec.kind == "SSST":
-        order = np.roll(np.arange(n), 1)  # chart (t, x...) <- structural (x..., t)
-        for axis in range(1, 5):
-            out = out.take(order, axis=axis)
-    return out
+    return _chart_order(spec, out)
 
 
 def riemann_general(spec: ManifoldSpec, p: Point | PointContext,
@@ -273,6 +229,17 @@ def _col(a: np.ndarray, extra: int) -> np.ndarray:
     return a.reshape(a.shape + (1,) * extra)
 
 
+def _chart_order(spec: ManifoldSpec, out: np.ndarray) -> np.ndarray:
+    """``out`` with a static model's structural axes (x..., t), all but
+    the first, permuted back to chart order (t, x...)."""
+    if spec.kind != "SSST":
+        return out
+    order = np.roll(np.arange(spec.dim), 1)
+    for axis in range(1, out.ndim):
+        out = out.take(order, axis=axis)
+    return out
+
+
 def _pairing(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """u^T m v at each point, summed term by term in a fixed order."""
     acc = np.zeros(len(u))
@@ -286,54 +253,74 @@ def _pairing(u: np.ndarray, m: np.ndarray, v: np.ndarray) -> np.ndarray:
 # Ricci curvature (four cases)
 # ---------------------------------------------------------------------------
 
-def _fiber_bracket(geom: WarpedGeometry, ctx: PointContext, i: int) -> float:
-    """The factor of g(V, W) in Ric(V, W) for V, W in fiber i."""
-    wds = ctx.warp_bundle
-    bi = wds[i].value
-    bracket = wds[i].lap / bi + (geom.fibers[i].dim - 1) * wds[i].grad_sq / (bi * bi)
-    for k in range(geom.m):
-        if k != i:
-            bracket += geom.fibers[k].dim * geom.inner_grads(ctx, i, k) / (
-                bi * wds[k].value)
-    return bracket
-
-
 def ricci_general(spec: ManifoldSpec, p: Point | PointContext,
                   X: TangentVector, Y: TangentVector) -> float:
     """Ric(X, Y): :func:`ricci_matrix` at the point contracted on X and Y."""
     x, y = _flat(spec, X), _flat(spec, Y)
-    return float(x @ ricci_matrix(spec, p) @ y)
+    return float(x @ ricci_matrix(spec, [p])[0] @ y)
 
 
-def ricci_matrix(spec: ManifoldSpec, p: Point | PointContext) -> np.ndarray:
-    """Ric(d_a, d_b) in chart coordinates, assembled block by block.
+def ricci_matrix(spec: ManifoldSpec,
+                 contexts: Sequence[Point | PointContext]) -> np.ndarray:
+    """Ric(d_a, d_b) at each context's point, ``(N, n, n)`` in chart order,
+    assembled block by block from the case formulas.
 
     The base block is ``Ric_B - sum_i dim_i H^{b_i} / b_i``, fiber block i
-    is ``Ric_{F_i} - bracket_i b_i^2 g_{F_i}`` and mixed blocks vanish; for
-    a static model the structural blocks are permuted back to chart order
-    (time first).  Every entry equals the lift-by-lift expansion's
-    ``ricci_general`` (``tests/reference_lifts.py``) on the coordinate
-    basis exactly.
+    is ``Ric_{F_i} - bracket_i b_i^2 g_{F_i}`` with ``bracket_i =
+    lap b_i / b_i + (dim_i - 1) |grad b_i|^2 / b_i^2
+    + sum_{k != i} dim_k g_B(grad b_i, grad b_k) / (b_i b_k)``, and mixed
+    blocks vanish; a static model's blocks are permuted back to chart
+    order, as in :func:`riemann_tensor`.  The warp bundles are read as they
+    stand, so a caller holding many contexts fills them first
+    (:meth:`PointContext.fill_warp_bundles`).  Every product runs on arrays
+    stacked over the points in the order of the lift-by-lift expansion
+    (``tests/reference_lifts.py``), and on a chart base
+    g_B(grad b_i, grad b_k) is ``u @ g_B^-1 @ v`` at each point, so every
+    entry equals that expansion exactly, whatever the batch.
     """
-    ctx, geom = PointContext.of(spec, p), WarpedGeometry(spec)
-    wds = ctx.warp_bundle
-    base = geom.base.ricci_matrix(ctx)
+    contexts = [PointContext.of(spec, c) for c in contexts]
+    geom = WarpedGeometry(spec)
+    count, n, nb = len(contexts), spec.dim, geom.base.dim
+    out = np.zeros((count, n, n))
+    if not contexts:
+        return out
+    wds = [c.warp_bundle for c in contexts]
+    b = [np.array([w[i].value for w in wds]) for i in range(geom.m)]
+    if isinstance(geom.base, LineBase):
+        base = np.zeros((count, 1, 1))
+        slopes = [np.array([w[i].dcomps[0] for w in wds]) for i in range(geom.m)]
+
+        def grads(i, k):  # g_B(grad b_i, grad b_k)
+            return LineBase.sign * slopes[i] * slopes[k]
+    else:
+        tensors = [c.base_tensors for c in contexts]
+        base = np.array([t.ricci for t in tensors])
+
+        def grads(i, k):
+            return np.array([float(w[i].dcomps @ t.metric_inv @ w[k].dcomps)
+                             for w, t in zip(wds, tensors)])
     for i, fib in enumerate(geom.fibers):
-        base = base - fib.dim * wds[i].hess / wds[i].value
-    blocks = [base]
+        hess = np.array([w[i].hess for w in wds])
+        base = base - fib.dim * hess / _col(b[i], 2)
+    out[:, :nb, :nb] = base
+    ofs = np.cumsum([nb] + [fib.dim for fib in geom.fibers])
     for i, fib in enumerate(geom.fibers):
-        bi = wds[i].value
-        gvw = bi * bi * fib.metric(ctx)
-        blocks.append(fib.ricci_matrix(ctx) - _fiber_bracket(geom, ctx, i) * gvw)
-    sizes = [blk.shape[0] for blk in blocks]
-    n = sum(sizes)
-    ric = np.zeros((n, n))
-    ofs = 0
-    for blk, size in zip(blocks, sizes):
-        ric[ofs:ofs + size, ofs:ofs + size] = blk
-        ofs += size
-    if spec.kind == "SSST":
-        order = np.roll(np.arange(n), 1)  # chart (t, x...) <- structural (x..., t)
-        ric = ric[np.ix_(order, order)]
+        lap = np.array([w[i].lap for w in wds])
+        grad_sq = np.array([w[i].grad_sq for w in wds])
+        bracket = lap / b[i] + (fib.dim - 1) * grad_sq / (b[i] * b[i])
+        for k in range(geom.m):
+            if k != i:
+                bracket += geom.fibers[k].dim * grads(i, k) / (b[i] * b[k])
+        G = np.array([fib.metric(c) for c in contexts])
+        if fib.dim == 1:
+            ric_f = np.zeros((count, 1, 1))
+        elif fib.k is not None:
+            ric_f = fib.k * (fib.dim - 1) * G
+        else:
+            # one batched oracle call for the fiber at every point
+            PointContext.fill_fiber_tensors(contexts, i)
+            ric_f = np.array([c.fiber_tensors(i).ricci for c in contexts])
+        V = slice(ofs[i], ofs[i + 1])
+        out[:, V, V] = ric_f - _col(bracket, 2) * (_col(b[i] * b[i], 2) * G)
     # + 0.0 turns -0.0 into 0.0, as the lift expansion's accumulator does
-    return ric + 0.0
+    return _chart_order(spec, out) + 0.0

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 
-from warpcurv.hyperdual import _power_rule, exp, log
+from warpcurv.errors import DomainError
+from warpcurv.hyperdual import exp, log
 
 
 class HyperDual:
@@ -129,3 +130,14 @@ def _chain(x: HyperDual, f, df, d2f) -> HyperDual:
         df * x.e2,
         df * x.e12 + d2f * x.e1 * x.e2,
     )
+
+
+def _power_rule(a, q):
+    """a**q and its first two derivatives at a, with the domain checks of
+    the power in ``warpcurv.hyperdual``."""
+    if a == 0.0 and q < 2.0:
+        raise ZeroDivisionError("power at zero base")
+    if a < 0.0 and not float(q).is_integer():
+        raise DomainError(
+            f"power of negative base {a!r} to non-integer exponent {q!r}")
+    return a ** q, q * a ** (q - 1.0), q * (q - 1.0) * a ** (q - 2.0)

@@ -11,10 +11,11 @@ lifts of general vectors by multilinearity.  Tests use it as an
 independent reference for the tensor route, as
 ``tests/test_sampler_bits.py`` keeps the old sampler.
 
-The structural views here are those of ``warped_formulas`` with the
-methods only this expansion reads put back (``riemann``, ``ricci``,
-``metric_inv`` and ``zero_vec``), and ``from_structural`` assembles its
-results as tangent vectors.
+The structural views here are this module's own: the base and fiber
+views with the cometric, inner product, curvature and Ricci methods this
+expansion reads, and ``from_structural`` assembles its results as tangent
+vectors.  Nothing here reads a private name of ``warpcurv``, so the
+reference shares no helper with the code it checks.
 """
 
 from __future__ import annotations
@@ -24,15 +25,22 @@ import numpy as np
 from warpcurv.core_types import ManifoldSpec, Point, PointContext, TangentVector
 from warpcurv.errors import ValidationError
 from warpcurv.tensor_oracle import riemann_apply
-from warpcurv import warped_formulas as wf
-from warpcurv.warped_formulas import _fiber_bracket
 
 
 # ---------------------------------------------------------------------------
 # the structural views with their curvature methods
 # ---------------------------------------------------------------------------
 
-class LineBase(wf.LineBase):
+class LineBase:
+    """One-dimensional base with metric -dt^2."""
+
+    dim = 1
+    sign = -1.0
+
+    def cometric(self, ctx, a, b) -> float:
+        """g_B^{-1}(a, b) for covectors a, b."""
+        return self.sign * a[0] * b[0]
+
     def metric_inv(self, ctx) -> np.ndarray:
         return np.array([[self.sign]])
 
@@ -43,7 +51,15 @@ class LineBase(wf.LineBase):
         return 0.0
 
 
-class ChartBase(wf.ChartBase):
+class ChartBase:
+    """General base, read from the context's chart-oracle base tensors."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+
+    def cometric(self, ctx, a, b) -> float:
+        return float(a @ ctx.base_tensors.metric_inv @ b)
+
     def metric_inv(self, ctx) -> np.ndarray:
         return ctx.base_tensors.metric_inv
 
@@ -54,7 +70,35 @@ class ChartBase(wf.ChartBase):
         return float(np.asarray(x) @ ctx.base_tensors.ricci @ np.asarray(y))
 
 
-class _StructFiber(wf._StructFiber):
+class StructFiber:
+    """Structural fiber ``index``: constant-curvature closed forms where
+    tagged, the context's chart-oracle tensors otherwise; a static model's
+    one structural fiber is the time line (``lorentz_time``)."""
+
+    def __init__(self, index, dim, constant_curvature=None, lorentz_time=False):
+        self.index = index
+        self.dim = dim
+        self.k = constant_curvature
+        self.lorentz_time = lorentz_time
+
+    def metric(self, ctx) -> np.ndarray:
+        if self.lorentz_time:
+            return np.array([[-1.0]])
+        return ctx.fiber_metrics[self.index]
+
+    def inner(self, ctx, v, w) -> float:
+        return float(np.asarray(v) @ self.metric(ctx) @ np.asarray(w))
+
+    def riemann(self, ctx, v, w, u) -> np.ndarray:
+        """Components of R_F(V, W) U."""
+        if self.dim == 1:
+            return np.zeros(1)
+        if self.k is not None:
+            g = self.metric(ctx)
+            v, w, u = np.asarray(v), np.asarray(w), np.asarray(u)
+            return self.k * (float(w @ g @ u) * v - float(v @ g @ u) * w)
+        return riemann_apply(ctx.fiber_tensors(self.index), v, w, u)
+
     def ricci(self, ctx, v, w) -> float:
         if self.dim == 1:
             return 0.0
@@ -64,17 +108,24 @@ class _StructFiber(wf._StructFiber):
         return float(np.asarray(v) @ r @ np.asarray(w))
 
 
-class WarpedGeometry(wf.WarpedGeometry):
+class WarpedGeometry:
+    """Structural view of a spec as base + warped fibers (stateless)."""
+
     def __init__(self, spec: ManifoldSpec):
         if spec.kind == "SSST":
             self.base = ChartBase(spec.fibers[0].dim)
-            self.fibers = [_StructFiber(0, 1, 0.0, lorentz_time=True)]
+            self.fibers = [StructFiber(0, 1, 0.0, lorentz_time=True)]
         else:
             self.base = (LineBase() if spec.base_chart is None
                          else ChartBase(spec.base_chart.dim))
-            self.fibers = [_StructFiber(i, f.dim, f.constant_curvature)
+            self.fibers = [StructFiber(i, f.dim, f.constant_curvature)
                            for i, f in enumerate(spec.fibers)]
         self.m = len(self.fibers)
+
+    def inner_grads(self, ctx, i, k) -> float:
+        """g_B(grad b_i, grad b_k)."""
+        wds = ctx.warp_bundle
+        return self.base.cometric(ctx, wds[i].dcomps, wds[k].dcomps)
 
     def zero_vec(self):
         return (np.zeros(self.base.dim), [np.zeros(f.dim) for f in self.fibers])
@@ -235,6 +286,18 @@ def _split_struct(geom: WarpedGeometry, sv):
 # ---------------------------------------------------------------------------
 # Ricci curvature (four cases)
 # ---------------------------------------------------------------------------
+
+def _fiber_bracket(geom: WarpedGeometry, ctx: PointContext, i: int) -> float:
+    """The factor of g(V, W) in Ric(V, W) for V, W in fiber i."""
+    wds = ctx.warp_bundle
+    bi = wds[i].value
+    bracket = wds[i].lap / bi + (geom.fibers[i].dim - 1) * wds[i].grad_sq / (bi * bi)
+    for k in range(geom.m):
+        if k != i:
+            bracket += geom.fibers[k].dim * geom.inner_grads(ctx, i, k) / (
+                bi * wds[k].value)
+    return bracket
+
 
 def _ricci_struct(geom: WarpedGeometry, ctx: PointContext, A, B) -> float:
     oa, a = A

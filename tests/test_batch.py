@@ -19,6 +19,7 @@ from warpcurv import (CoordinateChart, DegenerateMetricError, DomainError,
                       generic_warped_spec, grw_spec, hyperbolic_fiber,
                       ricci_matrix, riemann_oracle_batch,
                       schwarzschild_spatial_fiber, sphere_fiber, split)
+from warpcurv import cli
 from warpcurv import hyperdual as hd
 from warpcurv.cli import CHUNK
 from warpcurv.cli import main as cli_main
@@ -252,7 +253,7 @@ def assert_same_bits(spec, p):
     entries and equal signs of zero, since reports print -0.0 as such."""
     basis = [split(row, spec) for row in np.eye(spec.dim)]
     ref = np.array([[ricci_general(spec, p, a, b) for b in basis] for a in basis])
-    got = ricci_matrix(spec, p)
+    got = ricci_matrix(spec, [p])[0]
     assert np.array_equal(got, ref)
     assert np.array_equal(np.signbit(got), np.signbit(ref))
 
@@ -278,11 +279,35 @@ class TestRicciMatrix:
         for t in (0.5, 1.0, 2.0):
             assert_same_bits(spec, Point(t, ((0.8, 1.1, 0.4),)))
 
+    @pytest.mark.parametrize(
+        "spec,draw",
+        [(e.spec, e.random_point) for e in catalog()]
+        + [(generic_spec(), lambda rng: generic_points(rng, 1)[0])],
+        ids=[e.name for e in catalog()] + ["generic"])
+    def test_chunk_equals_each_point_alone(self, spec, draw):
+        """One build over distinct points gives each point the bits, signs
+        of zero included, of a build at that point alone."""
+        rng = np.random.default_rng(13)
+        points = [draw(rng) for _ in range(7)]
+        assert len({p.flat(spec) for p in points}) == len(points)
+        contexts = [PointContext(spec, p) for p in points]
+        PointContext.fill_warp_bundles(contexts)
+        chunk = ricci_matrix(spec, contexts)
+        assert chunk.shape == (len(points), spec.dim, spec.dim)
+        for p, got in zip(points, chunk):
+            alone = ricci_matrix(spec, [p])[0]
+            assert np.array_equal(got, alone)
+            assert np.array_equal(np.signbit(got), np.signbit(alone))
+
+    def test_no_points_no_matrices(self):
+        spec = generic_spec()
+        assert ricci_matrix(spec, []).shape == (0, spec.dim, spec.dim)
+
     @pytest.mark.parametrize("entry", catalog(), ids=lambda e: e.name)
     def test_matches_oracle(self, entry):
         p = entry.default_point()
         ref = riemann_oracle(assemble_chart(entry.spec), list(p.flat(entry.spec)))
-        assert rel_err(ricci_matrix(entry.spec, p), ref.ricci) <= 1e-10
+        assert rel_err(ricci_matrix(entry.spec, [p])[0], ref.ricci) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +373,22 @@ class TestChunkedScan:
 
         monkeypatch.setattr(PointContext, "fill_warp_bundles",
                             staticmethod(counted))
+        steps = 2 * CHUNK + 2
+        assert cli_main(["scan", "kasner_vacuum", "--from", "0.5", "--to", "2",
+                         "--steps", str(steps), "--quantity", "ricci",
+                         "--out", str(tmp_path / "scan.csv")]) == 0
+        assert sizes == [CHUNK, CHUNK, 2]
+
+    def test_builds_each_chunk_at_once(self, tmp_path, monkeypatch):
+        """A chunk's Ricci matrices come from one ``ricci_matrix`` call."""
+        sizes = []
+        build = cli.ricci_matrix
+
+        def counted(spec, contexts):
+            sizes.append(len(contexts))
+            return build(spec, contexts)
+
+        monkeypatch.setattr(cli, "ricci_matrix", counted)
         steps = 2 * CHUNK + 2
         assert cli_main(["scan", "kasner_vacuum", "--from", "0.5", "--to", "2",
                          "--steps", str(steps), "--quantity", "ricci",

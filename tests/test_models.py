@@ -24,6 +24,16 @@ class TestCatalogContents:
     def test_all_models_present(self):
         assert {e.name for e in catalog()} == EXPECTED_NAMES
 
+    def test_callers_cannot_change_the_catalog(self):
+        models = catalog()
+        assert isinstance(models, tuple)
+        with pytest.raises(AttributeError):
+            models.reverse()
+        with pytest.raises(AttributeError):
+            models.pop()
+        assert catalog() == models
+        assert by_name("minkowski").name == "minkowski"
+
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             by_name("goedel")

@@ -42,7 +42,7 @@ def evaluate(spec, ctx, plane):
         values += [res.value, res.numerator, res.denominator]
         values += [float(v) for v in res.breakdown.values()]
     values.append(null_curvature_generic(spec, plane).value)
-    values += ricci_matrix(spec, ctx).ravel().tolist()
+    values += ricci_matrix(spec, [ctx])[0].ravel().tolist()
     return np.array(values)
 
 
@@ -134,12 +134,13 @@ def test_at_base_equals_a_fresh_context(entry):
     """A context moved along t gives the bits of one built at the point."""
     spec, p = entry.spec, entry.default_point()
     ctx = PointContext(spec, p)
-    ricci_matrix(spec, ctx)  # fill the slots at_base may share
+    ricci_matrix(spec, [ctx])[0]  # fill the slots at_base may share
     t = 0.25 * entry.base_window[0] + 0.75 * entry.base_window[1]
     moved = ctx.at_base(t)
     fresh = PointContext(spec, moved.point)
     assert moved.point == fresh.point and moved.warps == fresh.warps
-    assert np.array_equal(ricci_matrix(spec, moved), ricci_matrix(spec, fresh))
+    assert np.array_equal(ricci_matrix(spec, [moved])[0],
+                          ricci_matrix(spec, [fresh])[0])
     rng = np.random.default_rng(5)
     plane = sample_plane(spec, moved, rng)
     again = sample_plane(spec, fresh, np.random.default_rng(5))
